@@ -44,6 +44,7 @@ from .loneliness import (
 )
 from .subgroups import FiniteCyclicSubgroup, d_finite_cyclic
 from .spectrum import (
+    CorruptCheckpoint,
     EnumerationSpec,
     MissingOuterSpectrum,
     SpectrumTable,
@@ -68,6 +69,7 @@ _USAGE_ERRORS = (
     BudgetExceeded,
     TableMismatch,
     MissingOuterSpectrum,
+    CorruptCheckpoint,
     ValueError,
 )
 

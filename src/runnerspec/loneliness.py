@@ -11,6 +11,18 @@ multiples of 1/(2*v_i), and a local maximum of the pointwise minimum
 that is not a peak must be a crossing of a rising branch with a falling
 branch, which forces t*(v_i + v_j) to be an integer.  A dense-grid
 oracle for this candidate argument lives in the test suite.
+
+One batched kernel does every scan.  It takes an (m, n) block of
+same-length tuples, gives each row its candidate denominators 2 v_i and
+v_i + v_j, and evaluates every time j/q with j <= q/2 (the profile is
+symmetric under j -> q - j) in int64 grids of at most ``_GRID_CELLS``
+cells, sliced over tuples for a block and over j for one huge tuple.
+The tie-break is fixed: a larger value a/q wins, and an equal value
+wins only at a strictly earlier time, so every result carries the
+earliest maximizing time.  Tuples with 2 * max|v|^2 at or above
+``_INT64_LIMIT`` go to an arbitrary-precision scan with the same rule,
+which also serves the tests as the reference.  Single-tuple queries are
+blocks with m = 1.
 """
 
 from __future__ import annotations
@@ -25,11 +37,15 @@ import numpy as np
 
 from .core import HALF, IntVector, RationalLike, circle_distance, torus_point
 
-# The int64 scan is used only when every intermediate is provably below
-# this bound; anything larger falls back to arbitrary precision.
+# The int64 kernel takes a tuple only when 2 * max|v|^2 is below this
+# bound, which keeps every intermediate below 2**62; larger tuples fall
+# back to arbitrary precision.
 _INT64_LIMIT = 1 << 60
 
-_ARANGE_CACHE: dict[int, "np.ndarray"] = {}
+# Most cells one scan grid may hold.  Every grid the kernel builds, for a
+# block of tuples or for one huge tuple, is sliced to this size, so its
+# scratch memory stays at a few MiB whatever the speeds.
+_GRID_CELLS = 1 << 16
 
 
 class InvalidSpeeds(ValueError):
@@ -102,46 +118,130 @@ def _denominators(speeds: Sequence[int]) -> List[int]:
 
 
 def _int64_ok(speeds: Sequence[int]) -> bool:
-    qmax = 2 * max(speeds)
-    return qmax * max(speeds) < _INT64_LIMIT and qmax * qmax < _INT64_LIMIT
+    top = max(abs(s) for s in speeds)
+    return 2 * top * top < _INT64_LIMIT
 
 
-def _scan_best_numpy(speeds: Sequence[int]) -> Tuple[int, int, int, int]:
-    """Best (value, time) over the candidate grid in int64 arithmetic.
+def _deviation_grid(speeds: np.ndarray, q: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """max_i |(2 j v_i mod 2q) - q| for every problem row and every j.
 
-    Returns (a, q, tn, td) meaning the maximum of min_i ||t v_i|| over all
-    candidates is a/q, first attained at t = tn/td.  Evaluating every
-    j/q instead of only the peak/crossing numerators costs little and
-    keeps the loop branch-free; extra points can never raise the maximum.
+    This is q - 2 q min_i ||j v_i / q||, so its first minimum over j is
+    the first maximum of the loneliness profile on the denominator q.
+    ``speeds`` is (r, n), ``q`` is (r,) and ``j`` is (w,); the one scratch
+    array is (n, r, w) and is updated in place.
     """
-    bn = -1
-    bd = 1
-    btn = 0
-    btd = 1
-    for q in _denominators(speeds):
-        j = _ARANGE_CACHE.get(q)
-        if j is None:
-            j = np.arange(q, dtype=np.int64)
-            _ARANGE_CACHE[q] = j
-        dmin = None
-        for v in speeds:
-            r = (j * v) % q
-            np.minimum(r, q - r, out=r)
-            if dmin is None:
-                dmin = r
-            else:
-                np.minimum(dmin, r, out=dmin)
-        k = int(dmin.argmax())
-        a = int(dmin[k])
-        left = a * bd
-        right = bn * q
-        if left > right or (left == right and k * btd < btn * q):
-            bn, bd, btn, btd = a, q, k, q
-    return bn, bd, btn, btd
+    qc = q[:, None]
+    x = (2 * speeds.T)[:, :, None] * j
+    x %= 2 * qc
+    x -= qc
+    np.abs(x, out=x)
+    return x.max(axis=0)
+
+
+def _first_minima(speeds: np.ndarray, q: np.ndarray, width: int, cells: int):
+    """First minimum (dev, k) of the deviation over j < width, per row.
+
+    The j range is cut into slices whose grids hold at most ``cells``
+    (row, j) cells, scanned in ascending order; a later slice wins only
+    when strictly smaller, so the earliest minimum survives.
+    """
+    step = max(1, cells // len(q))
+    rows = np.arange(len(q))
+    best_dev = best_k = None
+    for j0 in range(0, width, step):
+        dev = _deviation_grid(speeds, q, np.arange(j0, min(width, j0 + step), dtype=np.int64))
+        kk = dev.argmin(axis=1)
+        dd = dev[rows, kk]
+        if best_dev is None:
+            best_dev, best_k = dd, kk
+        else:
+            better = dd < best_dev
+            best_dev = np.where(better, dd, best_dev)
+            best_k = np.where(better, kk + j0, best_k)
+    return best_dev, best_k
+
+
+def _scan_problems(speeds: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """First maximum (a, k) of the scaled minimum over j for every problem.
+
+    Problem p is the tuple ``speeds[p]`` on the denominator ``q[p]``.  The
+    profile j -> min_i ||j v_i / q|| is symmetric under j -> q - j, so its
+    first maximum lies in [0, q // 2] and only that half is scanned.
+    Problems are sorted by q and cut into runs that share one grid width
+    and hold at most ``_GRID_CELLS`` (speed, problem, j) cells; a problem
+    whose q is below the width only repeats its period there, which never
+    moves its first maximum, so no mask is needed.
+    """
+    p = len(q)
+    cells = max(1, _GRID_CELLS // speeds.shape[1])
+    a = np.empty(p, dtype=np.int64)
+    k = np.empty(p, dtype=np.int64)
+    order = np.argsort(q, kind="stable")
+    widths = (q[order] // 2 + 1).tolist()
+    s = 0
+    while s < p:
+        e = min(p, s + max(1, cells // widths[s]))
+        while e - s > 1 and (e - s) * widths[e - 1] > cells:
+            e = s + max(1, cells // widths[e - 1])
+        idx = order[s:e]
+        qq = q[idx]
+        dev, k[idx] = _first_minima(speeds[idx], qq, widths[e - 1], cells)
+        a[idx] = (qq - dev) // 2
+        s = e
+    return a, k
+
+
+def _scan_int64(rows: np.ndarray) -> np.ndarray:
+    """The batched kernel: best (a, q, k) per row of an (m, n) int64 array.
+
+    Each row's candidate denominators 2 v_i and v_i + v_j are sorted
+    ascending, and the row's result is the first of them, in that order,
+    whose value a/q is largest and, among those, whose time k/q is
+    earliest; this is what the reference scan's strict updates keep.
+    Rows are taken in slices whose column-comparison arrays, like the
+    grids, hold at most ``_GRID_CELLS`` cells.
+    """
+    m, n = rows.shape
+    i, j = map(list, zip(*itertools.combinations_with_replacement(range(n), 2)))
+    c = len(i)
+    step = max(1, _GRID_CELLS // (c * c))
+    out = np.empty((m, 3), dtype=np.int64)
+    for s in range(0, m, step):
+        part = rows[s : s + step]
+        den = np.sort(part[:, i] + part[:, j], axis=1)
+        a, k = _scan_problems(np.repeat(part, c, axis=0), den.ravel())
+        if len(part) == 1:
+            # One row: a fold over its columns is far cheaper than the
+            # array comparison below.
+            ba, bq, bk = -1, 1, 0
+            for aa, qq, kk in zip(a.tolist(), den[0].tolist(), k.tolist()):
+                if aa * bq > ba * qq or (aa * bq == ba * qq and kk * bq < bk * qq):
+                    ba, bq, bk = aa, qq, kk
+            out[s] = ba, bq, bk
+            continue
+        a = a.reshape(-1, c)
+        k = k.reshape(-1, c)
+        # beaten[r, x, y]: column y beats column x, by a larger value or
+        # by the same value at an earlier time.
+        left = a[:, :, None] * den[:, None, :]
+        right = left.swapaxes(1, 2)
+        beaten = left < right
+        tie = left == right
+        times = k[:, :, None] * den[:, None, :]
+        tie &= times > times.swapaxes(1, 2)
+        beaten |= tie
+        best = (~beaten.any(axis=2)).argmax(axis=1)
+        r = np.arange(len(part))
+        out[s : s + step] = np.stack([a[r, best], den[r, best], k[r, best]], axis=1)
+    return out
 
 
 def _scan_best_python(speeds: Sequence[int]) -> Tuple[int, int, int, int]:
-    """Arbitrary-precision twin of the int64 scan; same result, any size."""
+    """Arbitrary-precision scan of one tuple; the kernel's reference.
+
+    Returns (a, q, tn, td): the maximum of min_i ||t v_i|| over all
+    candidates is a/q, first attained at t = tn/td.
+    """
     bn = -1
     bd = 1
     btn = 0
@@ -169,10 +269,24 @@ def _scan_best_python(speeds: Sequence[int]) -> Tuple[int, int, int, int]:
     return bn, bd, btn, btd
 
 
-def _scan_best(speeds: Sequence[int]) -> Tuple[int, int, int, int]:
-    if _int64_ok(speeds):
-        return _scan_best_numpy(speeds)
-    return _scan_best_python(speeds)
+def _scan_rows(rows: Sequence[Sequence[int]]) -> List[Tuple[int, int, int]]:
+    """Best (a, q, k) for every tuple of a batch of same-length speeds.
+
+    Row r has maximum loneliness a/q, first attained at t = k/q.  Signs
+    are ignored.  Rows within the int64 bound go through the batched
+    kernel together; any others through the arbitrary-precision scan.
+    """
+    if not rows:
+        return []
+    # The batch's extreme speeds decide for every row at once.
+    if _int64_ok((max(map(max, rows)), min(map(min, rows)))):
+        arr = np.abs(np.array(rows, dtype=np.int64))
+        return [tuple(res) for res in _scan_int64(arr).tolist()]
+    fast = iter(_scan_rows([r for r in rows if _int64_ok(r)]))
+    return [
+        next(fast) if _int64_ok(r) else _scan_best_python([abs(s) for s in r])[:3]
+        for r in rows
+    ]
 
 
 def max_loneliness(v: SpeedsLike) -> LonelinessResult:
@@ -181,9 +295,9 @@ def max_loneliness(v: SpeedsLike) -> LonelinessResult:
     The witness time is the smallest maximizing candidate in [0, 1).
     """
     st = _as_speed_tuple(v)
-    a, q, tn, td = _scan_best(st.speeds)
+    ((a, q, k),) = _scan_rows([st.speeds])
     ml = Fraction(a, q)
-    return LonelinessResult(ml=ml, witness_time=Fraction(tn, td), d_value=HALF - ml)
+    return LonelinessResult(ml=ml, witness_time=Fraction(k, q), d_value=HALF - ml)
 
 
 def d_subtorus1(v: SpeedsLike) -> Fraction:
@@ -193,25 +307,20 @@ def d_subtorus1(v: SpeedsLike) -> Fraction:
 
 def maximizing_times(v: SpeedsLike) -> Tuple[Fraction, ...]:
     """All candidate times attaining the maximum loneliness, ascending."""
-    st = _as_speed_tuple(v)
-    speeds = st.speeds
-    bn, bd, _, _ = _scan_best(speeds)
+    speeds = _as_speed_tuple(v).speeds
+    ((bn, bd, _),) = _scan_rows([speeds])
     times = set()
-    use_numpy = _int64_ok(speeds)
-    for q in _denominators(speeds):
-        if use_numpy:
-            j = _ARANGE_CACHE.get(q)
-            if j is None:
-                j = np.arange(q, dtype=np.int64)
-                _ARANGE_CACHE[q] = j
-            dmin = None
-            for v_ in speeds:
-                r = (j * v_) % q
-                np.minimum(r, q - r, out=r)
-                dmin = r if dmin is None else np.minimum(dmin, r, out=dmin)
-            hits = np.nonzero(dmin * bd == bn * q)[0]
-            times.update(Fraction(int(h), q) for h in hits)
-        else:
+    if _int64_ok(speeds):
+        arr = np.array([speeds], dtype=np.int64)
+        step = max(1, _GRID_CELLS // len(speeds))
+        for q in _denominators(speeds):
+            qa = np.array([q], dtype=np.int64)
+            for j0 in range(0, q, step):
+                dev = _deviation_grid(arr, qa, np.arange(j0, min(q, j0 + step), dtype=np.int64))
+                hits = np.flatnonzero((q - dev[0]) * bd == 2 * bn * q) + j0
+                times.update(Fraction(int(h), q) for h in hits)
+    else:
+        for q in _denominators(speeds):
             for jj in range(q):
                 worst = q
                 for v_ in speeds:

@@ -19,11 +19,12 @@ import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import HALF, IntVector, Rational, RationalLike, format_rational, parse_rational
 from .lattice import DEFAULT_PI_BOUNDS, ball_volume
-from .loneliness import SpeedTuple, d_subtorus1, max_loneliness
+from .loneliness import _scan_rows, max_loneliness
 
 THREADS_ENV_VAR = "RUNNERSPEC_THREADS"
 WITNESS_CAP = 8
@@ -43,12 +44,21 @@ class MissingOuterSpectrum(ValueError):
     """No built-in facts for this (n, target); supply them explicitly."""
 
 
+class CorruptCheckpoint(ValueError):
+    """A checkpoint file that cannot be read back as block results."""
+
+
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Worker count: explicit argument, then environment, then cpu count."""
     if workers is None:
         env = os.environ.get(THREADS_ENV_VAR)
         if env is not None:
-            workers = int(env)
+            try:
+                workers = int(env)
+            except ValueError:
+                raise ValueError(
+                    f"{THREADS_ENV_VAR} must be an integer, not {env!r}"
+                ) from None
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
@@ -244,39 +254,43 @@ _BlockResult = List[Tuple[str, int, List[List[int]]]]
 
 
 def _volume_key(t: Sequence[int]):
-    return (sum(c * c for c in t), tuple(t))
+    return (sum(map(mul, t, t)), tuple(t))
 
 
 def _spectrum_block(args: Tuple[int, int, bool, int]) -> Tuple[int, _BlockResult]:
+    """Scan one leading-coordinate block in one kernel call.
+
+    Tuples are grouped by their reduced maximum loneliness a/q, and one
+    Fraction is built per distinct value.  The groups are ordered by
+    a * scale // q, which is strictly increasing in a/q: two distinct
+    fractions whose denominators are at most sqrt(scale) differ by at
+    least 1/scale.
+    """
     n, max_volume_sq, canonical_only, v1 = args
     block = _canonical_block if canonical_only else _signed_block
-    acc: Dict[Fraction, Tuple[int, List[IntVector]]] = {}
-    for t in block(n, max_volume_sq, v1):
-        d = d_subtorus1(t)
-        if d in acc:
-            mult, wits = acc[d]
-            wits.append(t)
-            if len(wits) > 4 * WITNESS_CAP:
-                wits.sort(key=_volume_key)
-                del wits[WITNESS_CAP:]
-            acc[d] = (mult + 1, wits)
-        else:
-            acc[d] = (1, [t])
+    tuples = list(block(n, max_volume_sq, v1))
+    groups: Dict[Tuple[int, int], List[IntVector]] = {}
+    for t, (a, q, _) in zip(tuples, _scan_rows(tuples)):
+        g = gcd(a, q)
+        groups.setdefault((a // g, q // g), []).append(t)
+    scale = max((q for _, q in groups), default=1) ** 2
     out: _BlockResult = []
-    for d in sorted(acc):
-        mult, wits = acc[d]
-        wits.sort(key=_volume_key)
-        out.append(
-            (format_rational(d), mult, [list(w) for w in wits[:WITNESS_CAP]])
-        )
+    for a, q in sorted(groups, key=lambda aq: aq[0] * scale // aq[1], reverse=True):
+        wits = groups[a, q]
+        best = sorted(wits, key=_volume_key)[:WITNESS_CAP]
+        d = Fraction(q - 2 * a, 2 * q)
+        out.append((format_rational(d), len(wits), [list(w) for w in best]))
     return v1, out
 
 
 def _merge_block(
-    entries: Dict[Rational, Tuple[int, List[IntVector]]], result: _BlockResult
+    entries: Dict[str, Tuple[int, List[IntVector]]], result: _BlockResult
 ) -> None:
-    for d_str, mult, wits in result:
-        d = parse_rational(d_str)
+    """Fold one block result into ``entries``, keyed by the distance text.
+
+    The text of a reduced rational is unique, so no key is parsed here.
+    """
+    for d, mult, wits in result:
         add = [tuple(w) for w in wits]
         if d in entries:
             old_mult, old_wits = entries[d]
@@ -286,20 +300,47 @@ def _merge_block(
             entries[d] = (mult, add[:WITNESS_CAP])
 
 
+def _check_block(result: _BlockResult, n: int) -> None:
+    """Raise ValueError or TypeError unless ``result`` is a block result."""
+    for d, mult, wits in result:
+        parse_rational(d)
+        if type(mult) is not int or mult < 1:
+            raise ValueError(f"multiplicity {mult!r}")
+        for w in wits:
+            if len(w) != n or any(type(c) is not int for c in w):
+                raise ValueError(f"witness {w!r}")
+
+
 def _load_checkpoint(path: str, spec: EnumerationSpec) -> Dict[int, _BlockResult]:
     if not os.path.exists(path):
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {data.get('version')!r}")
-    header = (data.get("n"), data.get("max_volume_sq"), data.get("canonical_only"))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptCheckpoint(f"checkpoint {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise CorruptCheckpoint(f"checkpoint {path} is not a JSON object")
+    for key in ("version", "n", "max_volume_sq", "canonical_only", "blocks"):
+        if key not in data:
+            raise CorruptCheckpoint(f"checkpoint {path} has no {key!r} field")
+    if data["version"] != CHECKPOINT_FORMAT_VERSION:
+        raise CorruptCheckpoint(
+            f"checkpoint {path} has unsupported version {data['version']!r}"
+        )
+    header = (data["n"], data["max_volume_sq"], data["canonical_only"])
     if header != (spec.n, spec.max_volume_sq, spec.canonical_only):
         raise ValueError(
             f"checkpoint {path} was written for parameters {header}, "
             f"not {(spec.n, spec.max_volume_sq, spec.canonical_only)}"
         )
-    return {int(v1): blocks for v1, blocks in data["blocks"].items()}
+    try:
+        blocks = {int(v1): result for v1, result in data["blocks"].items()}
+        for result in blocks.values():
+            _check_block(result, spec.n)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CorruptCheckpoint(f"checkpoint {path} has a malformed block: {exc}") from None
+    return blocks
 
 
 def _save_checkpoint(
@@ -356,11 +397,11 @@ def build_spectrum(
                         _save_checkpoint(checkpoint_path, spec, done)
                     if progress:
                         progress(completed, total)
-    entries: Dict[Rational, Tuple[int, List[IntVector]]] = {}
+    entries: Dict[str, Tuple[int, List[IntVector]]] = {}
     for v1 in starts:
         _merge_block(entries, done[v1])
     table_entries = {
-        d: SpectrumEntry(multiplicity=m, witnesses=tuple(w))
+        parse_rational(d): SpectrumEntry(multiplicity=m, witnesses=tuple(w))
         for d, (m, w) in entries.items()
     }
     return SpectrumTable(
@@ -578,8 +619,10 @@ def certify_absence(
 ) -> AbsenceCertificate:
     """Certify that no proper line orbit has center distance ``target``.
 
-    Phase A scans every canonical tuple inside the volume cutoff and
-    records the first counterexample if any.  Phase B covers the tail:
+    Phase A scans every canonical tuple inside the volume cutoff, one
+    leading-coordinate block per kernel call, and records the first
+    counterexample in enumeration order if any; ``phase_a_checked`` counts
+    the tuples up to and including it.  Phase B covers the tail:
     above the cutoff the orbit is rho-dense in a surrounding plane (tube
     volume comparison squared to stay rational, with the lower rational
     pi bound), and the plane's own distance is either above the target
@@ -595,14 +638,26 @@ def certify_absence(
                 "pass outer_facts explicitly"
             )
     spec = EnumerationSpec(n=n, max_volume_sq=cutoff_volume_sq)
+    target_ml = HALF - target
     checked = 0
     witness = None
-    for t in enumerate_proper_primitive(spec):
-        checked += 1
-        if progress and checked % 100000 == 0:
-            progress(checked)
-        if d_subtorus1(t) == target:
-            witness = t
+    for v1 in _block_starts(spec):
+        tuples = list(_canonical_block(n, cutoff_volume_sq, v1))
+        hit = next(
+            (
+                i
+                for i, (a, q, _) in enumerate(_scan_rows(tuples))
+                if a * target_ml.denominator == q * target_ml.numerator
+            ),
+            None,
+        )
+        reached = checked + (len(tuples) if hit is None else hit + 1)
+        if progress:
+            for c in range(checked // 100000 * 100000 + 100000, reached + 1, 100000):
+                progress(c)
+        checked = reached
+        if hit is not None:
+            witness = tuples[hit]
             break
     phase_a_passed = witness is None
 

@@ -146,6 +146,38 @@ def test_spectrum_outputs_are_reproducible(tmp_path, capsys):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def _spectrum_args(tmp_path, *extra):
+    return ("spectrum", "--n", "3", "--max-vol2", "30", "--out", str(tmp_path / "t.json"), *extra)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda text: text.replace('"blocks"', '"blokcs"'), "has no 'blocks' field"),
+        (lambda text: text[: len(text) // 2], "is not valid JSON"),
+    ],
+)
+def test_spectrum_rejects_a_corrupt_checkpoint(tmp_path, capsys, damage, message):
+    ckpt = tmp_path / "ckpt.json"
+    args = _spectrum_args(tmp_path, "--threads", "1", "--checkpoint", str(ckpt))
+    assert run(capsys, *args)[0] == 0
+    ckpt.write_text(damage(ckpt.read_text()))
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: checkpoint {ckpt} ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_spectrum_names_a_bad_threads_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RUNNERSPEC_THREADS", "abc")
+    code, out, err = run(capsys, *_spectrum_args(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: RUNNERSPEC_THREADS must be an integer, not 'abc'\n"
+
+
 # --- verifiers ------------------------------------------------------------
 
 

@@ -1,19 +1,24 @@
 """Tests for the maximum-loneliness engine and its companion distances."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from runnerspec import loneliness
 from runnerspec.core import circle_distance
 from runnerspec.loneliness import (
     InvalidNormal,
     InvalidSpeeds,
     SpeedTuple,
-    _scan_best_numpy,
+    _int64_ok,
     _scan_best_python,
+    _scan_int64,
+    _scan_rows,
     d_hyperplane,
     d_min_max,
     d_subtorus1,
@@ -109,8 +114,102 @@ def test_grid_oracle_spot_checks():
 
 
 def test_numpy_and_python_scans_agree():
-    for speeds in ((1, 2), (2, 3, 7), (5, 8, 11), (97, 998, 1001)):
-        assert _scan_best_numpy(speeds) == _scan_best_python(speeds)
+    # The kernel returns (a, q, k) for a witness k/q; the reference
+    # returns (a, q, tn, td) with td == q.  Each tuple alone, then the
+    # three of length 3 as one batch.
+    tuples = ((1, 2), (2, 3, 7), (5, 8, 11), (97, 998, 1001))
+    for speeds in tuples:
+        ((a, q, k),) = _scan_int64(np.array([speeds], dtype=np.int64)).tolist()
+        assert (a, q, k, q) == _scan_best_python(speeds)
+    batch = _scan_int64(np.array(tuples[1:], dtype=np.int64)).tolist()
+    for speeds, (a, q, k) in zip(tuples[1:], batch):
+        assert (a, q, k, q) == _scan_best_python(speeds)
+
+
+def _reference(speeds):
+    a, q, tn, td = _scan_best_python(speeds)
+    return Fraction(a, q), Fraction(tn, td)
+
+
+# Rows b * (x_1, ..., x_n) with x_i <= 5: small and large rows share one
+# batch, so grids hold denominators far below their width, while the
+# exhaustive oracle's grid stays at most 7 * 2520 points per row.
+_rows = st.tuples(
+    st.sampled_from((1, 2, 3, 5, 7)),
+    st.lists(st.integers(1, 5), min_size=3, max_size=3),
+).map(lambda bx: tuple(bx[0] * x for x in bx[1]))
+
+# Tuples whose maximum is reached on two denominators at different times
+# in [0, 1/2], so only the earliest-time rule picks the witness; their
+# oracle grids have at most 18480 points.
+_CROSS_TIES = ((2, 5, 10), (4, 5, 8), (5, 7, 10), (7, 8, 14))
+
+
+@given(
+    st.integers(1, 3),
+    st.lists(_rows | st.sampled_from(_CROSS_TIES), min_size=1, max_size=6),
+    st.booleans(),
+    st.sampled_from((7, 64, 1 << 16)),
+)
+@settings(max_examples=40, deadline=None)
+def test_kernel_batch_matches_oracles(n, rows, repeat, cells):
+    batch = [r[:n] for r in rows]
+    if repeat:
+        batch += batch[:2]
+    with mock.patch.object(loneliness, "_GRID_CELLS", cells):
+        got = _scan_rows(batch)
+    for speeds, (a, q, k) in zip(batch, got):
+        res = (Fraction(a, q), Fraction(k, q))
+        assert res == _reference(speeds)
+        assert res == grid_ml_witness(speeds)
+
+
+def test_kernel_keeps_the_earliest_time_across_denominators():
+    expected = [grid_ml_witness(v) for v in _CROSS_TIES]
+    assert expected[0] == (F(1, 3), F(4, 15))
+    singles = [_scan_rows([v])[0] for v in _CROSS_TIES]
+    for got in (singles, _scan_rows(list(_CROSS_TIES))):
+        assert [(F(a, q), F(k, q)) for a, q, k in got] == expected
+    assert [_reference(v) for v in _CROSS_TIES] == expected
+
+
+_KNOWN = ((1,), (1, 2), (2, 3), (1, 2, 3), (3, 4, 5), (8, 3, 11, 19), (1, 2, 2))
+
+
+def test_tiny_grid_cell_limit_gives_the_same_results(monkeypatch):
+    before = [(max_loneliness(v), maximizing_times(v)) for v in _KNOWN]
+    monkeypatch.setattr(loneliness, "_GRID_CELLS", 7)
+    after = [(max_loneliness(v), maximizing_times(v)) for v in _KNOWN]
+    assert after == before
+    assert after[3][0].ml == F(1, 4) and after[3][0].witness_time == F(1, 4)
+
+
+def test_int64_switch_routes_rows_to_the_reference(monkeypatch):
+    batch = [(1, 2, 3), (40, 97, 98), (5, 8, 11), (3, 31, 64)]
+    expected = _scan_rows(batch)
+    times = maximizing_times((40, 97, 98))
+    calls = []
+
+    def counting(speeds):
+        calls.append(tuple(speeds))
+        return _scan_best_python(speeds)
+
+    monkeypatch.setattr(loneliness, "_INT64_LIMIT", 2 * 20 * 20 + 1)
+    monkeypatch.setattr(loneliness, "_scan_best_python", counting)
+    assert _scan_rows(batch) == expected
+    assert calls == [(40, 97, 98), (3, 31, 64)]
+    assert max_loneliness((40, 97, 98)).ml == Fraction(*expected[1][:2])
+    assert calls[-1] == (40, 97, 98)
+    assert maximizing_times((40, 97, 98)) == times
+
+
+def test_int64_ok_switches_at_two_max_speed_squared():
+    top = isqrt(((1 << 60) - 1) // 2)
+    assert 2 * top * top < 1 << 60 <= 2 * (top + 1) * (top + 1)
+    assert _int64_ok((1, top))
+    assert _int64_ok((-top, 3))
+    assert not _int64_ok((1, top + 1))
+    assert not _int64_ok((-(top + 1), 3))
 
 
 def test_n2_closed_form_identity():

@@ -7,10 +7,13 @@ from math import gcd
 
 import pytest
 
+from runnerspec import spectrum
+from runnerspec.loneliness import d_subtorus1
 from runnerspec.spectrum import (
     CANONICAL_CLASSES,
     SIGNED_CLASSES,
     THREADS_ENV_VAR,
+    CorruptCheckpoint,
     EnumerationSpec,
     MissingOuterSpectrum,
     OuterSpectrumFacts,
@@ -146,6 +149,32 @@ def test_checkpoint_header_mismatch(tmp_path):
     build_spectrum(EnumerationSpec(3, 300), checkpoint_path=path)
     with pytest.raises(ValueError):
         build_spectrum(EnumerationSpec(3, 400), checkpoint_path=path)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda text: text[: len(text) // 2], "is not valid JSON"),
+        (lambda text: "[]", "is not a JSON object"),
+        (lambda text: text.replace('"blocks"', '"blokcs"'), "has no 'blocks' field"),
+        (lambda text: text.replace('"version": 1', '"version": 7'), "unsupported version 7"),
+        (lambda text: text.replace('"1": [[', '"x": [['), "malformed block"),
+        (lambda text: text.replace('"1": [[', '"1": [[[], '), "malformed block"),
+        (lambda text: text.replace('"1/10", 1,', '"1/10", "many",'), "malformed block"),
+        (lambda text: text.replace("[[1, 1, 4]]", "[[1, 1]]"), "malformed block"),
+    ],
+)
+def test_corrupt_checkpoint_names_the_file(tmp_path, damage, message):
+    spec = EnumerationSpec(3, 30)
+    path = tmp_path / "ckpt.json"
+    build_spectrum(spec, workers=1, checkpoint_path=str(path))
+    text = path.read_text()
+    bad = damage(text)
+    assert bad != text
+    path.write_text(bad)
+    with pytest.raises(CorruptCheckpoint, match=message) as info:
+        build_spectrum(spec, workers=1, checkpoint_path=str(path))
+    assert str(path) in str(info.value)
 
 
 def test_json_round_trip(tmp_path):
@@ -295,6 +324,31 @@ def test_certify_present_values_fail_phase_a():
     assert cert.phase_a_witness == (1, 2, 3)
 
 
+@pytest.mark.parametrize("target", [F(1, 6), F(1, 4)])
+def test_certify_phase_a_stops_at_the_first_witness(target):
+    # phase_a_checked is the 1-based position of the first tuple with
+    # distance target in enumeration order, not the end of its block.
+    order = list(enumerate_proper_primitive(EnumerationSpec(3, 300)))
+    position = next(i for i, t in enumerate(order) if d_subtorus1(t) == target) + 1
+    cert = certify_absence(target, 3, 300)
+    assert cert.phase_a_witness == order[position - 1]
+    assert cert.phase_a_checked == position
+    block = sum(1 for t in order if t[0] == order[position - 1][0])
+    assert position < block
+
+
+def test_certify_progress_reports_every_hundred_thousand(monkeypatch):
+    # The scan is stubbed out: every tuple reads ML 1/3 (distance 1/6),
+    # never the target, so only the enumeration and the count run.
+    monkeypatch.setattr(spectrum, "_scan_rows", lambda rows: [(1, 3, 1)] * len(rows))
+    facts = OuterSpectrumFacts(values_above=(F(1, 6),), low_bound=F(1, 10))
+    seen = []
+    cert = certify_absence(F(7, 50), 2, 10**6, outer_facts=facts, progress=seen.append)
+    assert cert.phase_a_checked == mobius_primitive_count(2, 10**6)
+    assert len(seen) == 2
+    assert seen == list(range(100_000, cert.phase_a_checked + 1, 100_000))
+
+
 def test_certify_requires_outer_facts():
     with pytest.raises(MissingOuterSpectrum):
         certify_absence(F(7, 50), 2, 100)
@@ -371,3 +425,10 @@ def test_resolve_workers(monkeypatch):
     assert resolve_workers(2) == 2
     monkeypatch.delenv(THREADS_ENV_VAR)
     assert resolve_workers() >= 1
+
+
+def test_resolve_workers_names_a_bad_environment_value(monkeypatch):
+    monkeypatch.setenv(THREADS_ENV_VAR, "abc")
+    with pytest.raises(ValueError, match=f"{THREADS_ENV_VAR} must be an integer, not 'abc'"):
+        resolve_workers()
+    assert resolve_workers(2) == 2
