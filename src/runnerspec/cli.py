@@ -26,13 +26,12 @@ from .lattice import (
     InvalidDirection,
     NotContained,
     PiPower,
-    ball_volume,
-    basis_length_bound,
     certificate_profile,
     d_subtorus2,
     kronecker_lift,
     lift_volume_threshold,
     lrc_threshold,
+    named_constants,
     threshold_below_power_bound,
 )
 from .loneliness import (
@@ -182,36 +181,29 @@ def _run_lift(ns) -> int:
 
 def _run_constants(ns) -> int:
     pi_bounds = REFINED_PI_BOUNDS if ns.refined_pi else DEFAULT_PI_BOUNDS
-    n, k = ns.n, ns.k
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
-    eps = parse_rational(ns.eps) if ns.eps else Fraction(2, n * (n + 1))
-    vol = parse_rational(ns.volume)
-    print(f"omega_{k} = {_fmt_pipower(ball_volume(k))}")
-    print(f"ell(k={k}, V={format_rational(vol)}) = {_fmt_pipower(basis_length_bound(k, vol))}")
-    print(
-        f"c_star(n={n}, k={k}, eps={format_rational(eps)}) = "
-        f"{_fmt_pipower(lift_volume_threshold(n, k, eps))}"
+    c = named_constants(
+        ns.n,
+        ns.k,
+        parse_rational(ns.volume),
+        parse_rational(ns.eps) if ns.eps else None,
+        pi_bounds,
     )
-    if n >= 2:
-        thr = lrc_threshold(n)
-        lo, hi = thr.bounds(pi_bounds)
-        print(f"lrc_threshold({n}) = {_fmt_pipower(thr)}")
-        print(
-            f"lrc_threshold({n}) enclosure = "
-            f"[{format_rational(lo)}, {format_rational(hi)}]"
-        )
-        print(
-            f"lrc_threshold({n}) < n^(5n/2): "
-            f"{threshold_below_power_bound(n, pi_bounds)}"
-        )
+    n, k = c.n, c.k
+    lo, hi = c.lrc_threshold.bounds(pi_bounds)
+    print(f"omega_{k} = {_fmt_pipower(c.omega_k)}")
+    print(f"ell(k={k}, V={format_rational(c.volume)}) = {_fmt_pipower(c.ell_kV)}")
+    print(
+        f"c_star(n={n}, k={k}, eps={format_rational(c.epsilon)}) = "
+        f"{_fmt_pipower(c.c_star)}"
+    )
+    print(f"lrc_threshold({n}) = {_fmt_pipower(c.lrc_threshold)}")
+    print(f"lrc_threshold({n}) enclosure = [{format_rational(lo)}, {format_rational(hi)}]")
+    print(f"lrc_threshold({n}) < n^(5n/2): {c.threshold_below_tao}")
     return 0
 
 
 def _run_enumerate(ns) -> int:
-    spec = EnumerationSpec(
-        n=ns.n, max_volume_sq=ns.max_vol2, canonical_only=not ns.signed
-    )
+    spec = EnumerationSpec(n=ns.n, max_volume_sq=ns.max_vol2)
     count = 0
     for t in enumerate_proper_primitive(spec):
         print(" ".join(str(c) for c in t))
@@ -516,7 +508,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="canonical proper primitive tuples in a volume ball")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-vol2", type=int, required=True)
-    p.add_argument("--signed", action="store_true", help="all sign patterns, not one per class")
     p.set_defaults(func=_run_enumerate)
 
     p = sub.add_parser("spectrum", help="build and save a distance table")

@@ -29,7 +29,10 @@ class UnsupportedDimension(ValueError):
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a bare "p") into an exact rational."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(x: RationalLike) -> str:

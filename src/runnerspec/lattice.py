@@ -81,6 +81,35 @@ def _require_primitive(vec: Sequence[int]) -> None:
         raise InvalidDirection(f"{tuple(vec)} is not primitive (gcd {g})")
 
 
+def _unit_basis(n: int) -> List[IntVector]:
+    return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+
+
+def _pivot_columns(
+    columns: Iterable[Tuple[IntVector, int]],
+) -> Tuple[Optional[Tuple[IntVector, int]], List[IntVector]]:
+    """Reduce (column, dot product with one row) pairs unimodularly.
+
+    Returns (pivot column with the gcd of the products, or None) and the
+    kept columns, whose products are all 0.
+    """
+    pivot: Optional[Tuple[IntVector, int]] = None
+    kept: List[IntVector] = []
+    for col, a in columns:
+        if a == 0:
+            kept.append(col)
+        elif pivot is None:
+            pivot = (col, a)
+        else:
+            pcol, pa = pivot
+            g, x, y = _ext_gcd(pa, a)
+            comb = tuple(x * p + y * c for p, c in zip(pcol, col))
+            zero = tuple((a // g) * p - (pa // g) * c for p, c in zip(pcol, col))
+            pivot = (comb, g)
+            kept.append(zero)
+    return pivot, kept
+
+
 def _integer_kernel(rows: Sequence[Sequence[int]], n: int) -> List[IntVector]:
     """Basis of {x in Z^n : r . x = 0 for every row r}.
 
@@ -89,26 +118,9 @@ def _integer_kernel(rows: Sequence[Sequence[int]], n: int) -> List[IntVector]:
     pivot is dropped, the rest stay orthogonal to everything seen so far.
     Integer kernels of integer matrices are saturated by construction.
     """
-    basis: List[IntVector] = [
-        tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
-    ]
+    basis = _unit_basis(n)
     for r in rows:
-        pivot: Optional[Tuple[IntVector, int]] = None
-        kept: List[IntVector] = []
-        for col in basis:
-            a = dot(r, col)
-            if a == 0:
-                kept.append(col)
-            elif pivot is None:
-                pivot = (col, a)
-            else:
-                pcol, pa = pivot
-                g, x, y = _ext_gcd(pa, a)
-                comb = tuple(x * p + y * c for p, c in zip(pcol, col))
-                zero = tuple((a // g) * p - (pa // g) * c for p, c in zip(pcol, col))
-                pivot = (comb, g)
-                kept.append(zero)
-        basis = kept
+        _, basis = _pivot_columns([(col, dot(r, col)) for col in basis])
     return basis
 
 
@@ -344,23 +356,7 @@ def _shortest_on_gram(
 
 def _split_along(v: Sequence[int]) -> Tuple[IntVector, List[IntVector]]:
     """(c, kernel) with v . c = 1 and kernel a basis of Z^n orthogonal to v."""
-    n = len(v)
-    pivot: Optional[Tuple[IntVector, int]] = None
-    kept: List[IntVector] = []
-    for i in range(n):
-        col = tuple(1 if j == i else 0 for j in range(n))
-        a = v[i]
-        if a == 0:
-            kept.append(col)
-        elif pivot is None:
-            pivot = (col, a)
-        else:
-            pcol, pa = pivot
-            g, x, y = _ext_gcd(pa, a)
-            comb = tuple(x * p + y * c for p, c in zip(pcol, col))
-            zero = tuple((a // g) * p - (pa // g) * c for p, c in zip(pcol, col))
-            pivot = (comb, g)
-            kept.append(zero)
+    pivot, kept = _pivot_columns(zip(_unit_basis(len(v)), v))
     assert pivot is not None
     pcol, pa = pivot
     assert abs(pa) == 1
@@ -769,7 +765,17 @@ class PiPower:
     pi_power: int
 
     def decimal(self) -> float:
-        return float(self.coefficient) * math.pi**self.pi_power
+        """Float approximation, ``math.inf`` beyond the float range."""
+        try:
+            return float(self.coefficient) * math.pi**self.pi_power
+        except OverflowError:
+            pass
+        # the coefficient or the power alone overflowed; round the exact
+        # product once
+        try:
+            return float(self.coefficient * Fraction(math.pi) ** self.pi_power)
+        except OverflowError:
+            return math.inf
 
     def bounds(
         self, pi_bounds: Tuple[Fraction, Fraction] = DEFAULT_PI_BOUNDS
@@ -853,6 +859,13 @@ def threshold_below_power_bound(
     return _log_fraction(ub) < 2.5 * n * math.log(n)
 
 
+def _float_power_or_inf(base: float, exponent: float) -> float:
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class NamedConstants:
     n: int
@@ -893,6 +906,6 @@ def named_constants(
         ell_kV=basis_length_bound(k, vol),
         c_star=lift_volume_threshold(n, k, eps),
         lrc_threshold=lrc_threshold(n),
-        tao_bound=float(n) ** (2.5 * n),
+        tao_bound=_float_power_or_inf(n, 2.5 * n),
         threshold_below_tao=threshold_below_power_bound(n, pi_bounds),
     )

@@ -12,6 +12,7 @@ the two-phase absence certifier.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -33,11 +34,10 @@ TABLE_FORMAT_VERSION = 1
 CHECKPOINT_FORMAT_VERSION = 1
 
 CANONICAL_CLASSES = "sorted-positive (one per permutation/sign class)"
-SIGNED_CLASSES = "signed (one per global-sign class)"
 
 
 class TableMismatch(ValueError):
-    """The table does not have the shape the verifier needs."""
+    """A table, or a table file, that does not have the shape needed."""
 
 
 class MissingOuterSpectrum(ValueError):
@@ -72,7 +72,6 @@ class EnumerationSpec:
 
     n: int
     max_volume_sq: int
-    canonical_only: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -100,44 +99,18 @@ def _canonical_block(n: int, max_volume_sq: int, v1: int) -> Iterator[IntVector]
     yield from rec((v1,), max_volume_sq - v1 * v1, v1)
 
 
-def _signed_block(n: int, max_volume_sq: int, v1: int) -> Iterator[IntVector]:
-    """All nonzero-entry variants with leading entry v1, lexicographically.
-
-    Global sign is quotiented by keeping the first entry positive; later
-    entries run over both signs.
-    """
-
-    def rec(prefix: IntVector, budget: int, g: int) -> Iterator[IntVector]:
-        slots = n - len(prefix)
-        if slots == 0:
-            if g == 1:
-                yield prefix
-            return
-        hi = isqrt(budget - (slots - 1))
-        for x in range(-hi, hi + 1):
-            if x == 0:
-                continue
-            yield from rec(prefix + (x,), budget - x * x, gcd(g, abs(x)))
-
-    yield from rec((v1,), max_volume_sq - v1 * v1, v1)
-
-
 def _block_starts(spec: EnumerationSpec) -> range:
-    if spec.canonical_only:
-        return range(1, isqrt(spec.max_volume_sq // spec.n) + 1)
-    return range(1, isqrt(spec.max_volume_sq - (spec.n - 1)) + 1)
+    return range(1, isqrt(spec.max_volume_sq // spec.n) + 1)
 
 
 def enumerate_proper_primitive(spec: EnumerationSpec) -> Iterator[IntVector]:
     """Stream primitive no-zero-entry tuples with squared sum in bound.
 
-    Canonical mode yields one sorted positive representative per
-    permutation/sign class, in lexicographic order; otherwise the stream
-    covers every variant with positive leading entry.
+    One sorted positive representative per permutation/sign class, in
+    lexicographic order.
     """
-    block = _canonical_block if spec.canonical_only else _signed_block
     for v1 in _block_starts(spec):
-        yield from block(spec.n, spec.max_volume_sq, v1)
+        yield from _canonical_block(spec.n, spec.max_volume_sq, v1)
 
 
 @dataclass(frozen=True)
@@ -148,12 +121,10 @@ class SpectrumEntry:
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Multiset of center distances over the enumerated orbits."""
+    """Multiset of center distances over the canonical line orbits (k = 1)."""
 
     n: int
-    k: int
     max_volume_sq: int
-    canonicalization: str
     entries: Dict[Rational, SpectrumEntry] = field(compare=True)
 
     def keys_descending(self) -> List[Rational]:
@@ -170,9 +141,9 @@ class SpectrumTable:
         return {
             "version": TABLE_FORMAT_VERSION,
             "n": self.n,
-            "k": self.k,
+            "k": 1,
             "max_volume_sq": self.max_volume_sq,
-            "canonicalization": self.canonicalization,
+            "canonicalization": CANONICAL_CLASSES,
             "entries": [
                 {
                     "d": format_rational(key),
@@ -188,27 +159,45 @@ class SpectrumTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SpectrumTable":
+        if not isinstance(data, dict):
+            raise TableMismatch("table is not a JSON object")
         if data.get("version") != TABLE_FORMAT_VERSION:
             raise TableMismatch(f"unsupported table version {data.get('version')!r}")
-        entries: Dict[Rational, SpectrumEntry] = {}
-        for row in data["entries"]:
-            key = parse_rational(row["d"])
-            entries[key] = SpectrumEntry(
-                multiplicity=int(row["mult"]),
-                witnesses=tuple(tuple(int(c) for c in w) for w in row["witnesses"]),
+        for key in ("n", "k", "max_volume_sq", "canonicalization", "entries"):
+            if key not in data:
+                raise TableMismatch(f"table has no {key!r} field")
+        for key, fixed in (("k", 1), ("canonicalization", CANONICAL_CLASSES)):
+            if data[key] != fixed:
+                raise TableMismatch(f"table has {key}={data[key]!r}, not {fixed!r}")
+        try:
+            entries: Dict[Rational, SpectrumEntry] = {}
+            for row in data["entries"]:
+                key = parse_rational(row["d"])
+                entries[key] = SpectrumEntry(
+                    multiplicity=int(row["mult"]),
+                    witnesses=tuple(tuple(int(c) for c in w) for w in row["witnesses"]),
+                )
+            return cls(
+                n=int(data["n"]),
+                max_volume_sq=int(data["max_volume_sq"]),
+                entries=entries,
             )
-        return cls(
-            n=int(data["n"]),
-            k=int(data["k"]),
-            max_volume_sq=int(data["max_volume_sq"]),
-            canonicalization=data["canonicalization"],
-            entries=entries,
-        )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise TableMismatch(f"table has a malformed value: {exc!r}") from None
 
     @classmethod
     def load_json(cls, path: str) -> "SpectrumTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise TableMismatch(f"cannot read table {path}: {exc.strerror}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise TableMismatch(f"table {path} is not valid JSON: {exc}") from None
+        try:
+            return cls.from_json_dict(data)
+        except TableMismatch as exc:
+            raise TableMismatch(f"{path}: {exc}") from None
 
     def flat_rows(self) -> List[Tuple[str, str, str, str, int]]:
         rows = []
@@ -257,7 +246,7 @@ def _volume_key(t: Sequence[int]):
     return (sum(map(mul, t, t)), tuple(t))
 
 
-def _spectrum_block(args: Tuple[int, int, bool, int]) -> Tuple[int, _BlockResult]:
+def _spectrum_block(args: Tuple[int, int, int]) -> Tuple[int, _BlockResult]:
     """Scan one leading-coordinate block in one kernel call.
 
     Tuples are grouped by their reduced maximum loneliness a/q, and one
@@ -266,9 +255,8 @@ def _spectrum_block(args: Tuple[int, int, bool, int]) -> Tuple[int, _BlockResult
     fractions whose denominators are at most sqrt(scale) differ by at
     least 1/scale.
     """
-    n, max_volume_sq, canonical_only, v1 = args
-    block = _canonical_block if canonical_only else _signed_block
-    tuples = list(block(n, max_volume_sq, v1))
+    n, max_volume_sq, v1 = args
+    tuples = list(_canonical_block(n, max_volume_sq, v1))
     groups: Dict[Tuple[int, int], List[IntVector]] = {}
     for t, (a, q, _) in zip(tuples, _scan_rows(tuples)):
         g = gcd(a, q)
@@ -329,10 +317,10 @@ def _load_checkpoint(path: str, spec: EnumerationSpec) -> Dict[int, _BlockResult
             f"checkpoint {path} has unsupported version {data['version']!r}"
         )
     header = (data["n"], data["max_volume_sq"], data["canonical_only"])
-    if header != (spec.n, spec.max_volume_sq, spec.canonical_only):
+    if header != (spec.n, spec.max_volume_sq, True):
         raise ValueError(
             f"checkpoint {path} was written for parameters {header}, "
-            f"not {(spec.n, spec.max_volume_sq, spec.canonical_only)}"
+            f"not {(spec.n, spec.max_volume_sq, True)}"
         )
     try:
         blocks = {int(v1): result for v1, result in data["blocks"].items()}
@@ -350,7 +338,7 @@ def _save_checkpoint(
         "version": CHECKPOINT_FORMAT_VERSION,
         "n": spec.n,
         "max_volume_sq": spec.max_volume_sq,
-        "canonical_only": spec.canonical_only,
+        "canonical_only": True,  # fixed in format version 1
         "blocks": {str(v1): blocks[v1] for v1 in sorted(blocks)},
     }
     _atomic_write(path, json.dumps(data))
@@ -374,29 +362,21 @@ def build_spectrum(
     done: Dict[int, _BlockResult] = (
         _load_checkpoint(checkpoint_path, spec) if checkpoint_path else {}
     )
-    todo = [v1 for v1 in starts if v1 not in done]
-    args = [(spec.n, spec.max_volume_sq, spec.canonical_only, v1) for v1 in todo]
+    args = [(spec.n, spec.max_volume_sq, v1) for v1 in starts if v1 not in done]
     total = len(starts)
-    completed = total - len(todo)
-    if args:
-        if workers == 1:
-            for arg in args:
-                v1, result = _spectrum_block(arg)
-                done[v1] = result
-                completed += 1
-                if checkpoint_path:
-                    _save_checkpoint(checkpoint_path, spec, done)
-                if progress:
-                    progress(completed, total)
-        else:
-            with multiprocessing.Pool(workers) as pool:
-                for v1, result in pool.imap_unordered(_spectrum_block, args):
-                    done[v1] = result
-                    completed += 1
-                    if checkpoint_path:
-                        _save_checkpoint(checkpoint_path, spec, done)
-                    if progress:
-                        progress(completed, total)
+    completed = total - len(args)
+    with contextlib.ExitStack() as stack:
+        results = map(_spectrum_block, args)
+        if workers > 1 and args:
+            pool = stack.enter_context(multiprocessing.Pool(workers))
+            results = pool.imap_unordered(_spectrum_block, args)
+        for v1, result in results:
+            done[v1] = result
+            completed += 1
+            if checkpoint_path:
+                _save_checkpoint(checkpoint_path, spec, done)
+            if progress:
+                progress(completed, total)
     entries: Dict[str, Tuple[int, List[IntVector]]] = {}
     for v1 in starts:
         _merge_block(entries, done[v1])
@@ -405,11 +385,7 @@ def build_spectrum(
         for d, (m, w) in entries.items()
     }
     return SpectrumTable(
-        n=spec.n,
-        k=1,
-        max_volume_sq=spec.max_volume_sq,
-        canonicalization=CANONICAL_CLASSES if spec.canonical_only else SIGNED_CLASSES,
-        entries=table_entries,
+        n=spec.n, max_volume_sq=spec.max_volume_sq, entries=table_entries
     )
 
 
@@ -440,8 +416,8 @@ def verify_closed_form_s2(table: SpectrumTable) -> S2Report:
     Every key must be 0 or 1/(4s+2); every s whose canonical witness
     (1, 2s) fits the volume bound must actually appear.
     """
-    if table.n != 2 or table.k != 1:
-        raise TableMismatch(f"expected an n=2, k=1 table, got n={table.n}, k={table.k}")
+    if table.n != 2:
+        raise TableMismatch(f"expected an n=2 table, got n={table.n}")
     violations = tuple(
         key
         for key in table.keys_descending()
@@ -527,8 +503,6 @@ def verify_window(table: SpectrumTable, mode: str = "strict") -> WindowReport:
     """
     if mode not in WINDOW_MODES:
         raise ValueError(f"mode must be one of {WINDOW_MODES}")
-    if table.k != 1:
-        raise TableMismatch(f"expected a k=1 table, got k={table.k}")
     n = table.n
     in_window = 0
     out_of_window = 0

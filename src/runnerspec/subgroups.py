@@ -23,6 +23,7 @@ from .core import (
     linf_center_distance,
     torus_point,
 )
+from .lattice import _row_hnf
 from .loneliness import (
     SpeedsLike,
     SpeedTuple,
@@ -113,25 +114,6 @@ def extremal_face_contacts(
     return d, contacts
 
 
-def _rational_rank(vectors: Sequence[Sequence[int]]) -> int:
-    rows = [[Fraction(c) for c in v] for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [c * inv for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 @dataclass(frozen=True, init=False)
 class ProductSubgroup:
     """A union of cosets: span of the torus directions, shifted by each
@@ -161,7 +143,7 @@ class ProductSubgroup:
             raise ValueError("need at least one direction or finite element")
         if any(len(d) != n for d in dirs) or any(len(e) != n for e in elems):
             raise ValueError("mixed ambient dimensions")
-        if dirs and _rational_rank(dirs) != len(dirs):
+        if dirs and len(_row_hnf(dirs)) != len(dirs):
             raise ValueError("torus directions must be linearly independent")
         elems.add(torus_point([0] * n))
         ordered = tuple(sorted(elems))

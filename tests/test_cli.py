@@ -108,6 +108,13 @@ def test_constants(capsys):
     assert "lrc_threshold(3) < n^(5n/2): True" in out
 
 
+def test_constants_beyond_float_range(capsys):
+    code, out, _ = run(capsys, "constants", "--n", "100")
+    assert code == 0
+    assert "lrc_threshold(100) = " in out
+    assert "(approx inf)" in out
+
+
 def test_constants_rejects_bad_k(capsys):
     code, _, err = run(capsys, "constants", "--n", "3", "--k", "3")
     assert code == 2
@@ -166,6 +173,47 @@ def test_spectrum_rejects_a_corrupt_checkpoint(tmp_path, capsys, damage, message
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: checkpoint {ckpt} ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("dist", "cyclic", "1/0", "1/2"),
+        ("lift", "--v", "3", "7", "199", "--eps", "1/0"),
+        ("verify", "prop81", "--target", "1/0"),
+        ("report", "acc", "--n", "2", "--max-vol2", "10", "--targets", "1/0", "--window", "1/10"),
+    ],
+)
+def test_zero_denominator_is_a_usage_error(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err == "error: zero denominator in '1/0'\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read table"),
+        ('{"version": 1}', "table has no 'n' field"),
+        ('{"version": 1, "n": 2, "k": 1, "max_volume_sq": 10,'
+         ' "canonicalization": "sorted-positive (one per permutation/sign class)"}',
+         "table has no 'entries' field"),
+        ("{", "is not valid JSON"),
+        ("[]", "table is not a JSON object"),
+    ],
+)
+def test_verify_rejects_a_bad_table_file(tmp_path, capsys, content, message):
+    path = tmp_path / "t.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, "verify", "s2", "--table", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert str(path) in err
     assert message in err
     assert "Traceback" not in err
 

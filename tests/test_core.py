@@ -37,6 +37,11 @@ def test_parse_rejects_garbage():
         parse_rational("three halves")
 
 
+def test_parse_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        parse_rational("1/0")
+
+
 @pytest.mark.parametrize(
     "x, expected",
     [

@@ -375,6 +375,14 @@ def test_named_constants_bundle():
     assert nc25.c_star == PiPower(F(625), -1)
     assert 198.9 < nc25.c_star.decimal() < 199.0
 
+    # beyond the float range the approximations saturate instead of raising
+    nc100 = named_constants(100)
+    assert nc100.tao_bound == math.inf
+    assert nc100.lrc_threshold.decimal() == math.inf
+    assert nc100.threshold_below_tao
+    # a coefficient past the float range with a product inside it
+    assert PiPower(F(10**309), -3).decimal() == pytest.approx(1e307 * (100 / math.pi**3))
+
 
 def test_named_constants_validates():
     with pytest.raises(ValueError):

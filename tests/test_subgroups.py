@@ -118,6 +118,14 @@ def test_d_subgroup_coset_limit():
         d_subgroup(sub, max_cosets=3)
 
 
+@pytest.mark.parametrize(
+    "dirs", [[(1, 2, 3), (2, 4, 6)], [(1, 0, 1), (0, 1, 1), (1, 1, 2)]]
+)
+def test_torus_directions_must_be_independent(dirs):
+    with pytest.raises(ValueError, match="linearly independent"):
+        ProductSubgroup(torus_directions=dirs)
+
+
 def test_finite_elements_must_close():
     with pytest.raises(ValueError):
         ProductSubgroup(finite_elements=[(F(1, 3), F(0))])
