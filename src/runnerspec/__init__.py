@@ -4,158 +4,20 @@ Rational arithmetic end to end: maximum loneliness of integer speed
 tuples, center distances of closed subgroups of the torus, lattice
 density certificates for line orbits inside planes, and exhaustively
 enumerated spectrum tables with their verification helpers.
+
+Each module declares its own public names in ``__all__``; the package
+re-exports all of them.
 """
 
-from .core import (
-    HALF,
-    Rational,
-    UnsupportedDimension,
-    ZeroVector,
-    circle_distance,
-    format_rational,
-    linf_center_distance,
-    parse_rational,
-    primitive_part,
-    torus_point,
-)
-from .loneliness import (
-    InvalidNormal,
-    InvalidSpeeds,
-    LonelinessResult,
-    SpeedTuple,
-    coset_center_distance,
-    d_hyperplane,
-    d_min_max,
-    d_subtorus1,
-    max_loneliness,
-    maximizing_times,
-)
-from .subgroups import (
-    CenterReached,
-    FiniteCyclicSubgroup,
-    ProductSubgroup,
-    SubgroupTooLarge,
-    d_finite_cyclic,
-    d_subgroup,
-    deep_witness,
-    extremal_face_contacts,
-    find_rational_witness,
-    is_proper,
-    pad_subgroup,
-)
-from .lattice import (
-    BudgetExceeded,
-    DegenerateBasis,
-    DensityCertificate,
-    InvalidDirection,
-    NamedConstants,
-    NotContained,
-    PiPower,
-    SaturatedPlane,
-    ball_volume,
-    basis_length_bound,
-    certificate_profile,
-    covolume_sq_2,
-    d_subtorus2,
-    dense_sequence,
-    density_radius_sq,
-    kronecker_lift,
-    lift_volume_threshold,
-    lrc_threshold,
-    named_constants,
-    saturate,
-    shortest_projected_vector,
-    slice_plane_to_line,
-    threshold_below_power_bound,
-    volume_sq_1,
-)
-from .spectrum import (
-    CorruptCheckpoint,
-    EnumerationSpec,
-    MissingOuterSpectrum,
-    OuterSpectrumFacts,
-    SpectrumTable,
-    TableMismatch,
-    accumulation_report,
-    build_spectrum,
-    certify_absence,
-    enumerate_proper_primitive,
-    multiplicity_report,
-    verify_closed_form_s2,
-    verify_family_fan_sun,
-    verify_window,
-)
+from . import core, lattice, loneliness, spectrum, subgroups
+from .core import *
+from .lattice import *
+from .loneliness import *
+from .spectrum import *
+from .subgroups import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "HALF",
-    "Rational",
-    "ZeroVector",
-    "circle_distance",
-    "format_rational",
-    "linf_center_distance",
-    "parse_rational",
-    "primitive_part",
-    "torus_point",
-    "InvalidNormal",
-    "InvalidSpeeds",
-    "LonelinessResult",
-    "SpeedTuple",
-    "coset_center_distance",
-    "d_hyperplane",
-    "d_min_max",
-    "d_subtorus1",
-    "max_loneliness",
-    "maximizing_times",
-    "CenterReached",
-    "FiniteCyclicSubgroup",
-    "ProductSubgroup",
-    "SubgroupTooLarge",
-    "UnsupportedDimension",
-    "d_finite_cyclic",
-    "d_subgroup",
-    "deep_witness",
-    "extremal_face_contacts",
-    "find_rational_witness",
-    "is_proper",
-    "pad_subgroup",
-    "BudgetExceeded",
-    "DegenerateBasis",
-    "DensityCertificate",
-    "InvalidDirection",
-    "NamedConstants",
-    "NotContained",
-    "PiPower",
-    "SaturatedPlane",
-    "ball_volume",
-    "basis_length_bound",
-    "certificate_profile",
-    "covolume_sq_2",
-    "d_subtorus2",
-    "dense_sequence",
-    "density_radius_sq",
-    "kronecker_lift",
-    "lift_volume_threshold",
-    "lrc_threshold",
-    "named_constants",
-    "saturate",
-    "shortest_projected_vector",
-    "slice_plane_to_line",
-    "threshold_below_power_bound",
-    "volume_sq_1",
-    "CorruptCheckpoint",
-    "EnumerationSpec",
-    "MissingOuterSpectrum",
-    "OuterSpectrumFacts",
-    "SpectrumTable",
-    "TableMismatch",
-    "accumulation_report",
-    "build_spectrum",
-    "certify_absence",
-    "enumerate_proper_primitive",
-    "multiplicity_report",
-    "verify_closed_form_s2",
-    "verify_family_fan_sun",
-    "verify_window",
-]
+__all__ = (
+    core.__all__ + loneliness.__all__ + subgroups.__all__ + lattice.__all__ + spectrum.__all__
+)

@@ -43,6 +43,7 @@ from .loneliness import (
 )
 from .subgroups import FiniteCyclicSubgroup, d_finite_cyclic
 from .spectrum import (
+    WINDOW_MODES,
     CorruptCheckpoint,
     EnumerationSpec,
     MissingOuterSpectrum,
@@ -288,7 +289,7 @@ def _run_verify_prop81(ns) -> int:
     pi_bounds = REFINED_PI_BOUNDS if ns.refined_pi else DEFAULT_PI_BOUNDS
     cert = certify_absence(
         parse_rational(ns.target),
-        ns.n,
+        3,
         ns.cutoff,
         pi_bounds=pi_bounds,
         progress=(lambda c: _note(f"checked {c}")) if ns.progress else None,
@@ -531,11 +532,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=_run_verify_fan_sun)
     pv = vsub.add_parser("window", help="reduced-form window classification")
     _add_table_flags(pv)
-    pv.add_argument("--mode", choices=("strict", "amended"), default="strict")
+    pv.add_argument("--mode", choices=WINDOW_MODES, default="strict")
     pv.set_defaults(func=_run_verify_window)
-    pv = vsub.add_parser("prop81", help="two-phase absence certificate")
+    pv = vsub.add_parser("prop81", help="two-phase absence certificate for n = 3")
     pv.add_argument("--target", default="7/50")
-    pv.add_argument("--n", type=int, default=3)
     pv.add_argument("--cutoff", type=int, default=199**2)
     pv.add_argument("--refined-pi", action="store_true")
     pv.add_argument("--progress", action="store_true")

@@ -7,9 +7,23 @@ Integer vectors are plain tuples of Python ints, so nothing overflows.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Tuple, Union
+
+__all__ = [
+    "HALF",
+    "Rational",
+    "UnsupportedDimension",
+    "ZeroVector",
+    "circle_distance",
+    "format_rational",
+    "linf_center_distance",
+    "parse_rational",
+    "primitive_part",
+    "torus_point",
+]
 
 Rational = Fraction
 IntVector = Tuple[int, ...]
@@ -36,8 +50,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: RationalLike) -> str:
-    """Render an exact rational as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(x))
+    """Render an exact rational as "p/q", or "p" when the denominator is 1.
+
+    The digits come from ``decimal``, which, unlike ``str`` of an int, has
+    no limit on their number.
+    """
+    f = Fraction(x)
+    text = str(Decimal(f.numerator))
+    if f.denominator == 1:
+        return text
+    return f"{text}/{Decimal(f.denominator)}"
 
 
 def circle_distance(x: RationalLike) -> Fraction:

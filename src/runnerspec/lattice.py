@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -27,6 +28,31 @@ from .core import (
     norm_sq,
     primitive_part,
 )
+
+__all__ = [
+    "BudgetExceeded",
+    "DegenerateBasis",
+    "DensityCertificate",
+    "InvalidDirection",
+    "NamedConstants",
+    "NotContained",
+    "PiPower",
+    "SaturatedPlane",
+    "ball_volume",
+    "basis_length_bound",
+    "certificate_profile",
+    "d_subtorus2",
+    "dense_sequence",
+    "density_radius_sq",
+    "kronecker_lift",
+    "lift_volume_threshold",
+    "lrc_threshold",
+    "named_constants",
+    "saturate",
+    "shortest_projected_vector",
+    "slice_plane_to_line",
+    "threshold_below_power_bound",
+]
 
 # 3.14159 < pi < 3.14160; enough for every check in this package, and
 # deliberately coarse so that sensitivity tests can show the first five
@@ -125,17 +151,17 @@ def _integer_kernel(rows: Sequence[Sequence[int]], n: int) -> List[IntVector]:
 
 
 def _row_hnf(
-    rows: Sequence[Sequence[int]], want_transform: bool = False
-):
+    rows: Sequence[Sequence[int]],
+) -> Tuple[List[IntVector], List[IntVector]]:
     """Row Hermite form with positive pivots and reduced entries above.
 
-    With ``want_transform`` also returns T (one row per nonzero output
-    row) such that T @ input = output.
+    Returns (H, T): the nonzero rows H of the form, and T (one row per
+    row of H) such that T @ input = H.
     """
     work = [list(r) for r in rows]
     m = len(work)
     if m == 0:
-        return ([], []) if want_transform else []
+        return [], []
     n = len(work[0])
     T = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     r = 0
@@ -169,10 +195,7 @@ def _row_hnf(
                 work[i] = [a - q * b for a, b in zip(work[i], work[r])]
                 T[i] = [a - q * b for a, b in zip(T[i], T[r])]
         r += 1
-    out = [tuple(row) for row in work[:r]]
-    if want_transform:
-        return out, [tuple(row) for row in T[:r]]
-    return out
+    return [tuple(row) for row in work[:r]], [tuple(row) for row in T[:r]]
 
 
 def _independent2(u: Sequence[int], v: Sequence[int]) -> bool:
@@ -188,10 +211,6 @@ class SaturatedPlane:
 
     basis_u: IntVector
     basis_v: IntVector
-
-    @property
-    def ambient_dimension(self) -> int:
-        return len(self.basis_u)
 
     def gram(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
         a = norm_sq(self.basis_u)
@@ -245,21 +264,9 @@ def saturate(u: Sequence[int], v: Sequence[int]) -> SaturatedPlane:
         raise DegenerateBasis(f"{uu} and {vv} are linearly dependent")
     rel = _integer_kernel([uu, vv], n)
     plane = _integer_kernel(rel, n)
-    hnf = _row_hnf(plane)
+    hnf, _ = _row_hnf(plane)
     assert len(hnf) == 2
     return SaturatedPlane(hnf[0], hnf[1])
-
-
-def volume_sq_1(v: Sequence[int]) -> int:
-    """Squared covolume (= squared length) of the line lattice Z*v."""
-    vec = tuple(int(c) for c in v)
-    _require_primitive(vec)
-    return norm_sq(vec)
-
-
-def covolume_sq_2(plane: SaturatedPlane) -> int:
-    """Gram determinant of the plane lattice basis."""
-    return plane.covolume_sq
 
 
 def _nearest_int(x: Fraction) -> int:
@@ -398,7 +405,7 @@ def shortest_projected_vector(v: Sequence[int]) -> Tuple[IntVector, Fraction]:
     stack = [
         [N if j == i else 0 for j in range(r0)] for i in range(r0)
     ] + [[-x for x in lam_int]]
-    hnf, T = _row_hnf(stack, want_transform=True)
+    hnf, T = _row_hnf(stack)
     assert len(hnf) == r0
     preimages = []
     for trow in T:
@@ -521,6 +528,9 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(g, den)
 
 
+PROFILE_GRID = 8
+
+
 @dataclass(frozen=True)
 class CertificateProfile:
     spacing_identity_ok: bool
@@ -529,8 +539,11 @@ class CertificateProfile:
     samples: int
 
 
-def certificate_profile(cert: DensityCertificate, grid: int = 8) -> CertificateProfile:
+def certificate_profile(cert: DensityCertificate) -> CertificateProfile:
     """Sample the plane torus and measure exact L2 distances to the orbit.
+
+    The samples form a ``PROFILE_GRID`` x ``PROFILE_GRID`` grid over the
+    plane basis.
 
     Distances are taken inside the plane: the projection of the plane
     lattice onto the in-plane normal of v is a 1-dimensional lattice, so
@@ -554,9 +567,9 @@ def certificate_profile(cert: DensityCertificate, grid: int = 8) -> CertificateP
     spacing_ok = (g * g) / (4 * wp_sq) == cert.delta_sq
     max_sq = Fraction(0)
     count = 0
-    for i in range(grid):
-        for j in range(grid):
-            c = (i * c1 + j * c2) / grid
+    for i in range(PROFILE_GRID):
+        for j in range(PROFILE_GRID):
+            c = (i * c1 + j * c2) / PROFILE_GRID
             r = c % g
             dist = min(r, g - r)
             sq = dist * dist / wp_sq
@@ -767,11 +780,14 @@ class PiPower:
     def decimal(self) -> float:
         """Float approximation, ``math.inf`` beyond the float range."""
         try:
-            return float(self.coefficient) * math.pi**self.pi_power
+            coef = float(self.coefficient)
+            power = math.pi**self.pi_power
         except OverflowError:
-            pass
-        # the coefficient or the power alone overflowed; round the exact
-        # product once
+            coef = power = 0.0
+        if min(coef, power) >= sys.float_info.min:
+            return coef * power
+        # a factor alone overflowed, or fell below the normal range where
+        # it loses precision; round the exact product once
         try:
             return float(self.coefficient * Fraction(math.pi) ** self.pi_power)
         except OverflowError:

@@ -28,6 +28,7 @@ blocks with m = 1.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
@@ -36,6 +37,18 @@ from typing import Iterable, List, Sequence, Tuple, Union
 import numpy as np
 
 from .core import HALF, IntVector, RationalLike, circle_distance, torus_point
+
+__all__ = [
+    "InvalidNormal",
+    "InvalidSpeeds",
+    "LonelinessResult",
+    "SpeedTuple",
+    "coset_center_distance",
+    "d_hyperplane",
+    "d_subtorus1",
+    "max_loneliness",
+    "maximizing_times",
+]
 
 # The int64 kernel takes a tuple only when 2 * max|v|^2 is below this
 # bound, which keeps every intermediate below 2**62; larger tuples fall
@@ -46,6 +59,13 @@ _INT64_LIMIT = 1 << 60
 # block of tuples or for one huge tuple, is sliced to this size, so its
 # scratch memory stays at a few MiB whatever the speeds.
 _GRID_CELLS = 1 << 16
+
+# One scratch array per thread holds every grid the kernel builds.  With
+# a grid allocated and freed per scan, the allocator could hand the freed
+# pages back to the system and fault them in again on the next query;
+# whether it did depended on what else the process held, and where it did,
+# the point-query rate fell by a fifth, at worst by half.
+_SCRATCH = threading.local()
 
 
 class InvalidSpeeds(ValueError):
@@ -61,12 +81,10 @@ class SpeedTuple:
     """Primitive nonzero integer speeds: the data of a proper line orbit.
 
     Signs are dropped on construction (circle distance is even), so
-    ``speeds`` holds absolute values in input order and ``canonical_form``
-    the sorted variant shared by the whole sign/permutation class.
+    ``speeds`` holds absolute values in input order.
     """
 
     speeds: IntVector
-    canonical_form: IntVector
 
     def __init__(self, speeds: Iterable[int]):
         vals = tuple(int(s) for s in speeds)
@@ -80,15 +98,6 @@ class SpeedTuple:
         if g != 1:
             raise InvalidSpeeds(f"speeds {vals} share the common factor {g}")
         object.__setattr__(self, "speeds", tuple(abs(s) for s in vals))
-        object.__setattr__(self, "canonical_form", tuple(sorted(abs(s) for s in vals)))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.speeds)
-
-    @property
-    def volume_sq(self) -> int:
-        return sum(s * s for s in self.speeds)
 
 
 @dataclass(frozen=True)
@@ -128,14 +137,22 @@ def _deviation_grid(speeds: np.ndarray, q: np.ndarray, j: np.ndarray) -> np.ndar
     This is q - 2 q min_i ||j v_i / q||, so its first minimum over j is
     the first maximum of the loneliness profile on the denominator q.
     ``speeds`` is (r, n), ``q`` is (r,) and ``j`` is (w,); the one scratch
-    array is (n, r, w) and is updated in place.
+    array is (n, r, w), a view of this thread's scratch, updated in place.
+    The result is a view of it too, valid until the next call.
     """
+    n, r, w = speeds.shape[1], len(q), len(j)
+    scratch = getattr(_SCRATCH, "grid", None)
+    if scratch is None or len(scratch) < n * r * w:
+        scratch = _SCRATCH.grid = np.empty(max(n * r * w, _GRID_CELLS), dtype=np.int64)
+    x = scratch[: n * r * w].reshape(n, r, w)
     qc = q[:, None]
-    x = (2 * speeds.T)[:, :, None] * j
+    np.multiply((2 * speeds.T)[:, :, None], j, out=x)
     x %= 2 * qc
     x -= qc
     np.abs(x, out=x)
-    return x.max(axis=0)
+    for row in x[1:]:
+        np.maximum(x[0], row, out=x[0])
+    return x[0]
 
 
 def _first_minima(speeds: np.ndarray, q: np.ndarray, width: int, cells: int):
@@ -416,19 +433,3 @@ def coset_center_distance(
         return best, best_t
     return best
 
-
-def d_min_max(v: SpeedsLike, shift: Sequence[RationalLike]) -> Fraction:
-    """Min over t of max_i ||t v_i + shift_i - 1/2||, exactly.
-
-    With a zero shift this is d_subtorus1 again, which the test suite
-    checks; the two implementations share nothing but circle_distance.
-    """
-    if isinstance(v, SpeedTuple):
-        vec: Sequence[int] = v.speeds
-    else:
-        vec = tuple(int(s) for s in v)
-        SpeedTuple(vec)  # validate: nonzero entries, gcd 1
-    shift_t = tuple(shift)
-    if len(shift_t) != len(vec):
-        raise InvalidSpeeds("shift dimension does not match the speeds")
-    return coset_center_distance(vec, shift_t)

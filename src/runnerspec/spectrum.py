@@ -17,15 +17,32 @@ import json
 import multiprocessing
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import HALF, IntVector, Rational, RationalLike, format_rational, parse_rational
 from .lattice import DEFAULT_PI_BOUNDS, ball_volume
 from .loneliness import _scan_rows, max_loneliness
+
+__all__ = [
+    "CorruptCheckpoint",
+    "EnumerationSpec",
+    "MissingOuterSpectrum",
+    "OuterSpectrumFacts",
+    "SpectrumTable",
+    "TableMismatch",
+    "accumulation_report",
+    "build_spectrum",
+    "certify_absence",
+    "enumerate_proper_primitive",
+    "multiplicity_report",
+    "verify_closed_form_s2",
+    "verify_family_fan_sun",
+    "verify_window",
+]
 
 THREADS_ENV_VAR = "RUNNERSPEC_THREADS"
 WITNESS_CAP = 8
@@ -34,6 +51,11 @@ TABLE_FORMAT_VERSION = 1
 CHECKPOINT_FORMAT_VERSION = 1
 
 CANONICAL_CLASSES = "sorted-positive (one per permutation/sign class)"
+
+# The density radius of Phase B stops this far short of the gap between
+# the target and the plane facts' low bound, so that both inequalities of
+# the case split are strict.
+ABSENCE_MARGIN = Fraction(1, 10**6)
 
 
 class TableMismatch(ValueError):
@@ -125,7 +147,7 @@ class SpectrumTable:
 
     n: int
     max_volume_sq: int
-    entries: Dict[Rational, SpectrumEntry] = field(compare=True)
+    entries: Dict[Rational, SpectrumEntry]
 
     def keys_descending(self) -> List[Rational]:
         return sorted(self.entries, reverse=True)
@@ -170,20 +192,21 @@ class SpectrumTable:
             if data[key] != fixed:
                 raise TableMismatch(f"table has {key}={data[key]!r}, not {fixed!r}")
         try:
-            entries: Dict[Rational, SpectrumEntry] = {}
-            for row in data["entries"]:
-                key = parse_rational(row["d"])
-                entries[key] = SpectrumEntry(
-                    multiplicity=int(row["mult"]),
-                    witnesses=tuple(tuple(int(c) for c in w) for w in row["witnesses"]),
+            n = int(data["n"])
+            rows = [(row["d"], row["mult"], row["witnesses"]) for row in data["entries"]]
+            _check_block(rows, n)
+            entries = {
+                parse_rational(d): SpectrumEntry(
+                    multiplicity=mult, witnesses=tuple(tuple(w) for w in wits)
                 )
-            return cls(
-                n=int(data["n"]),
-                max_volume_sq=int(data["max_volume_sq"]),
-                entries=entries,
-            )
+                for d, mult, wits in rows
+            }
+            max_volume_sq = int(data["max_volume_sq"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise TableMismatch(f"table has a malformed value: {exc!r}") from None
+        if not entries:
+            raise TableMismatch("table has no entries")
+        return cls(n=n, max_volume_sq=max_volume_sq, entries=entries)
 
     @classmethod
     def load_json(cls, path: str) -> "SpectrumTable":
@@ -199,25 +222,12 @@ class SpectrumTable:
         except TableMismatch as exc:
             raise TableMismatch(f"{path}: {exc}") from None
 
-    def flat_rows(self) -> List[Tuple[str, str, str, str, int]]:
-        rows = []
-        for key in self.keys_descending():
-            ml = HALF - key
-            rows.append(
-                (
-                    format_rational(key),
-                    _approx(key),
-                    format_rational(ml),
-                    _approx(ml),
-                    self.entries[key].multiplicity,
-                )
-            )
-        return rows
-
     def save_flat(self, path: str) -> None:
         lines = ["d\td_approx\tml\tml_approx\tmultiplicity"]
-        for row in self.flat_rows():
-            lines.append("\t".join(str(c) for c in row))
+        for key in self.keys_descending():
+            ml = HALF - key
+            cells = (format_rational(key), _approx(key), format_rational(ml), _approx(ml))
+            lines.append("\t".join(cells) + f"\t{self.entries[key].multiplicity}")
         _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -289,7 +299,10 @@ def _merge_block(
 
 
 def _check_block(result: _BlockResult, n: int) -> None:
-    """Raise ValueError or TypeError unless ``result`` is a block result."""
+    """Raise ValueError or TypeError unless ``result`` is a block result.
+
+    Table files are held to the same rules, one row per distance.
+    """
     for d, mult, wits in result:
         parse_rational(d)
         if type(mult) is not int or mult < 1:
@@ -588,7 +601,6 @@ def certify_absence(
     cutoff_volume_sq: int,
     outer_facts: Optional[OuterSpectrumFacts] = None,
     pi_bounds: Tuple[Fraction, Fraction] = DEFAULT_PI_BOUNDS,
-    margin: Rational = Fraction(1, 10**6),
     progress=None,
 ) -> AbsenceCertificate:
     """Certify that no proper line orbit has center distance ``target``.
@@ -635,7 +647,7 @@ def certify_absence(
             break
     phase_a_passed = witness is None
 
-    rho = target - outer_facts.low_bound - Fraction(margin)
+    rho = target - outer_facts.low_bound - ABSENCE_MARGIN
     cases_ok = (
         all(a > target for a in outer_facts.values_above)
         and outer_facts.low_bound < target

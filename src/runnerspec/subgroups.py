@@ -32,6 +32,20 @@ from .loneliness import (
     maximizing_times,
 )
 
+__all__ = [
+    "CenterReached",
+    "FiniteCyclicSubgroup",
+    "ProductSubgroup",
+    "SubgroupTooLarge",
+    "d_finite_cyclic",
+    "d_subgroup",
+    "deep_witness",
+    "extremal_face_contacts",
+    "find_rational_witness",
+    "is_proper",
+    "pad_subgroup",
+]
+
 DEFAULT_COSET_LIMIT = 10**6
 _CLOSURE_CHECK_LIMIT = 512
 
@@ -57,10 +71,6 @@ class FiniteCyclicSubgroup:
             raise ValueError("generator needs at least one coordinate")
         object.__setattr__(self, "generator", pt)
         object.__setattr__(self, "order", lcm(*(c.denominator for c in pt)))
-
-    @property
-    def ambient_dimension(self) -> int:
-        return len(self.generator)
 
     def elements(self) -> Tuple[TorusPoint, ...]:
         """All order-many multiples of the generator, in multiple order."""
@@ -120,8 +130,8 @@ class ProductSubgroup:
     finite element.
 
     The finite part is stored as an explicit, complete element list (the
-    constructor sorts, dedupes, and adds the origin); use ``from_cyclic``
-    to expand a cyclic finite part.  Closure is verified only for small
+    constructor sorts, dedupes, and adds the origin); a cyclic finite part
+    is passed as ``group.elements()``.  Closure is verified only for small
     lists, larger ones are trusted.
     """
 
@@ -143,7 +153,7 @@ class ProductSubgroup:
             raise ValueError("need at least one direction or finite element")
         if any(len(d) != n for d in dirs) or any(len(e) != n for e in elems):
             raise ValueError("mixed ambient dimensions")
-        if dirs and len(_row_hnf(dirs)) != len(dirs):
+        if dirs and len(_row_hnf(dirs)[0]) != len(dirs):
             raise ValueError("torus directions must be linearly independent")
         elems.add(torus_point([0] * n))
         ordered = tuple(sorted(elems))
@@ -159,22 +169,6 @@ class ProductSubgroup:
         object.__setattr__(self, "torus_directions", dirs)
         object.__setattr__(self, "finite_elements", ordered)
 
-    @classmethod
-    def from_cyclic(
-        cls,
-        finite: FiniteCyclicSubgroup,
-        torus_directions: Iterable[Sequence[int]] = (),
-    ) -> "ProductSubgroup":
-        return cls(torus_directions, finite.elements())
-
-    @classmethod
-    def line(
-        cls,
-        direction: Sequence[int],
-        finite_elements: Iterable[Iterable[RationalLike]] = (),
-    ) -> "ProductSubgroup":
-        return cls((direction,), finite_elements)
-
     @property
     def dimension(self) -> int:
         return len(self.torus_directions)
@@ -186,13 +180,11 @@ class ProductSubgroup:
         return len(self.finite_elements[0])
 
 
-def d_subgroup(
-    subgroup: ProductSubgroup, max_cosets: int = DEFAULT_COSET_LIMIT
-) -> Fraction:
+def d_subgroup(subgroup: ProductSubgroup) -> Fraction:
     """Exact center distance of a subgroup of dimension at most 1.
 
     Dimension 0 is a minimum over the element list; dimension 1 iterates
-    the cosets explicitly, bounded by ``max_cosets``.
+    the cosets explicitly, at most ``DEFAULT_COSET_LIMIT`` of them.
     """
     dim = subgroup.dimension
     if dim == 0:
@@ -204,9 +196,10 @@ def d_subgroup(
             g = gcd(g, c)
         if g != 1:
             raise ValueError(f"direction {direction} is not primitive")
-        if len(subgroup.finite_elements) > max_cosets:
+        if len(subgroup.finite_elements) > DEFAULT_COSET_LIMIT:
             raise SubgroupTooLarge(
-                f"{len(subgroup.finite_elements)} cosets exceed the limit {max_cosets}"
+                f"{len(subgroup.finite_elements)} cosets exceed the limit"
+                f" {DEFAULT_COSET_LIMIT}"
             )
         return min(
             coset_center_distance(direction, h) for h in subgroup.finite_elements

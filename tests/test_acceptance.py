@@ -26,8 +26,8 @@ from runnerspec.lattice import (
     threshold_below_power_bound,
 )
 from runnerspec.loneliness import (
+    coset_center_distance,
     d_hyperplane,
-    d_min_max,
     d_subtorus1,
     max_loneliness,
 )
@@ -166,7 +166,7 @@ def test_c07_engine_agrees_with_independent_routes():
     for n in (1, 2, 3):
         zero = (F(0),) * n
         for t in enumerate_proper_primitive(EnumerationSpec(n, 10**3)):
-            assert d_min_max(t, zero) == d_subtorus1(t), t
+            assert coset_center_distance(t, zero) == d_subtorus1(t), t
 
 
 def test_c08_witnesses_are_pinned_on_two_coordinates():

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+from decimal import Decimal
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 
 import runnerspec
 from runnerspec.cli import main
+from runnerspec.lattice import ball_volume, basis_length_bound
 
 
 def run(capsys, *args):
@@ -115,6 +117,29 @@ def test_constants_beyond_float_range(capsys):
     assert "(approx inf)" in out
 
 
+def test_constants_print_huge_exact_values(capsys):
+    # 1/180! is 0.0 as a float though omega_360 is not, and the exact
+    # coefficient of ell(360, 1) has more digits than int-to-str allows.
+    code, out, err = run(capsys, "constants", "--n", "400", "--k", "360")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == (
+        f"omega_360 = {ball_volume(360).coefficient}*pi^180 (approx 1.5275859671e-240)"
+    )
+    head, tail = "ell(k=360, V=1) = ", "*pi^-180 (approx inf)"
+    assert lines[1].startswith(head) and lines[1].endswith(tail)
+    num, _, den = lines[1][len(head) : -len(tail)].partition("/")
+    ell = basis_length_bound(360, 1).coefficient
+    assert Decimal(num) == ell.numerator and Decimal(den or 1) == ell.denominator
+    assert len(num) > 4300
+    assert [line.split(" = ")[0] for line in lines[2:]] == [
+        "c_star(n=400, k=360, eps=1/80200)",
+        "lrc_threshold(400)",
+        "lrc_threshold(400) enclosure",
+        "lrc_threshold(400) < n^(5n/2): True",
+    ]
+
+
 def test_constants_rejects_bad_k(capsys):
     code, _, err = run(capsys, "constants", "--n", "3", "--k", "3")
     assert code == 2
@@ -203,6 +228,14 @@ def test_zero_denominator_is_a_usage_error(capsys, args):
          "table has no 'entries' field"),
         ("{", "is not valid JSON"),
         ("[]", "table is not a JSON object"),
+        ('{"version": 1, "n": 2, "k": 1, "max_volume_sq": 10,'
+         ' "canonicalization": "sorted-positive (one per permutation/sign class)",'
+         ' "entries": []}',
+         "table has no entries"),
+        ('{"version": 1, "n": 2, "k": 1, "max_volume_sq": 10,'
+         ' "canonicalization": "sorted-positive (one per permutation/sign class)",'
+         ' "entries": [{"d": "1/6", "mult": 0, "witnesses": [[1, 2]]}]}',
+         "multiplicity 0"),
     ],
 )
 def test_verify_rejects_a_bad_table_file(tmp_path, capsys, content, message):
@@ -318,6 +351,28 @@ def _toml():
     except ModuleNotFoundError:  # Python < 3.11
         return pytest.importorskip("tomli")
     return tomllib
+
+
+def test_package_exports_each_module_list():
+    # `import runnerspec` loads every library module, and the package
+    # exports exactly the union of their __all__ lists.
+    probe = "import runnerspec, sys; print(*sorted(m for m in sys.modules if m.startswith('runnerspec.')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env()
+    )
+    modules = ["core", "lattice", "loneliness", "spectrum", "subgroups"]
+    assert proc.stdout.split() == [f"runnerspec.{m}" for m in modules]
+    owners = {}
+    for m in modules:
+        module = getattr(runnerspec, m)
+        for name in module.__all__:
+            assert name not in owners
+            assert getattr(runnerspec, name) is getattr(module, name)
+            owners[name] = m
+    assert sorted(runnerspec.__all__) == sorted(owners)
+    assert len(owners) == 66
+    for gone in ("d_min_max", "covolume_sq_2", "volume_sq_1"):
+        assert not hasattr(runnerspec, gone)
 
 
 def test_module_entry_point():

@@ -30,6 +30,7 @@ def test_parse_format_round_trip():
     assert format_rational(F(7, 50)) == "7/50"
     assert format_rational(3) == "3"
     assert format_rational(F(4, 2)) == "2"
+    assert format_rational(F(-1, 10**5000)) == "-1/1" + "0" * 5000
 
 
 def test_parse_rejects_garbage():

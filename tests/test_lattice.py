@@ -18,7 +18,6 @@ from runnerspec.lattice import (
     ball_volume,
     basis_length_bound,
     certificate_profile,
-    covolume_sq_2,
     d_subtorus2,
     dense_sequence,
     density_radius_sq,
@@ -30,7 +29,6 @@ from runnerspec.lattice import (
     shortest_projected_vector,
     slice_plane_to_line,
     threshold_below_power_bound,
-    volume_sq_1,
 )
 from runnerspec.loneliness import d_hyperplane, d_subtorus1
 
@@ -50,9 +48,9 @@ def test_saturate_standard_plane():
 
 
 def test_saturate_known_covolumes():
-    assert covolume_sq_2(saturate((1, 1, 1), (0, 1, 2))) == 6
-    assert covolume_sq_2(saturate((1, 2, 0), (0, 0, 1))) == 5
-    assert covolume_sq_2(saturate((1, 0, 1), (0, 1, 1))) == 3
+    assert saturate((1, 1, 1), (0, 1, 2)).covolume_sq == 6
+    assert saturate((1, 2, 0), (0, 0, 1)).covolume_sq == 5
+    assert saturate((1, 0, 1), (0, 1, 1)).covolume_sq == 3
 
 
 def test_saturate_divides_out_index():
@@ -93,12 +91,6 @@ def test_coords_of_raises_off_plane():
     plane = saturate((1, 0, 0), (0, 1, 0))
     with pytest.raises(NotContained):
         plane.coords_of((0, 0, 1))
-
-
-def test_volume_sq_1():
-    assert volume_sq_1((1, 2, 3)) == 14
-    with pytest.raises(ValueError):
-        volume_sq_1((2, 4))
 
 
 # --- shortest projected vector --------------------------------------------
@@ -326,6 +318,14 @@ def test_triangle_bound_line_vs_lifted_plane():
 )
 def test_ball_volume_exact(k, coef, power):
     assert ball_volume(k) == PiPower(coef, power)
+
+
+@pytest.mark.parametrize("k", [350, 360])
+def test_pi_power_decimal_below_the_normal_range(k):
+    # 1/(k/2)! is subnormal at k = 350 and 0.0 as a float at k = 360, while
+    # omega_k itself is a normal float.
+    expected = math.exp(k / 2 * math.log(math.pi) - math.lgamma(k / 2 + 1))
+    assert ball_volume(k).decimal() == pytest.approx(expected, rel=1e-12)
 
 
 def test_pi_power_bounds_enclose_decimal():

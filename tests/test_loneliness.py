@@ -1,5 +1,7 @@
 """Tests for the maximum-loneliness engine and its companion distances."""
 
+import sys
+import threading
 from fractions import Fraction
 from math import gcd, isqrt
 from unittest import mock
@@ -19,8 +21,8 @@ from runnerspec.loneliness import (
     _scan_best_python,
     _scan_int64,
     _scan_rows,
+    coset_center_distance,
     d_hyperplane,
-    d_min_max,
     d_subtorus1,
     max_loneliness,
     maximizing_times,
@@ -44,10 +46,8 @@ def primitive(speeds):
 
 
 def test_speed_tuple_normalizes_signs():
-    st_ = SpeedTuple((-2, 3))
-    assert st_.speeds == (2, 3)
-    assert st_.canonical_form == (2, 3)
-    assert SpeedTuple((3, -2, 1)).canonical_form == (1, 2, 3)
+    assert SpeedTuple((-2, 3)).speeds == (2, 3)
+    assert SpeedTuple((3, -2, 1)).speeds == (3, 2, 1)
 
 
 def test_speed_tuple_rejects_bad_input():
@@ -57,11 +57,6 @@ def test_speed_tuple_rejects_bad_input():
         SpeedTuple((0, 1))
     with pytest.raises(InvalidSpeeds):
         SpeedTuple((2, 4))
-
-
-def test_speed_tuple_volume():
-    assert SpeedTuple((1, 2, 3)).volume_sq == 14
-    assert SpeedTuple((1, 2, 3)).dimension == 3
 
 
 # --- exact values ---------------------------------------------------------
@@ -259,13 +254,37 @@ def test_duplicates_do_not_change_ml(speeds):
     assert max_loneliness(doubled).ml == max_loneliness(speeds).ml
 
 
+def test_concurrent_scans_keep_their_own_grids():
+    # Every thread scans in its own scratch array; with one shared array,
+    # concurrent queries would overwrite each other's grids.
+    tuples = [(1, 2, 3), (9001, 9011, 9013), (3, 7, 199), (4001, 4003, 4007, 4013)]
+    expected = [max_loneliness(t) for t in tuples]
+    results = {}
+
+    def work(i):
+        results[i] = [max_loneliness(t) for t in tuples * 5]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[i] == expected * 5 for i in range(4))
+
+
 # --- shifted variant ------------------------------------------------------
 
 
 def test_d_min_max_examples():
-    assert d_min_max((1, 2), (0, 0)) == F(1, 6)
-    assert d_min_max((1, 3), (0, 0)) == F(0)
-    assert d_min_max((1,), (F(1, 2),)) == F(0)
+    assert coset_center_distance((1, 2), (0, 0)) == F(1, 6)
+    assert coset_center_distance((1, 3), (0, 0)) == F(0)
+    assert coset_center_distance((1,), (F(1, 2),)) == F(0)
 
 
 @given(speed_lists)
@@ -273,14 +292,14 @@ def test_d_min_max_examples():
 def test_d_min_max_zero_shift_matches_engine(speeds):
     assume(primitive(speeds))
     zero = (F(0),) * len(speeds)
-    assert d_min_max(speeds, zero) == d_subtorus1(speeds)
+    assert coset_center_distance(speeds, zero) == d_subtorus1(speeds)
 
 
 def test_d_min_max_validates_input():
+    with pytest.raises(ValueError, match="same positive length"):
+        coset_center_distance((1, 2), (F(0),))
     with pytest.raises(InvalidSpeeds):
-        d_min_max((1, 2), (F(0),))
-    with pytest.raises(InvalidSpeeds):
-        d_min_max((2, 4), (F(0), F(0)))
+        d_subtorus1((2, 4))
 
 
 # --- hyperplane closed form -----------------------------------------------

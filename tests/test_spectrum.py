@@ -132,6 +132,32 @@ def test_checkpoint_resume(tmp_path):
     assert resumed == full
 
 
+class _Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("first, then", [(2, 1), (1, 2)])
+def test_resume_with_another_worker_count(tmp_path, first, then):
+    spec = EnumerationSpec(3, 2000)
+    path = str(tmp_path / "ckpt.json")
+
+    def interrupt(done, total):
+        if done == 3:
+            raise _Interrupted
+
+    with pytest.raises(_Interrupted):
+        build_spectrum(spec, workers=first, checkpoint_path=path, progress=interrupt)
+    with open(path) as fh:
+        saved = len(json.load(fh)["blocks"])
+    assert 3 <= saved < len(spectrum._block_starts(spec))
+    resumed = build_spectrum(spec, workers=then, checkpoint_path=path)
+    full = build_spectrum(spec, workers=1)
+    assert resumed == full
+    resumed.save_json(str(tmp_path / "resumed.json"))
+    full.save_json(str(tmp_path / "full.json"))
+    assert (tmp_path / "resumed.json").read_bytes() == (tmp_path / "full.json").read_bytes()
+
+
 def test_checkpoint_header_mismatch(tmp_path):
     path = str(tmp_path / "ckpt.json")
     build_spectrum(EnumerationSpec(3, 300), checkpoint_path=path)
@@ -187,6 +213,11 @@ def test_json_round_trip(tmp_path):
         ("entries", [{"d": "1/6", "mult": 1}], "malformed value"),
         ("n", "two", "malformed value"),
         ("entries", [{"d": "1/0", "mult": 1, "witnesses": []}], "zero denominator"),
+        ("entries", [], "table has no entries"),
+        ("entries", [{"d": "1/6", "mult": 0, "witnesses": [[1, 2]]}], "multiplicity 0"),
+        ("entries", [{"d": "1/6", "mult": -3, "witnesses": [[1, 2]]}], "multiplicity -3"),
+        ("entries", [{"d": "1/6", "mult": 1, "witnesses": [[1, 2, 3]]}], r"witness \[1, 2, 3\]"),
+        ("entries", [{"d": "1/6", "mult": 1, "witnesses": [["1", "2"]]}], r"witness \['1', '2'\]"),
     ],
 )
 def test_load_rejects_a_foreign_table(tmp_path, field, value, message):
@@ -384,8 +415,9 @@ def test_certify_with_explicit_facts():
     assert cert.density_lhs > 3
 
 
-def test_certify_margin_can_break_the_case_split():
-    cert = certify_absence(F(7, 50), 3, 500, margin=F(1, 10))
+def test_certify_margin_can_break_the_case_split(monkeypatch):
+    monkeypatch.setattr(spectrum, "ABSENCE_MARGIN", F(1, 10))
+    cert = certify_absence(F(7, 50), 3, 500)
     assert not cert.cases_ok
     assert not cert.phase_b_passed
 
