@@ -4,7 +4,8 @@ All numeric output is exact-first: rationals print as "p/q" with a
 12-significant-digit decimal marked as approximate.  Outputs are byte
 identical across runs and across worker counts; progress and timing
 chatter goes to stderr only.  Exit codes: 0 success, 1 verification
-failure, 2 usage or validation error.
+failure, 2 usage or validation error, or a file that cannot be read or
+written.
 """
 
 from __future__ import annotations
@@ -583,6 +584,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return ns.func(ns)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        reason = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {reason}", file=sys.stderr)
         return 2
 
 

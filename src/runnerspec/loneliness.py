@@ -20,9 +20,9 @@ cells, sliced over tuples for a block and over j for one huge tuple.
 The tie-break is fixed: a larger value a/q wins, and an equal value
 wins only at a strictly earlier time, so every result carries the
 earliest maximizing time.  Tuples with 2 * max|v|^2 at or above
-``_INT64_LIMIT`` go to an arbitrary-precision scan with the same rule,
-which also serves the tests as the reference.  Single-tuple queries are
-blocks with m = 1.
+``_INT64_LIMIT`` are refused with ``InvalidSpeeds`` before any grid is
+built; the reference scan the kernel is tested against lives in the test
+suite.  Single-tuple queries are blocks with m = 1.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, isqrt
 from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,8 +51,9 @@ __all__ = [
 ]
 
 # The int64 kernel takes a tuple only when 2 * max|v|^2 is below this
-# bound, which keeps every intermediate below 2**62; larger tuples fall
-# back to arbitrary precision.
+# bound, which keeps every intermediate below 2**62.  Larger tuples are
+# refused: an arbitrary-precision scan of the smallest, (1, 759250125),
+# would take over ten minutes.
 _INT64_LIMIT = 1 << 60
 
 # Most cells one scan grid may hold.  Every grid the kernel builds, for a
@@ -69,7 +70,7 @@ _SCRATCH = threading.local()
 
 
 class InvalidSpeeds(ValueError):
-    """Speed tuples must be nonzero in every entry with gcd 1 overall."""
+    """Speeds must be nonzero with gcd 1, and at most 759,250,124 to be scanned."""
 
 
 class InvalidNormal(ValueError):
@@ -120,10 +121,9 @@ def _as_speed_tuple(v: SpeedsLike) -> SpeedTuple:
     return v if isinstance(v, SpeedTuple) else SpeedTuple(v)
 
 
-def _denominators(speeds: Sequence[int]) -> List[int]:
-    qs = {2 * v for v in speeds}
-    qs.update(a + b for a, b in itertools.combinations(speeds, 2))
-    return sorted(qs)
+def _pair_index(n: int) -> Tuple[List[int], List[int]]:
+    """Columns (i, j), i <= j, whose sums v_i + v_j are the candidate denominators."""
+    return tuple(map(list, zip(*itertools.combinations_with_replacement(range(n), 2))))
 
 
 def _int64_ok(speeds: Sequence[int]) -> bool:
@@ -155,18 +155,26 @@ def _deviation_grid(speeds: np.ndarray, q: np.ndarray, j: np.ndarray) -> np.ndar
     return x[0]
 
 
+def _grid_slices(speeds: np.ndarray, q: np.ndarray, width: int, cells: int):
+    """Yield (j0, grid) for the deviation over j < width, in ascending slices.
+
+    Each grid covers j0 <= j < j0 + its width and holds at most ``cells``
+    (row, j) cells; it is only valid until the next one is yielded.
+    """
+    step = max(1, cells // len(q))
+    for j0 in range(0, width, step):
+        yield j0, _deviation_grid(speeds, q, np.arange(j0, min(width, j0 + step), dtype=np.int64))
+
+
 def _first_minima(speeds: np.ndarray, q: np.ndarray, width: int, cells: int):
     """First minimum (dev, k) of the deviation over j < width, per row.
 
-    The j range is cut into slices whose grids hold at most ``cells``
-    (row, j) cells, scanned in ascending order; a later slice wins only
-    when strictly smaller, so the earliest minimum survives.
+    A later slice wins only when strictly smaller, so the earliest
+    minimum survives.
     """
-    step = max(1, cells // len(q))
     rows = np.arange(len(q))
     best_dev = best_k = None
-    for j0 in range(0, width, step):
-        dev = _deviation_grid(speeds, q, np.arange(j0, min(width, j0 + step), dtype=np.int64))
+    for j0, dev in _grid_slices(speeds, q, width, cells):
         kk = dev.argmin(axis=1)
         dd = dev[rows, kk]
         if best_dev is None:
@@ -214,12 +222,11 @@ def _scan_int64(rows: np.ndarray) -> np.ndarray:
     Each row's candidate denominators 2 v_i and v_i + v_j are sorted
     ascending, and the row's result is the first of them, in that order,
     whose value a/q is largest and, among those, whose time k/q is
-    earliest; this is what the reference scan's strict updates keep.
-    Rows are taken in slices whose column-comparison arrays, like the
-    grids, hold at most ``_GRID_CELLS`` cells.
+    earliest.  Rows are taken in slices whose column-comparison arrays,
+    like the grids, hold at most ``_GRID_CELLS`` cells.
     """
     m, n = rows.shape
-    i, j = map(list, zip(*itertools.combinations_with_replacement(range(n), 2)))
+    i, j = _pair_index(n)
     c = len(i)
     step = max(1, _GRID_CELLS // (c * c))
     out = np.empty((m, 3), dtype=np.int64)
@@ -253,57 +260,23 @@ def _scan_int64(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scan_best_python(speeds: Sequence[int]) -> Tuple[int, int, int, int]:
-    """Arbitrary-precision scan of one tuple; the kernel's reference.
-
-    Returns (a, q, tn, td): the maximum of min_i ||t v_i|| over all
-    candidates is a/q, first attained at t = tn/td.
-    """
-    bn = -1
-    bd = 1
-    btn = 0
-    btd = 1
-    for q in _denominators(speeds):
-        a = -1
-        k = 0
-        for j in range(q):
-            worst = q
-            for v in speeds:
-                r = (j * v) % q
-                if q - r < r:
-                    r = q - r
-                if r < worst:
-                    worst = r
-                    if r <= a:
-                        break
-            if worst > a:
-                a = worst
-                k = j
-        left = a * bd
-        right = bn * q
-        if left > right or (left == right and k * btd < btn * q):
-            bn, bd, btn, btd = a, q, k, q
-    return bn, bd, btn, btd
-
-
 def _scan_rows(rows: Sequence[Sequence[int]]) -> List[Tuple[int, int, int]]:
     """Best (a, q, k) for every tuple of a batch of same-length speeds.
 
     Row r has maximum loneliness a/q, first attained at t = k/q.  Signs
-    are ignored.  Rows within the int64 bound go through the batched
-    kernel together; any others through the arbitrary-precision scan.
+    are ignored.  A batch holding a speed past the int64 bound raises
+    ``InvalidSpeeds`` before anything is scanned.
     """
     if not rows:
         return []
-    # The batch's extreme speeds decide for every row at once.
-    if _int64_ok((max(map(max, rows)), min(map(min, rows)))):
-        arr = np.abs(np.array(rows, dtype=np.int64))
-        return [tuple(res) for res in _scan_int64(arr).tolist()]
-    fast = iter(_scan_rows([r for r in rows if _int64_ok(r)]))
-    return [
-        next(fast) if _int64_ok(r) else _scan_best_python([abs(s) for s in r])[:3]
-        for r in rows
-    ]
+    top = max(max(map(max, rows)), -min(map(min, rows)))
+    if not _int64_ok((top,)):
+        raise InvalidSpeeds(
+            f"speed {top} is too large for the exact scan, which needs "
+            f"2*v^2 < 2^60 (|v| <= {isqrt((_INT64_LIMIT - 1) // 2):,})"
+        )
+    arr = np.abs(np.array(rows, dtype=np.int64))
+    return [tuple(res) for res in _scan_int64(arr).tolist()]
 
 
 def max_loneliness(v: SpeedsLike) -> LonelinessResult:
@@ -326,28 +299,14 @@ def maximizing_times(v: SpeedsLike) -> Tuple[Fraction, ...]:
     """All candidate times attaining the maximum loneliness, ascending."""
     speeds = _as_speed_tuple(v).speeds
     ((bn, bd, _),) = _scan_rows([speeds])
+    arr = np.array([speeds], dtype=np.int64)
+    i, j = _pair_index(len(speeds))
+    cells = max(1, _GRID_CELLS // len(speeds))
     times = set()
-    if _int64_ok(speeds):
-        arr = np.array([speeds], dtype=np.int64)
-        step = max(1, _GRID_CELLS // len(speeds))
-        for q in _denominators(speeds):
-            qa = np.array([q], dtype=np.int64)
-            for j0 in range(0, q, step):
-                dev = _deviation_grid(arr, qa, np.arange(j0, min(q, j0 + step), dtype=np.int64))
-                hits = np.flatnonzero((q - dev[0]) * bd == 2 * bn * q) + j0
-                times.update(Fraction(int(h), q) for h in hits)
-    else:
-        for q in _denominators(speeds):
-            for jj in range(q):
-                worst = q
-                for v_ in speeds:
-                    r = (jj * v_) % q
-                    if q - r < r:
-                        r = q - r
-                    if r < worst:
-                        worst = r
-                if worst * bd == bn * q:
-                    times.add(Fraction(jj, q))
+    for q in np.unique(arr[0, i] + arr[0, j]).tolist():
+        for j0, dev in _grid_slices(arr, np.array([q], dtype=np.int64), q, cells):
+            hits = np.flatnonzero((q - dev[0]) * bd == 2 * bn * q) + j0
+            times.update(Fraction(int(h), q) for h in hits)
     return tuple(sorted(times))
 
 

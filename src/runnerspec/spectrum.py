@@ -210,13 +210,7 @@ class SpectrumTable:
 
     @classmethod
     def load_json(cls, path: str) -> "SpectrumTable":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise TableMismatch(f"cannot read table {path}: {exc.strerror}") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise TableMismatch(f"table {path} is not valid JSON: {exc}") from None
+        data = _read_json(path, "table", TableMismatch)
         try:
             return cls.from_json_dict(data)
         except TableMismatch as exc:
@@ -235,16 +229,31 @@ def _approx(x: Rational) -> str:
     return f"{float(x):.12g}"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _read_json(path: str, what: str, error: type) -> object:
+    """Parse the JSON file ``path``, raising ``error`` that names the ``what``."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def _atomic_write(path: str, text: str) -> None:
+    """Replace ``path`` by ``text`` in one rename; an OSError names ``path``."""
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -301,10 +310,17 @@ def _merge_block(
 def _check_block(result: _BlockResult, n: int) -> None:
     """Raise ValueError or TypeError unless ``result`` is a block result.
 
-    Table files are held to the same rules, one row per distance.
+    Each distance is written in lowest terms and appears once, so merging
+    by its text cannot split or double a count.  Table files are held to
+    the same rules.
     """
+    seen = set()
     for d, mult, wits in result:
-        parse_rational(d)
+        if format_rational(parse_rational(d)) != d:
+            raise ValueError(f"distance {d!r} is not in lowest terms")
+        if d in seen:
+            raise ValueError(f"distance {d} appears twice")
+        seen.add(d)
         if type(mult) is not int or mult < 1:
             raise ValueError(f"multiplicity {mult!r}")
         for w in wits:
@@ -315,11 +331,7 @@ def _check_block(result: _BlockResult, n: int) -> None:
 def _load_checkpoint(path: str, spec: EnumerationSpec) -> Dict[int, _BlockResult]:
     if not os.path.exists(path):
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptCheckpoint(f"checkpoint {path} is not valid JSON: {exc}") from None
+    data = _read_json(path, "checkpoint", CorruptCheckpoint)
     if not isinstance(data, dict):
         raise CorruptCheckpoint(f"checkpoint {path} is not a JSON object")
     for key in ("version", "n", "max_volume_sq", "canonical_only", "blocks"):

@@ -70,6 +70,48 @@ def grid_ml_witness(speeds: Sequence[int]) -> Tuple[Fraction, Fraction]:
     return Fraction(best, M), Fraction(best_j, M)
 
 
+def _candidate_denominators(speeds: Sequence[int]) -> List[int]:
+    """Peak denominators 2 v_i and crossing denominators v_i + v_j, ascending."""
+    dens = {2 * v for v in speeds}
+    for i, a in enumerate(speeds):
+        for b in speeds[i + 1 :]:
+            dens.add(a + b)
+    return sorted(dens)
+
+
+def _candidate_value(speeds: Sequence[int], j: int, q: int) -> int:
+    """q times min_i ||j v_i / q||, in integers."""
+    return min(min((j * v) % q, q - (j * v) % q) for v in speeds)
+
+
+def _scan_best_python(speeds: Sequence[int]) -> Tuple[int, int, int, int]:
+    """Arbitrary-precision scan of every candidate time j/q, j < q.
+
+    Returns (a, q, tn, td): the largest min_i ||t v_i|| over the candidates
+    is a/q, first attained at t = tn/td.  Denominators are taken in
+    ascending order, and a later one wins only with a larger value or an
+    equal value at a strictly earlier time.
+    """
+    bn, bd, btn, btd = -1, 1, 0, 1
+    for q in _candidate_denominators([abs(v) for v in speeds]):
+        a, k = max((_candidate_value(speeds, j, q), -j) for j in range(q))
+        k = -k
+        if a * bd > bn * q or (a * bd == bn * q and k * btd < btn * q):
+            bn, bd, btn, btd = a, q, k, q
+    return bn, bd, btn, btd
+
+
+def maximizing_times_reference(speeds: Sequence[int]) -> Tuple[Fraction, ...]:
+    """Every candidate time j/q in [0, 1) attaining the largest value, ascending."""
+    values = {
+        Fraction(j, q): Fraction(_candidate_value(speeds, j, q), q)
+        for q in _candidate_denominators(speeds)
+        for j in range(q)
+    }
+    best = max(values.values())
+    return tuple(sorted(t for t, val in values.items() if val == best))
+
+
 def ml_interval(speeds: Sequence[int], points: int = 10**6) -> Tuple[Fraction, Fraction]:
     """[lower, upper] enclosure of ml from a uniform grid of arbitrary size.
 

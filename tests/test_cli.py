@@ -187,6 +187,7 @@ def _spectrum_args(tmp_path, *extra):
     [
         (lambda text: text.replace('"blocks"', '"blokcs"'), "has no 'blocks' field"),
         (lambda text: text[: len(text) // 2], "is not valid JSON"),
+        (lambda text: text.replace('"1/10", 1,', '"2/20", 1,'), "'2/20' is not in lowest terms"),
     ],
 )
 def test_spectrum_rejects_a_corrupt_checkpoint(tmp_path, capsys, damage, message):
@@ -199,6 +200,28 @@ def test_spectrum_rejects_a_corrupt_checkpoint(tmp_path, capsys, damage, message
     assert out == ""
     assert err.startswith(f"error: checkpoint {ckpt} ")
     assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args, target",
+    [
+        (("spectrum", "--n", "2", "--max-vol2", "10", "--out", "{file}/t.json"), "{file}/t.json"),
+        (
+            ("spectrum", "--n", "2", "--max-vol2", "10", "--out", "{dir}/t.json", "--checkpoint", "{dir}"),
+            "{dir}",
+        ),
+        (("lift", "--v", "2", "3", "--eps", "1/7", "--out", "{file}/c.json"), "{file}/c.json"),
+        (("repro", "--small", "--out", "{file}/sub"), "{file}/sub"),
+    ],
+)
+def test_unusable_paths_are_usage_errors(tmp_path, capsys, args, target):
+    paths = {"file": tmp_path / "file", "dir": tmp_path}
+    paths["file"].write_text("")
+    code, _, err = run(capsys, *(a.format(**paths) for a in args))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert target.format(**paths) in err
     assert "Traceback" not in err
 
 
@@ -384,6 +407,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "ml = 1/4" in proc.stdout
+
+
+def test_ml_refuses_a_speed_past_the_int64_bound():
+    # The smallest refused tuple; scanning it would take minutes.
+    proc = subprocess.run(
+        [sys.executable, "-m", "runnerspec", "ml", "1", "759250125"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: speed 759250125 ")
 
 
 def test_console_script():

@@ -18,7 +18,6 @@ from runnerspec.loneliness import (
     InvalidSpeeds,
     SpeedTuple,
     _int64_ok,
-    _scan_best_python,
     _scan_int64,
     _scan_rows,
     coset_center_distance,
@@ -28,7 +27,13 @@ from runnerspec.loneliness import (
     maximizing_times,
 )
 
-from oracles import grid_ml, grid_ml_witness, pair_distance
+from oracles import (
+    _scan_best_python,
+    grid_ml,
+    grid_ml_witness,
+    maximizing_times_reference,
+    pair_distance,
+)
 
 F = Fraction
 
@@ -179,23 +184,36 @@ def test_tiny_grid_cell_limit_gives_the_same_results(monkeypatch):
     assert after[3][0].ml == F(1, 4) and after[3][0].witness_time == F(1, 4)
 
 
-def test_int64_switch_routes_rows_to_the_reference(monkeypatch):
+def test_speeds_past_the_int64_bound_are_refused(monkeypatch):
     batch = [(1, 2, 3), (40, 97, 98), (5, 8, 11), (3, 31, 64)]
-    expected = _scan_rows(batch)
-    times = maximizing_times((40, 97, 98))
-    calls = []
 
-    def counting(speeds):
-        calls.append(tuple(speeds))
-        return _scan_best_python(speeds)
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
 
     monkeypatch.setattr(loneliness, "_INT64_LIMIT", 2 * 20 * 20 + 1)
-    monkeypatch.setattr(loneliness, "_scan_best_python", counting)
-    assert _scan_rows(batch) == expected
-    assert calls == [(40, 97, 98), (3, 31, 64)]
-    assert max_loneliness((40, 97, 98)).ml == Fraction(*expected[1][:2])
-    assert calls[-1] == (40, 97, 98)
-    assert maximizing_times((40, 97, 98)) == times
+    monkeypatch.setattr(loneliness, "_deviation_grid", no_grid)
+    for scan in (
+        lambda: _scan_rows(batch),
+        lambda: _scan_rows([(1, 2), (-98, 3)]),
+        lambda: max_loneliness((40, 97, 98)),
+        lambda: maximizing_times((40, 97, 98)),
+    ):
+        with pytest.raises(InvalidSpeeds, match="speed 98 is too large"):
+            scan()
+
+
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=4) | st.sampled_from(_CROSS_TIES),
+    st.booleans(),
+    st.sampled_from((7, 64, 1 << 16)),
+)
+@settings(max_examples=60, deadline=None)
+def test_maximizing_times_matches_the_oracle(row, repeat, cells):
+    row = tuple(row) + (tuple(row[:1]) if repeat else ())
+    speeds = tuple(s // gcd(*row) for s in row)
+    with mock.patch.object(loneliness, "_GRID_CELLS", cells):
+        got = maximizing_times(speeds)
+    assert got == maximizing_times_reference(speeds)
 
 
 def test_int64_ok_switches_at_two_max_speed_squared():

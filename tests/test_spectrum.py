@@ -176,6 +176,11 @@ def test_checkpoint_header_mismatch(tmp_path):
         (lambda text: text.replace('"1": [[', '"1": [[[], '), "malformed block"),
         (lambda text: text.replace('"1/10", 1,', '"1/10", "many",'), "malformed block"),
         (lambda text: text.replace("[[1, 1, 4]]", "[[1, 1]]"), "malformed block"),
+        (lambda text: text.replace('"1/10", 1,', '"2/20", 1,'), "'2/20' is not in lowest terms"),
+        (
+            lambda text: text.replace('["1/4", 1,', '["1/6", 1, [[1, 2, 3]]], ["1/4", 1,'),
+            "distance 1/6 appears twice",
+        ),
     ],
 )
 def test_corrupt_checkpoint_names_the_file(tmp_path, damage, message):
@@ -218,6 +223,15 @@ def test_json_round_trip(tmp_path):
         ("entries", [{"d": "1/6", "mult": -3, "witnesses": [[1, 2]]}], "multiplicity -3"),
         ("entries", [{"d": "1/6", "mult": 1, "witnesses": [[1, 2, 3]]}], r"witness \[1, 2, 3\]"),
         ("entries", [{"d": "1/6", "mult": 1, "witnesses": [["1", "2"]]}], r"witness \['1', '2'\]"),
+        ("entries", [{"d": "2/12", "mult": 3, "witnesses": [[1, 2]]}], "'2/12' is not in lowest terms"),
+        (
+            "entries",
+            [
+                {"d": "1/6", "mult": 3, "witnesses": [[1, 2]]},
+                {"d": "1/6", "mult": 5, "witnesses": [[1, 2]]},
+            ],
+            "distance 1/6 appears twice",
+        ),
     ],
 )
 def test_load_rejects_a_foreign_table(tmp_path, field, value, message):
