@@ -11,9 +11,11 @@ written.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -96,6 +98,21 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _check_writable(*paths: Optional[str]) -> None:
+    """Raise, before any work, the OSError that writing a path would raise.
+
+    Each path must not be a directory, and its directory must exist and
+    take a new file.
+    """
+    for path in filter(None, paths):
+        try:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            tempfile.TemporaryFile(dir=os.path.dirname(path) or ".").close()
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+
+
 def _run_ml(ns) -> int:
     result = max_loneliness(tuple(ns.speeds))
     print(f"ml = {_fmt(result.ml)}")
@@ -158,6 +175,7 @@ def _run_dist_plane(tokens: Sequence[str]) -> int:
 
 
 def _run_lift(ns) -> int:
+    _check_writable(ns.out)
     cert = kronecker_lift(tuple(ns.v), parse_rational(ns.eps))
     print(f"inner_direction = {tuple(cert.inner_direction)}")
     print(f"shortest_offset = {tuple(cert.shortest_offset)}")
@@ -216,6 +234,7 @@ def _run_enumerate(ns) -> int:
 
 def _run_spectrum(ns) -> int:
     spec = EnumerationSpec(n=ns.n, max_volume_sq=ns.max_vol2)
+    _check_writable(ns.out, ns.flat, ns.checkpoint)
     table = build_spectrum(
         spec,
         workers=ns.threads,
@@ -463,9 +482,10 @@ def _run_repro(ns) -> int:
     return 0 if passed else 1
 
 
-def _add_table_flags(p: argparse.ArgumentParser) -> None:
+def _add_table_flags(p: argparse.ArgumentParser, with_n: bool = True) -> None:
     p.add_argument("--table", help="load a previously saved table instead of building")
-    p.add_argument("--n", type=int, default=None, help="ambient dimension")
+    if with_n:
+        p.add_argument("--n", type=int, default=None, help="ambient dimension")
     p.add_argument("--max-vol2", type=int, default=None, help="squared volume bound")
     p.add_argument("--threads", type=int, default=None, help="worker count")
 
@@ -525,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verifier")
     vsub = p.add_subparsers(dest="check", required=True)
     pv = vsub.add_parser("s2", help="n=2 closed-form key set")
-    _add_table_flags(pv)
+    _add_table_flags(pv, with_n=False)
     pv.set_defaults(func=_run_verify_s2, n=2, max_vol2=10**6)
     pv = vsub.add_parser("fan-sun", help="four-speed family identity")
     pv.add_argument("--r-max", type=int, default=100)

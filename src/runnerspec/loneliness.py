@@ -31,7 +31,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -330,35 +330,6 @@ def d_hyperplane(normal: Sequence[int]) -> Fraction:
     return circle_distance(Fraction(sum(vec), 2)) / sum(abs(c) for c in vec)
 
 
-def _coset_candidates(vec: Sequence[int], pt: Sequence[Fraction]) -> set:
-    """Generous finite superset of the vertices of max_i ||t v_i + s_i - 1/2||.
-
-    Includes every half-integer crossing of each coordinate and every
-    pairwise branch crossing, for both the sum and difference denominators.
-    """
-    cands = {Fraction(0)}
-    items = [(v, s) for v, s in zip(vec, pt)]
-    for v, s in items:
-        if v == 0:
-            continue
-        lo, hi = (s, s + v) if v > 0 else (s + v, s)
-        for m in range(floor(2 * lo) - 1, ceil(2 * hi) + 2):
-            t = (Fraction(m, 2) - s) / v
-            if 0 <= t < 1:
-                cands.add(t)
-    for (vi, si), (vj, sj) in itertools.combinations(items, 2):
-        for den, off in ((vi - vj, sj - si), (vi + vj, 1 - si - sj)):
-            if den == 0:
-                continue
-            a, b = -off, den - off
-            lo, hi = (a, b) if a <= b else (b, a)
-            for c in range(floor(lo) - 1, ceil(hi) + 2):
-                t = (off + c) / den
-                if 0 <= t < 1:
-                    cands.add(t)
-    return cands
-
-
 def coset_center_distance(
     direction: Sequence[int],
     shift: Sequence[RationalLike],
@@ -369,26 +340,41 @@ def coset_center_distance(
     Zero entries in ``direction`` are allowed; those coordinates are frozen
     at their shift value and contribute a constant term.  This generality
     is what padded subgroups and explicit cosets need.
+
+    With the shift written as c_i/D over its common denominator, every
+    vertex of t -> max_i ||t v_i + s_i - 1/2|| in [0, 1) lies in one of
+    these classes of times j/q, j = r mod D: t = 0 (q = D), the
+    half-integer crossings of each coordinate (q = 2D|v_i|) and the pair
+    crossings (q = D|v_i - v_j| and q = D|v_i + v_j|).  At t = j/q,
+    2q ||t v_i + s_i - 1/2|| = |(2 j v_i + 2 q s_i) mod 2q - q|, the
+    kernel's grid with an integer offset per speed, so the whole scan is
+    in Python ints.  The witness is the earliest minimizing time.
     """
     vec = tuple(int(c) for c in direction)
     pt = torus_point(shift)
     if len(pt) != len(vec) or not vec:
         raise ValueError("direction and shift must have the same positive length")
+    den = lcm(*(s.denominator for s in pt))
+    num = [s.numerator * (den // s.denominator) for s in pt]
+    # Class (e, u) holds the times (u + c*D) / (D*e) for every integer c.
+    classes = [(1, 0)] + [(2 * v, -2 * c) for v, c in zip(vec, num)]
+    for (vi, ci), (vj, cj) in itertools.combinations(zip(vec, num), 2):
+        classes += [(vi - vj, cj - ci), (vi + vj, -ci - cj)]
+    bd, bq, bj = 1, 1, 0  # 1/2 at t = 0: no value is larger
+    for e, u in classes:
+        if e == 0:
+            continue
+        q = den * abs(e)
+        terms = [(2 * v, 2 * abs(e) * c) for v, c in zip(vec, num)]
 
-    def value(t: Fraction) -> Fraction:
-        return max(circle_distance(t * vi + si - HALF) for vi, si in zip(vec, pt))
+        def dev(j: int) -> int:
+            return max(abs((a * j + b) % (2 * q) - q) for a, b in terms)
 
-    if all(c == 0 for c in vec):
-        best_t = Fraction(0)
-        best = value(best_t)
-    else:
-        best = None
-        best_t = None
-        for t in sorted(_coset_candidates(vec, pt)):
-            val = value(t)
-            if best is None or val < best:
-                best, best_t = val, t
+        j = min(range((u if e > 0 else -u) % den, q, den), key=dev)
+        d = dev(j)
+        if d * bq < bd * q or (d * bq == bd * q and j * bq < bj * q):
+            bd, bq, bj = d, q, j
+    best = Fraction(bd, 2 * bq)
     if with_witness:
-        return best, best_t
+        return best, Fraction(bj, bq)
     return best
-

@@ -347,10 +347,14 @@ def _load_checkpoint(path: str, spec: EnumerationSpec) -> Dict[int, _BlockResult
             f"checkpoint {path} was written for parameters {header}, "
             f"not {(spec.n, spec.max_volume_sq, True)}"
         )
+    starts = {str(v1): v1 for v1 in _block_starts(spec)}
     try:
-        blocks = {int(v1): result for v1, result in data["blocks"].items()}
-        for result in blocks.values():
+        blocks = {}
+        for key, result in data["blocks"].items():
+            if key not in starts:
+                raise ValueError(f"key {key!r} is not a block start 1..{len(starts)}")
             _check_block(result, spec.n)
+            blocks[starts[key]] = result
     except (AttributeError, TypeError, ValueError) as exc:
         raise CorruptCheckpoint(f"checkpoint {path} has a malformed block: {exc}") from None
     return blocks

@@ -13,6 +13,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Set, Tuple
 
+import numpy as np
+
 from .core import (
     HALF,
     IntVector,
@@ -27,6 +29,8 @@ from .lattice import _row_hnf
 from .loneliness import (
     SpeedsLike,
     SpeedTuple,
+    _int64_ok,
+    _scan_problems,
     coset_center_distance,
     max_loneliness,
     maximizing_times,
@@ -55,7 +59,8 @@ class CenterReached(ValueError):
 
 
 class SubgroupTooLarge(ValueError):
-    """The finite part exceeds the configured coset iteration limit."""
+    """Too many cosets to iterate, or a cyclic order past the exact scan's
+    int64 bound (above 759,250,124)."""
 
 
 @dataclass(frozen=True, init=False)
@@ -84,21 +89,18 @@ class FiniteCyclicSubgroup:
 def d_finite_cyclic(group: FiniteCyclicSubgroup) -> Fraction:
     """L-infinity distance from a finite cyclic subgroup to the center.
 
-    Runs over all multiples k*g with a shared denominator, so the inner
-    loop is pure integer arithmetic: |a/q - 1/2| = |2a - q| / (2q).
+    The multiple k*g is the generator's numerators n_i over the order q
+    sampled at t = k/q, and 2q |(k*g)_i - 1/2| = |(2 k n_i mod 2q) - q| is
+    the ML kernel's grid, so the distance is 1/2 - a/q for the kernel's
+    maximum a/q on the one problem (numerators, q).  Orders past the
+    kernel's int64 bound raise ``SubgroupTooLarge`` before any scan.
     """
     q = group.order
-    nums = [int(c * q) for c in group.generator]
-    best = None
-    for k in range(q):
-        worst = 0
-        for n in nums:
-            val = abs(2 * ((k * n) % q) - q)
-            if val > worst:
-                worst = val
-        if best is None or worst < best:
-            best = worst
-    return Fraction(best, 2 * q)
+    if not _int64_ok((q,)):
+        raise SubgroupTooLarge(f"order {q} is past the exact scan's bound, 2*q^2 < 2^60")
+    nums = [c.numerator * (q // c.denominator) for c in group.generator]
+    (a,), _ = _scan_problems(np.array([nums], dtype=np.int64), np.array([q], dtype=np.int64))
+    return HALF - Fraction(int(a), q)
 
 
 def extremal_face_contacts(

@@ -6,7 +6,7 @@ internals.  Slow is fine; wrong is not.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import ceil, floor, gcd, isqrt, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -165,6 +165,44 @@ def coset_distance_check(
     L = max(abs(v) for v in direction)
     slack = Fraction(L, 2 * M)
     return claimed == grid_min or (grid_min - slack <= claimed <= grid_min)
+
+
+def coset_reference(
+    direction: Sequence[int], shift: Sequence[Fraction]
+) -> Tuple[Fraction, Fraction]:
+    """(min over t of max_i ||t v_i + s_i - 1/2||, earliest minimizing t).
+
+    Evaluates, in Fractions, a generous superset of the profile's
+    vertices in [0, 1): t = 0, every half-integer crossing of each
+    coordinate and every pairwise branch crossing, for both the sum and
+    difference denominators.
+    """
+    items = [(int(v), Fraction(s) % 1) for v, s in zip(direction, shift)]
+    cands = {Fraction(0)}
+    for v, s in items:
+        if v == 0:
+            continue
+        lo, hi = (s, s + v) if v > 0 else (s + v, s)
+        for m in range(floor(2 * lo) - 1, ceil(2 * hi) + 2):
+            t = (Fraction(m, 2) - s) / v
+            if 0 <= t < 1:
+                cands.add(t)
+    for i, (vi, si) in enumerate(items):
+        for vj, sj in items[i + 1 :]:
+            for den, off in ((vi - vj, sj - si), (vi + vj, 1 - si - sj)):
+                if den == 0:
+                    continue
+                lo, hi = sorted((-off, den - off))
+                for c in range(floor(lo) - 1, ceil(hi) + 2):
+                    t = (off + c) / den
+                    if 0 <= t < 1:
+                        cands.add(t)
+
+    def value(t: Fraction) -> Fraction:
+        return max(abs((t * v + s) % 1 - Fraction(1, 2)) for v, s in items)
+
+    best_t = min(sorted(cands), key=value)
+    return value(best_t), best_t
 
 
 def brute_shortest_projected(v: Sequence[int]) -> Fraction:

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import runnerspec
+from runnerspec import cli
 from runnerspec.cli import main
 from runnerspec.lattice import ball_volume, basis_length_bound
 
@@ -188,6 +189,10 @@ def _spectrum_args(tmp_path, *extra):
         (lambda text: text.replace('"blocks"', '"blokcs"'), "has no 'blocks' field"),
         (lambda text: text[: len(text) // 2], "is not valid JSON"),
         (lambda text: text.replace('"1/10", 1,', '"2/20", 1,'), "'2/20' is not in lowest terms"),
+        (
+            lambda text: text.replace('"3": []', '"3": [], "02": [["1/4", 9, [[2, 3, 4]]]]'),
+            "key '02' is not a block start",
+        ),
     ],
 )
 def test_spectrum_rejects_a_corrupt_checkpoint(tmp_path, capsys, damage, message):
@@ -213,13 +218,27 @@ def test_spectrum_rejects_a_corrupt_checkpoint(tmp_path, capsys, damage, message
         ),
         (("lift", "--v", "2", "3", "--eps", "1/7", "--out", "{file}/c.json"), "{file}/c.json"),
         (("repro", "--small", "--out", "{file}/sub"), "{file}/sub"),
+        (("spectrum", "--n", "3", "--max-vol2", "10000", "--out", "{missing}/x.json"), "{missing}/x.json"),
+        (
+            ("spectrum", "--n", "2", "--max-vol2", "10", "--out", "{dir}/t.json", "--flat", "{missing}/t.tsv"),
+            "{missing}/t.tsv",
+        ),
+        (("spectrum", "--n", "2", "--max-vol2", "10", "--out", "{dir}"), "{dir}"),
+        (("lift", "--v", "3", "7", "199", "--eps", "1/25", "--out", "{missing}/c.json"), "{missing}/c.json"),
     ],
 )
-def test_unusable_paths_are_usage_errors(tmp_path, capsys, args, target):
-    paths = {"file": tmp_path / "file", "dir": tmp_path}
+def test_unusable_paths_are_usage_errors(tmp_path, capsys, monkeypatch, args, target):
+    # Every path is checked before the work that would write it starts.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before its output path was checked")
+
+    monkeypatch.setattr(cli, "build_spectrum", no_work)
+    monkeypatch.setattr(cli, "kronecker_lift", no_work)
+    paths = {"file": tmp_path / "file", "dir": tmp_path, "missing": tmp_path / "missing"}
     paths["file"].write_text("")
-    code, _, err = run(capsys, *(a.format(**paths) for a in args))
+    code, out, err = run(capsys, *(a.format(**paths) for a in args))
     assert code == 2
+    assert out == ""
     assert err.startswith("error: ")
     assert target.format(**paths) in err
     assert "Traceback" not in err
@@ -292,6 +311,18 @@ def test_verify_s2_from_saved_table(tmp_path, capsys, table_n2_1e4):
     assert code == 0
     assert "largest_key = 1/6" in out
     assert "passed = True" in out
+
+
+def test_verify_s2_takes_no_n(capsys, monkeypatch):
+    # The verb checks the n=2 closed form, so it builds at n=2 only.
+    def no_build(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "build_spectrum", no_build)
+    code, out, err = run(capsys, "verify", "s2", "--n", "3", "--max-vol2", "2000")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --n 3" in err
 
 
 def test_verify_window_from_saved_table(tmp_path, capsys, table_n3_1e3):
@@ -421,6 +452,20 @@ def test_ml_refuses_a_speed_past_the_int64_bound():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: speed 759250125 ")
+
+
+def test_cyclic_refuses_an_order_past_the_int64_bound():
+    # The smallest refused order; scanning it would take minutes.
+    proc = subprocess.run(
+        [sys.executable, "-m", "runnerspec", "dist", "cyclic", "1/759250125"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: order 759250125 ")
 
 
 def test_console_script():

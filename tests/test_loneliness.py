@@ -29,6 +29,7 @@ from runnerspec.loneliness import (
 
 from oracles import (
     _scan_best_python,
+    coset_reference,
     grid_ml,
     grid_ml_witness,
     maximizing_times_reference,
@@ -311,6 +312,28 @@ def test_d_min_max_zero_shift_matches_engine(speeds):
     assume(primitive(speeds))
     zero = (F(0),) * len(speeds)
     assert coset_center_distance(speeds, zero) == d_subtorus1(speeds)
+
+
+_shift_denominators = st.integers(1, 40) | st.integers(10**12 - 40, 10**12 + 40)
+
+
+@given(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=4),
+    st.sampled_from((0, 1, -1)),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_coset_distance_matches_the_oracle(speeds, repeat, data):
+    # Zeros and repeated speeds (also up to sign) included; the oracle
+    # evaluates its own candidate superset in Fractions.
+    if repeat and len(speeds) > 1:
+        speeds[-1] = repeat * speeds[0]
+    shift = [
+        F(data.draw(st.integers(-100, 100)), data.draw(_shift_denominators))
+        for _ in speeds
+    ]
+    got = coset_center_distance(speeds, shift, with_witness=True)
+    assert got == coset_reference(speeds, shift)
 
 
 def test_d_min_max_validates_input():

@@ -181,6 +181,13 @@ def test_checkpoint_header_mismatch(tmp_path):
             lambda text: text.replace('["1/4", 1,', '["1/6", 1, [[1, 2, 3]]], ["1/4", 1,'),
             "distance 1/6 appears twice",
         ),
+        (
+            lambda text: text.replace('"3": []', '"3": [], "02": [["1/4", 9, [[2, 3, 4]]]]'),
+            "key '02' is not a block start",
+        ),
+        (lambda text: text.replace('"2": [', '" 2": ['), "key ' 2' is not a block start"),
+        (lambda text: text.replace('"blocks": {', '"blocks": {"0": [], '), "key '0' is not a block start"),
+        (lambda text: text.replace('"3": []', '"3": [], "99": []'), "key '99' is not a block start"),
     ],
 )
 def test_corrupt_checkpoint_names_the_file(tmp_path, damage, message):

@@ -1,13 +1,14 @@
 """Tests for center distances of finite and product subgroups."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from runnerspec.core import UnsupportedDimension, linf_center_distance
-from runnerspec import subgroups
+from runnerspec import loneliness, subgroups
 from runnerspec.loneliness import d_subtorus1
 from runnerspec.subgroups import (
     CenterReached,
@@ -64,6 +65,19 @@ def test_d_finite_cyclic_against_naive_oracle():
     ]
     for gen in gens:
         assert d_finite_cyclic(FiniteCyclicSubgroup(gen)) == naive_cyclic_distance(gen)
+
+
+@given(
+    st.integers(1, 600).flatmap(
+        lambda q: st.lists(st.integers(0, q).map(lambda a: F(a, q)), min_size=1, max_size=4)
+    ),
+    st.sampled_from((7, 64, 1 << 16)),
+)
+@settings(max_examples=80, deadline=None)
+def test_d_finite_cyclic_matches_the_oracle(generator, cells):
+    with mock.patch.object(loneliness, "_GRID_CELLS", cells):
+        got = d_finite_cyclic(FiniteCyclicSubgroup(generator))
+    assert got == naive_cyclic_distance(generator)
 
 
 def test_cyclic_closed_form_all_orders():
