@@ -3,9 +3,10 @@
 Everything runs over Python ints and fractions: integer kernels via
 unimodular column reduction, Hermite forms for canonical bases, shortest
 vectors through greedy Gram reduction plus a certified box enumeration,
-and small exact linear programs for plane center distances.  The named
-constants at the bottom are carried symbolically as rational multiples
-of integer powers of pi, with rigorous rational enclosures.
+and plane center distances as minima of the integer coset scan over the
+plane's crease circles.  The named constants at the bottom are carried
+symbolically as rational multiples of integer powers of pi, with
+rigorous rational enclosures.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -23,11 +24,11 @@ from .core import (
     IntVector,
     RationalLike,
     UnsupportedDimension,
-    circle_distance,
     dot,
     norm_sq,
     primitive_part,
 )
+from .loneliness import coset_center_distance
 
 __all__ = [
     "BudgetExceeded",
@@ -81,7 +82,7 @@ class NotContained(ValueError):
 
 
 class BudgetExceeded(ValueError):
-    """Offset enumeration would exceed the configured per-coordinate budget."""
+    """A coordinate's |u_i| + |v_i| exceeds the configured per-coordinate budget."""
 
 
 def _ext_gcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -205,6 +206,17 @@ def _independent2(u: Sequence[int], v: Sequence[int]) -> bool:
     )
 
 
+def _plane_pair(u: Sequence[int], v: Sequence[int]) -> Tuple[IntVector, IntVector]:
+    """u and v as int tuples, or DegenerateBasis unless they span a plane."""
+    uu = tuple(int(c) for c in u)
+    vv = tuple(int(c) for c in v)
+    if len(uu) != len(vv):
+        raise DegenerateBasis("mismatched lengths")
+    if not _independent2(uu, vv):
+        raise DegenerateBasis(f"{uu} and {vv} are linearly dependent")
+    return uu, vv
+
+
 @dataclass(frozen=True)
 class SaturatedPlane:
     """Canonical basis of Z^n intersected with a rational plane."""
@@ -255,13 +267,8 @@ def saturate(u: Sequence[int], v: Sequence[int]) -> SaturatedPlane:
     is exactly the saturation.  The output basis is put in Hermite form
     so equal planes yield identical objects.
     """
-    uu = tuple(int(c) for c in u)
-    vv = tuple(int(c) for c in v)
+    uu, vv = _plane_pair(u, v)
     n = len(uu)
-    if len(vv) != n or n < 2:
-        raise DegenerateBasis("need two vectors of equal length at least 2")
-    if not _independent2(uu, vv):
-        raise DegenerateBasis(f"{uu} and {vv} are linearly dependent")
     rel = _integer_kernel([uu, vv], n)
     plane = _integer_kernel(rel, n)
     hnf, _ = _row_hnf(plane)
@@ -595,13 +602,8 @@ def slice_plane_to_line(u: Sequence[int], v: Sequence[int]) -> IntVector:
     integer combination of u and v, has no zero coordinate, and its
     center distance can only exceed that of the plane.
     """
-    uu = tuple(int(c) for c in u)
-    vv = tuple(int(c) for c in v)
+    uu, vv = _plane_pair(u, v)
     n = len(uu)
-    if len(vv) != n:
-        raise DegenerateBasis("mismatched lengths")
-    if not _independent2(uu, vv):
-        raise DegenerateBasis(f"{uu} and {vv} are linearly dependent")
     if any(a == 0 and b == 0 for a, b in zip(uu, vv)):
         raise DegenerateBasis("plane is stuck inside a coordinate hyperplane")
     shifted = None
@@ -633,68 +635,10 @@ def slice_plane_to_line(u: Sequence[int], v: Sequence[int]) -> IntVector:
 
 def dense_sequence(u1: Sequence[int], u2: Sequence[int], j: int) -> IntVector:
     """The j-th member u1 + j*u2 of the line family filling the plane."""
-    uu = tuple(int(c) for c in u1)
-    vv = tuple(int(c) for c in u2)
-    if len(uu) != len(vv):
-        raise DegenerateBasis("mismatched lengths")
-    if not _independent2(uu, vv):
-        raise DegenerateBasis(f"{uu} and {vv} are linearly dependent")
+    uu, vv = _plane_pair(u1, u2)
     if j < 0:
         raise ValueError("index must be nonnegative")
     return primitive_part(tuple(a + j * b for a, b in zip(uu, vv)))
-
-
-def _det3(r1, r2, r3) -> Fraction:
-    return (
-        r1[0] * (r2[1] * r3[2] - r2[2] * r3[1])
-        - r1[1] * (r2[0] * r3[2] - r2[2] * r3[0])
-        + r1[2] * (r2[0] * r3[1] - r2[1] * r3[0])
-    )
-
-
-def _min_max_lp(
-    u: Sequence[int], v: Sequence[int], offsets: Sequence[int]
-) -> Fraction:
-    """min d s.t. |alpha*u_i + beta*v_i - m_i - 1/2| <= d on the unit square.
-
-    Three variables and a handful of constraints: enumerate every basic
-    point (triple of active constraints), keep the best feasible one.
-    """
-    cons = []
-    for ui, vi, mi in zip(u, v, offsets):
-        rhs = Fraction(2 * mi + 1, 2)
-        cons.append((ui, vi, -1, rhs))
-        cons.append((-ui, -vi, -1, -rhs))
-    cons.append((1, 0, 0, Fraction(1)))
-    cons.append((-1, 0, 0, Fraction(0)))
-    cons.append((0, 1, 0, Fraction(1)))
-    cons.append((0, -1, 0, Fraction(0)))
-    best: Optional[Fraction] = None
-    for c1, c2, c3 in itertools.combinations(cons, 3):
-        det = _det3(c1, c2, c3)
-        if det == 0:
-            continue
-        da = _det3(
-            (c1[3], c1[1], c1[2]), (c2[3], c2[1], c2[2]), (c3[3], c3[1], c3[2])
-        )
-        db = _det3(
-            (c1[0], c1[3], c1[2]), (c2[0], c2[3], c2[2]), (c3[0], c3[3], c3[2])
-        )
-        dd = _det3(
-            (c1[0], c1[1], c1[3]), (c2[0], c2[1], c2[3]), (c3[0], c3[1], c3[3])
-        )
-        alpha = da / det
-        beta = db / det
-        dval = dd / det
-        if best is not None and dval >= best:
-            continue
-        if all(
-            a * alpha + b * beta + c * dval <= rhs
-            for a, b, c, rhs in cons
-        ):
-            best = dval
-    assert best is not None
-    return best
 
 
 def d_subtorus2(
@@ -702,67 +646,48 @@ def d_subtorus2(
 ) -> Fraction:
     """Exact center distance of the closure of {alpha*u + beta*v mod 1}.
 
-    Minimizes the L-infinity distance over the unit parameter square and
-    all integer offset vectors within the coordinate range (expanded by
-    one).  Offsets are pruned by per-coordinate lower bounds against the
-    best value found so far, starting from an exact coarse-grid incumbent.
+    With x_i = alpha*u_i + beta*v_i, F = max_i ||x_i - 1/2|| is affine on
+    every cell cut out of the (alpha, beta) plane by the crease lines
+    {f(p) in Z} of these functionals f: 2(u_i, v_i), where coordinate i
+    peaks or bottoms out, and (u_i - u_j, v_i - v_j) and (u_i + u_j,
+    v_i + v_j) for i < j, where x_i +- x_j is an integer and the max can
+    switch coordinate.  Two of the (u_i, v_i) are independent, so every
+    cell is bounded and a minimum of F sits at a cell vertex, on some
+    crease line.
+
+    Write f = g*(a, b) with (a, b) primitive and a*x0 + b*y0 = 1.  The
+    lines f = k mod 1, k = 0..g-1, are the circles
+    p = (k/g)(x0, y0) + t(-b, a), on which x = t*w + (k/g)*c with
+    w_i = -b*u_i + a*v_i and c_i = x0*u_i + y0*v_i: a coset of a line,
+    whose scan candidates are the circle's crossings with the other
+    crease lines.  So the distance is the least ``coset_center_distance``
+    over these circles.  Functionals sharing a direction (a, b) are
+    scanned once, at the lcm of their g.
     """
-    uu = tuple(int(c) for c in u)
-    vv = tuple(int(c) for c in v)
-    n = len(uu)
-    if len(vv) != n:
-        raise DegenerateBasis("mismatched lengths")
-    if not _independent2(uu, vv):
-        raise DegenerateBasis(f"{uu} and {vv} are linearly dependent")
-    for i in range(n):
+    uu, vv = _plane_pair(u, v)
+    for i in range(len(uu)):
         if abs(uu[i]) + abs(vv[i]) > entry_budget:
             raise BudgetExceeded(
                 f"coordinate {i} has |u_i|+|v_i| = {abs(uu[i]) + abs(vv[i])}"
                 f" > budget {entry_budget}"
             )
+    creases = [(2 * a, 2 * b) for a, b in zip(uu, vv)]
+    for (ui, vi), (uj, vj) in itertools.combinations(zip(uu, vv), 2):
+        creases += [(ui - uj, vi - vj), (ui + uj, vi + vj)]
+    levels = {}
+    for f1, f2 in creases:
+        g = gcd(f1, f2)
+        if g:
+            sign = 1 if (f1, f2) > (0, 0) else -1
+            key = (sign * f1 // g, sign * f2 // g)
+            levels[key] = lcm(levels.get(key, 1), g)
     best = HALF
-    grid = (Fraction(0), Fraction(1, 4), HALF, Fraction(3, 4), Fraction(1))
-    for al in grid:
-        for be in grid:
-            val = max(
-                circle_distance(al * ui + be * vi - HALF)
-                for ui, vi in zip(uu, vv)
-            )
-            if val < best:
-                best = val
-    options = []
-    for i in range(n):
-        corners = (0, uu[i], vv[i], uu[i] + vv[i])
-        cmin, cmax = min(corners), max(corners)
-        opts = []
-        for m in range(cmin - 1, cmax + 1):
-            center = Fraction(2 * m + 1, 2)
-            if center < cmin:
-                lb = cmin - center
-            elif center > cmax:
-                lb = center - cmax
-            else:
-                lb = Fraction(0)
-            opts.append((m, lb))
-        opts.sort(key=lambda t: t[1])
-        options.append(opts)
-
-    def descend(idx: int, cur_lb: Fraction, chosen: Tuple[int, ...]) -> None:
-        nonlocal best
-        if cur_lb >= best:
-            return
-        if idx == n:
-            d = _min_max_lp(uu, vv, chosen)
-            if d < best:
-                best = d
-            return
-        for m, lb in options[idx]:
-            nl = lb if lb > cur_lb else cur_lb
-            if nl >= best:
-                break  # options are sorted by lower bound
-            descend(idx + 1, nl, chosen + (m,))
-
-    descend(0, Fraction(0), ())
+    for (a, b), g in levels.items():
+        _, x0, y0 = _ext_gcd(a, b)
+        w = [a * vi - b * ui for ui, vi in zip(uu, vv)]
+        c = [x0 * ui + y0 * vi for ui, vi in zip(uu, vv)]
+        for k in range(g):
+            best = min(best, coset_center_distance(w, [Fraction(k * ci, g) for ci in c]))
     return best
 
 

@@ -29,6 +29,8 @@ from .lattice import _row_hnf
 from .loneliness import (
     SpeedsLike,
     SpeedTuple,
+    _GRID_CELLS,
+    _grid_slices,
     _int64_ok,
     _scan_problems,
     coset_center_distance,
@@ -116,13 +118,22 @@ def extremal_face_contacts(
     """
     d = d_finite_cyclic(group)
     contacts: Set[Tuple[int, int]] = set()
-    for element in group.elements():
-        if linf_center_distance(element) != d:
-            continue
-        for i, c in enumerate(element):
-            delta = c - HALF
-            if abs(delta) == d and d > 0:
-                contacts.add((i, 1 if delta > 0 else -1))
+    if d == 0:
+        return d, contacts
+    # The multiple k*g has 2q ((k*g)_i - 1/2) = 2 (k n_i mod q) - q, and
+    # its deviation on the kernel's grid is the max of their absolute
+    # values, so it minimizes where that deviation is 2 q d.
+    q = group.order
+    nums = [c.numerator * (q // c.denominator) for c in group.generator]
+    speeds = np.array([nums], dtype=np.int64)
+    target = int(2 * q * d)
+    cells = max(1, _GRID_CELLS // len(nums))
+    for j0, dev in _grid_slices(speeds, np.array([q], dtype=np.int64), q, cells):
+        k = np.flatnonzero(dev[0] == target) + j0
+        faces = 2 * (k[:, None] * speeds % q) - q
+        for sign in (1, -1):
+            hit = (faces == sign * target).any(axis=0)
+            contacts.update((int(i), sign) for i in np.flatnonzero(hit))
     return d, contacts
 
 

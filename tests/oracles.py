@@ -5,6 +5,7 @@ and closed-form counting arguments that share no code with the package
 internals.  Slow is fine; wrong is not.
 """
 
+import itertools
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -205,6 +206,109 @@ def coset_reference(
     return value(best_t), best_t
 
 
+def _det3(r1, r2, r3):
+    return (
+        r1[0] * (r2[1] * r3[2] - r2[2] * r3[1])
+        - r1[1] * (r2[0] * r3[2] - r2[2] * r3[0])
+        + r1[2] * (r2[0] * r3[1] - r2[1] * r3[0])
+    )
+
+
+def _min_max_lp(u: Sequence[int], v: Sequence[int], offsets: Sequence[int]) -> Fraction:
+    """min d s.t. |alpha*u_i + beta*v_i - m_i - 1/2| <= d on the unit square.
+
+    Enumerates every basic point (triple of active constraints) by
+    Cramer's rule in Fractions and keeps the best feasible one.
+    """
+    cons = []
+    for ui, vi, mi in zip(u, v, offsets):
+        rhs = Fraction(2 * mi + 1, 2)
+        cons.append((ui, vi, -1, rhs))
+        cons.append((-ui, -vi, -1, -rhs))
+    cons += [(1, 0, 0, Fraction(1)), (-1, 0, 0, Fraction(0))]
+    cons += [(0, 1, 0, Fraction(1)), (0, -1, 0, Fraction(0))]
+    best = None
+    for c1, c2, c3 in itertools.combinations(cons, 3):
+        det = _det3(c1, c2, c3)
+        if det == 0:
+            continue
+        cols = [[c[0], c[1], c[2]] for c in (c1, c2, c3)]
+        sol = []
+        for k in range(3):
+            swapped = [row[:k] + [c[3]] + row[k + 1 :] for row, c in zip(cols, (c1, c2, c3))]
+            sol.append(_det3(*swapped) / det)
+        alpha, beta, dval = sol
+        if best is not None and dval >= best:
+            continue
+        if all(a * alpha + b * beta + c * dval <= rhs for a, b, c, rhs in cons):
+            best = dval
+    assert best is not None
+    return best
+
+
+def subtorus2_reference(u: Sequence[int], v: Sequence[int]) -> Fraction:
+    """Center distance of the plane closure of {alpha*u + beta*v mod 1}.
+
+    Branch and bound over integer offset vectors m (m_i within the range
+    of alpha*u_i + beta*v_i on the unit square, widened by one): each
+    offset vector is a small linear program, solved exactly, and an
+    offset is pruned by its lower bound against the best value so far,
+    starting from a coarse-grid incumbent.
+    """
+    half = Fraction(1, 2)
+    grid = [Fraction(k, 4) for k in range(5)]
+    best = min(
+        max(abs((al * ui + be * vi) % 1 - half) for ui, vi in zip(u, v))
+        for al in grid
+        for be in grid
+    )
+    options = []
+    for ui, vi in zip(u, v):
+        corners = (0, ui, vi, ui + vi)
+        cmin, cmax = min(corners), max(corners)
+        opts = []
+        for m in range(cmin - 1, cmax + 1):
+            center = Fraction(2 * m + 1, 2)
+            opts.append((m, max(cmin - center, center - cmax, Fraction(0))))
+        opts.sort(key=lambda t: t[1])
+        options.append(opts)
+
+    def descend(idx: int, cur_lb: Fraction, chosen: Tuple[int, ...]) -> None:
+        nonlocal best
+        if cur_lb >= best:
+            return
+        if idx == len(u):
+            best = min(best, _min_max_lp(u, v, chosen))
+            return
+        for m, lb in options[idx]:
+            nl = max(lb, cur_lb)
+            if nl >= best:
+                break
+            descend(idx + 1, nl, chosen + (m,))
+
+    descend(0, Fraction(0), ())
+    return best
+
+
+def face_contacts_reference(coords: Sequence[Fraction]) -> Tuple[Fraction, set]:
+    """(d, faces) for the cyclic group of a rational point, element by element.
+
+    d is the least max_i |(k*g)_i - 1/2| over all multiples k*g, and faces
+    holds (i, +1) or (i, -1) when some multiple at distance d has
+    coordinate i at 1/2 + d or 1/2 - d (none when d = 0).
+    """
+    half = Fraction(1, 2)
+    pts = [Fraction(c) % 1 for c in coords]
+    order = lcm(*(c.denominator for c in pts))
+    elements = [[(k * c) % 1 for c in pts] for k in range(order)]
+    d = min(max(abs(x - half) for x in e) for e in elements)
+    faces = set()
+    for e in elements:
+        if d > 0 and max(abs(x - half) for x in e) == d:
+            faces.update((i, 1 if x > half else -1) for i, x in enumerate(e) if abs(x - half) == d)
+    return d, faces
+
+
 def brute_shortest_projected(v: Sequence[int]) -> Fraction:
     """Smallest positive squared projection onto the complement of v.
 
@@ -222,8 +326,6 @@ def brute_shortest_projected(v: Sequence[int]) -> Fraction:
     def scan(bound: int, incumbent) -> Fraction:
         best = incumbent
         ranges = [range(-bound, bound + 1)] * n
-        import itertools
-
         for x in itertools.product(*ranges):
             p = proj_sq(x)
             if p > 0 and (best is None or p < best):

@@ -1,5 +1,7 @@
 """Tests for exact plane lattices, lifts, slices, and named constants."""
 
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -32,7 +34,7 @@ from runnerspec.lattice import (
 )
 from runnerspec.loneliness import d_hyperplane, d_subtorus1
 
-from oracles import brute_shortest_projected
+from oracles import brute_shortest_projected, subtorus2_reference
 
 F = Fraction
 
@@ -288,6 +290,48 @@ def test_d_subtorus2_budget():
         d_subtorus2((13, 0, 1), (0, 1, 1))
     raised = d_subtorus2((13, 0, 1), (0, 1, 1), entry_budget=14)
     assert raised == d_hyperplane((1, 13, -13)) == F(1, 54)
+
+
+def _seeded_planes(seed, n, entry, count):
+    """Independent pairs with |entries| <= entry, often holding a zero
+    coordinate (u_i = v_i = 0) or a coordinate repeated up to sign."""
+    rng = random.Random(seed)
+    planes = []
+    while len(planes) < count:
+        cols = [(rng.randint(-entry, entry), rng.randint(-entry, entry)) for _ in range(n)]
+        if rng.random() < 0.3:
+            cols[rng.randrange(n)] = (0, 0)
+        if rng.random() < 0.3:
+            i, j = rng.sample(range(n), 2)
+            s = rng.choice((1, -1))
+            cols[j] = (s * cols[i][0], s * cols[i][1])
+        u, v = tuple(c[0] for c in cols), tuple(c[1] for c in cols)
+        if any(u[i] * v[j] != u[j] * v[i] for i, j in itertools.combinations(range(n), 2)):
+            planes.append((u, v))
+    return planes
+
+
+def test_d_subtorus2_matches_the_reference():
+    planes = [((7, -5), (5, 4)), ((12, 1), (0, 11)), ((1, 2, 3), (2, 3, 4))]
+    for n, entry, count in ((2, 6, 40), (3, 2, 30), (4, 1, 20), (5, 1, 15)):
+        planes += _seeded_planes(8 + n, n, entry, count)
+    for u, v in planes:
+        assert d_subtorus2(u, v) == subtorus2_reference(u, v), (u, v)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [saturate, slice_plane_to_line, functools.partial(dense_sequence, j=1), d_subtorus2],
+    ids=["saturate", "slice_plane_to_line", "dense_sequence", "d_subtorus2"],
+)
+@pytest.mark.parametrize(
+    "u, v",
+    [((1, 2, 3), (1, 2)), ((1, 2, 3), (-2, -4, -6)), ((1,), (2,))],
+    ids=["mismatched-lengths", "dependent", "n=1"],
+)
+def test_plane_functions_reject_degenerate_pairs(fn, u, v):
+    with pytest.raises(DegenerateBasis):
+        fn(u, v)
 
 
 def test_triangle_bound_line_vs_lifted_plane():

@@ -24,7 +24,7 @@ from runnerspec.subgroups import (
     pad_subgroup,
 )
 
-from oracles import naive_cyclic_distance
+from oracles import face_contacts_reference, naive_cyclic_distance
 
 F = Fraction
 
@@ -97,6 +97,19 @@ def test_face_contacts_touch_all_four_edges():
     d, contacts = extremal_face_contacts(g)
     assert d == F(7, 50)
     assert contacts == {(0, 1), (0, -1), (1, 1), (1, -1)}
+
+
+@given(
+    st.integers(1, 300).flatmap(
+        lambda q: st.lists(st.integers(0, q).map(lambda a: F(a, q)), min_size=1, max_size=4)
+    ),
+    st.sampled_from((7, 64, 1 << 16)),
+)
+@settings(max_examples=80, deadline=None)
+def test_face_contacts_match_the_oracle(generator, cells):
+    with mock.patch.object(subgroups, "_GRID_CELLS", cells):
+        got = extremal_face_contacts(FiniteCyclicSubgroup(generator))
+    assert got == face_contacts_reference(generator)
 
 
 # --- product subgroups ----------------------------------------------------
