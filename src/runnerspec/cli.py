@@ -4,8 +4,9 @@ All numeric output is exact-first: rationals print as "p/q" with a
 12-significant-digit decimal marked as approximate.  Outputs are byte
 identical across runs and across worker counts; progress and timing
 chatter goes to stderr only.  Exit codes: 0 success, 1 verification
-failure, 2 usage or validation error, or a file that cannot be read or
-written.
+failure, 2 a usage error, an ``InvalidInput`` (bad arguments, tuples or
+file contents) or a file that cannot be read or written.  Any other
+exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -20,14 +21,10 @@ import time
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .core import ZeroVector, format_rational, parse_rational
+from .core import InvalidInput, format_rational, parse_rational
 from .lattice import (
     DEFAULT_PI_BOUNDS,
     REFINED_PI_BOUNDS,
-    BudgetExceeded,
-    DegenerateBasis,
-    InvalidDirection,
-    NotContained,
     PiPower,
     certificate_profile,
     d_subtorus2,
@@ -37,21 +34,12 @@ from .lattice import (
     named_constants,
     threshold_below_power_bound,
 )
-from .loneliness import (
-    InvalidNormal,
-    InvalidSpeeds,
-    SpeedTuple,
-    coset_center_distance,
-    max_loneliness,
-)
+from .loneliness import SpeedTuple, coset_center_distance, max_loneliness
 from .subgroups import FiniteCyclicSubgroup, d_finite_cyclic
 from .spectrum import (
     WINDOW_MODES,
-    CorruptCheckpoint,
     EnumerationSpec,
-    MissingOuterSpectrum,
     SpectrumTable,
-    TableMismatch,
     accumulation_report,
     build_spectrum,
     certify_absence,
@@ -61,21 +49,6 @@ from .spectrum import (
     verify_family_fan_sun,
     verify_window,
 )
-
-_USAGE_ERRORS = (
-    InvalidSpeeds,
-    InvalidNormal,
-    ZeroVector,
-    DegenerateBasis,
-    InvalidDirection,
-    NotContained,
-    BudgetExceeded,
-    TableMismatch,
-    MissingOuterSpectrum,
-    CorruptCheckpoint,
-    ValueError,
-)
-
 
 def _fmt(x: Fraction) -> str:
     return f"{format_rational(x)} (approx {float(x):.12g})"
@@ -113,6 +86,13 @@ def _check_writable(*paths: Optional[str]) -> None:
             raise OSError(exc.errno, exc.strerror, path) from None
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InvalidInput(str(exc)) from None
+
+
 def _run_ml(ns) -> int:
     result = max_loneliness(tuple(ns.speeds))
     print(f"ml = {_fmt(result.ml)}")
@@ -134,7 +114,7 @@ def _run_dist_line(ns) -> int:
     SpeedTuple(speeds)  # validates nonzero entries and primitivity
     if ns.shift is not None:
         if len(ns.shift) != len(speeds):
-            raise ValueError("shift needs one rational per coordinate")
+            raise InvalidInput("shift needs one rational per coordinate")
         shift = tuple(parse_rational(c) for c in ns.shift)
     else:
         shift = tuple(Fraction(0) for _ in speeds)
@@ -154,21 +134,21 @@ def _run_dist_plane(tokens: Sequence[str]) -> int:
     for tok in it:
         if tok == "--":
             if current is v:
-                raise ValueError("only one -- separator is allowed")
+                raise InvalidInput("only one -- separator is allowed")
             current = v
         elif tok == "--budget":
             try:
-                budget = int(next(it))
+                budget = _int(next(it))
             except StopIteration:
-                raise ValueError("--budget needs a value") from None
+                raise InvalidInput("--budget needs a value") from None
         elif tok in ("-h", "--help"):
             print("usage: runnerspec dist plane <u ints> -- <v ints> [--budget B]")
             print("Exact center distance of the plane closure spanned by u and v.")
             return 0
         else:
-            current.append(int(tok))
+            current.append(_int(tok))
     if not u or not v:
-        raise ValueError("usage: dist plane <u ints> -- <v ints>")
+        raise InvalidInput("usage: dist plane <u ints> -- <v ints>")
     d = d_subtorus2(tuple(u), tuple(v), entry_budget=budget)
     print(f"d = {_fmt(d)}")
     return 0
@@ -260,7 +240,7 @@ def _table_from_flags(ns) -> SpectrumTable:
     if getattr(ns, "table", None):
         return SpectrumTable.load_json(ns.table)
     if ns.n is None or ns.max_vol2 is None:
-        raise ValueError("need --table FILE, or both --n and --max-vol2")
+        raise InvalidInput("need --table FILE, or both --n and --max-vol2")
     return build_spectrum(
         EnumerationSpec(n=ns.n, max_volume_sq=ns.max_vol2), workers=ns.threads
     )
@@ -361,119 +341,103 @@ def _timed(label: str, fn):
     return result
 
 
-def _run_repro(ns) -> int:
-    """Rebuild every headline computation and write tables plus manifest."""
-    out = ns.out
-    os.makedirs(out, exist_ok=True)
-    workers = ns.threads
-    if ns.small:
-        profile = "small"
-        fan_r, s2_bound, cutoff = 10, 10**4, 500
-        n3_bounds = (10**3, 2 * 10**3, 4 * 10**3)
-    else:
-        profile = "full"
-        fan_r, s2_bound, cutoff = 100, 10**6, 199**2
-        n3_bounds = (10**3, 10**4, 4 * 10**4)
-    manifest = {"version": 1, "profile": profile, "results": {}}
-    res = manifest["results"]
+# Each profile: (fan-sun r, n=2 bound, n=3 bounds, absence cutoff).
+_REPRO_PROFILES = {
+    "small": (10, 10**4, (10**3, 2 * 10**3, 4 * 10**3), 500),
+    "full": (100, 10**6, (10**3, 10**4, 4 * 10**4), 199**2),
+}
 
+
+def _repro_steps(profile: str, tables):
+    """Yield (manifest key, fields, holds) for each headline check."""
+    fan_r, s2_bound, n3_bounds, cutoff = _REPRO_PROFILES[profile]
     fan = _timed(f"fan-sun r<={fan_r}", lambda: verify_family_fan_sun(fan_r))
-    res["fan_sun"] = {"r_max": fan_r, "passed": fan.passed}
+    yield "fan_sun", {"r_max": fan_r, "passed": fan.passed}, fan.passed
 
-    s2 = _timed(
-        f"n=2 table @ {s2_bound}",
-        lambda: build_spectrum(EnumerationSpec(2, s2_bound), workers=workers),
-    )
-    s2.save_json(os.path.join(out, f"spectrum_n2_{s2_bound}.json"))
-    s2.save_flat(os.path.join(out, f"spectrum_n2_{s2_bound}.tsv"))
-    s2_report = verify_closed_form_s2(s2)
-    res["s2_closed_form"] = {
+    s2 = verify_closed_form_s2(tables[2, s2_bound])
+    yield "s2_closed_form", {
         "max_volume_sq": s2_bound,
-        "passed": s2_report.passed,
-        "keys": len(s2.entries),
-        "largest_key": format_rational(s2_report.largest_key),
-    }
+        "passed": s2.passed,
+        "keys": len(tables[2, s2_bound].entries),
+        "largest_key": format_rational(s2.largest_key),
+    }, s2.passed
 
-    tables = {}
-    for bound in n3_bounds:
-        table = _timed(
-            f"n=3 table @ {bound}",
-            lambda b=bound: build_spectrum(EnumerationSpec(3, b), workers=workers),
-        )
-        tables[bound] = table
-        table.save_json(os.path.join(out, f"spectrum_n3_{bound}.json"))
-        table.save_flat(os.path.join(out, f"spectrum_n3_{bound}.tsv"))
-    mid = tables[n3_bounds[1]]
-    res["n3_max_key"] = {
+    low, mid, high = (tables[3, b] for b in n3_bounds)
+    yield "n3_max_key", {
         "max_volume_sq": n3_bounds[1],
         "value": format_rational(mid.max_key),
-    }
+    }, mid.max_key == Fraction(1, 4)
 
-    window = verify_window(tables[n3_bounds[2]], mode="strict")
-    res["window_n3"] = {
+    window = verify_window(high, mode="strict")
+    yield "window_n3", {
         "max_volume_sq": n3_bounds[2],
         "passed": window.passed,
         "in_window": window.in_window,
-    }
+    }, window.passed
 
     cert = _timed(
         f"absence certificate 7/50 @ {cutoff}",
         lambda: certify_absence(Fraction(7, 50), 3, cutoff),
     )
-    res["prop81"] = {
+    yield "prop81", {
         "cutoff_volume_sq": cutoff,
         "phase_a": cert.phase_a_passed,
         "phase_b": cert.phase_b_passed,
         "checked": cert.phase_a_checked,
         "density_lhs": format_rational(cert.density_lhs),
-    }
+    }, cert.passed
 
     # Upper accumulation, two windows: nothing sits just below the family
     # points in a tight window, while the counts just above 1/6 grow with
     # the bound in the wider one.
     targets = [Fraction(1, 6), Fraction(1, 10), Fraction(1, 14)]
     below = accumulation_report(mid, targets, Fraction(1, 1000))
-    res["accumulation_below"] = {
+    yield "accumulation_below", {
         "max_volume_sq": n3_bounds[1],
         "window": "1/1000",
-        "counts": {
-            format_rational(row.target): row.below_count for row in below
-        },
-    }
-    above_pair = [
-        accumulation_report(tables[b], [Fraction(1, 6)], Fraction(1, 100))[0]
-        for b in n3_bounds[:2]
+        "counts": {format_rational(row.target): row.below_count for row in below},
+    }, all(row.below_count == 0 for row in below)
+    above = [
+        accumulation_report(t, [Fraction(1, 6)], Fraction(1, 100))[0].above_count
+        for t in (low, mid)
     ]
-    res["accumulation_above_1_6"] = {
+    yield "accumulation_above_1_6", {
         "window": "1/100",
-        f"at_{n3_bounds[0]}": above_pair[0].above_count,
-        f"at_{n3_bounds[1]}": above_pair[1].above_count,
-    }
+        f"at_{n3_bounds[0]}": above[0],
+        f"at_{n3_bounds[1]}": above[1],
+    }, above[0] < above[1]
 
-    thr2 = lrc_threshold(2)
     thr3lo, thr3hi = lrc_threshold(3).bounds()
     cs_lo, cs_hi = lift_volume_threshold(3, 1, Fraction(2, 25)).bounds()
-    res["constants"] = {
-        "lrc_threshold_2": format_rational(thr2.coefficient),
+    power = all(threshold_below_power_bound(n) for n in range(2, 13))
+    yield "constants", {
+        "lrc_threshold_2": format_rational(lrc_threshold(2).coefficient),
         "lrc_threshold_3_enclosure": [format_rational(thr3lo), format_rational(thr3hi)],
         "c_star_3_1_2_25_enclosure": [format_rational(cs_lo), format_rational(cs_hi)],
-        "power_bound_2_to_12": all(
-            threshold_below_power_bound(n) for n in range(2, 13)
-        ),
-    }
+        "power_bound_2_to_12": power,
+    }, power
 
-    passed = (
-        fan.passed
-        and s2_report.passed
-        and window.passed
-        and cert.passed
-        and mid.max_key == Fraction(1, 4)
-        and all(row.below_count == 0 for row in below)
-        and above_pair[0].above_count < above_pair[1].above_count
-        and res["constants"]["power_bound_2_to_12"]
-    )
-    manifest["passed"] = passed
-    path = os.path.join(out, "manifest.json")
+
+def _run_repro(ns) -> int:
+    """Rebuild every headline computation and write tables plus manifest."""
+    profile = "small" if ns.small else "full"
+    _, s2_bound, n3_bounds, _ = _REPRO_PROFILES[profile]
+    os.makedirs(ns.out, exist_ok=True)
+    tables = {}
+    for n, bound in [(2, s2_bound)] + [(3, b) for b in n3_bounds]:
+        table = _timed(
+            f"n={n} table @ {bound}",
+            lambda n=n, b=bound: build_spectrum(EnumerationSpec(n, b), workers=ns.threads),
+        )
+        stem = os.path.join(ns.out, f"spectrum_n{n}_{bound}")
+        table.save_json(stem + ".json")
+        table.save_flat(stem + ".tsv")
+        tables[n, bound] = table
+    steps = list(_repro_steps(profile, tables))
+    results = {key: fields for key, fields, _ in steps}
+    passed = all(holds for _, _, holds in steps)
+    manifest = {"version": 1, "profile": profile, "results": results, "passed": passed}
+    path = os.path.join(ns.out, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -590,19 +554,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     if args[:2] == ["dist", "plane"]:
+        func, arg = _run_dist_plane, args[2:]
+    else:
         try:
-            return _run_dist_plane(args[2:])
-        except _USAGE_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    parser = _build_parser()
+            arg = _build_parser().parse_args(args)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
+        func = arg.func
     try:
-        ns = parser.parse_args(args)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
-        return ns.func(ns)
-    except _USAGE_ERRORS as exc:
+        return func(arg)
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -33,11 +33,20 @@ RationalLike = Union[Fraction, int, str]
 HALF = Fraction(1, 2)
 
 
-class ZeroVector(ValueError):
+class InvalidInput(ValueError):
+    """Input that this package's computations do not accept.
+
+    Every check on arguments, tuples and files raises this class or one of
+    its subclasses; the command line reports it as ``error: <message>``
+    with exit 2, and anything else as a bug, with its traceback.
+    """
+
+
+class ZeroVector(InvalidInput):
     """Raised when an operation needs an integer vector with a nonzero entry."""
 
 
-class UnsupportedDimension(ValueError):
+class UnsupportedDimension(InvalidInput):
     """The requested dimension is outside the implemented range."""
 
 
@@ -46,7 +55,9 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise InvalidInput(f"zero denominator in {text!r}") from None
+    except ValueError as exc:
+        raise InvalidInput(str(exc)) from None
 
 
 def format_rational(x: RationalLike) -> str:
@@ -86,7 +97,7 @@ def linf_center_distance(point: Sequence[RationalLike]) -> Fraction:
     """
     coords = torus_point(point)
     if not coords:
-        raise ValueError("need at least one coordinate")
+        raise InvalidInput("need at least one coordinate")
     return max(abs(c - HALF) for c in coords)
 
 

@@ -22,6 +22,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .core import (
     HALF,
     IntVector,
+    InvalidInput,
     RationalLike,
     UnsupportedDimension,
     dot,
@@ -69,19 +70,19 @@ REFINED_PI_BOUNDS: Tuple[Fraction, Fraction] = (
 )
 
 
-class DegenerateBasis(ValueError):
+class DegenerateBasis(InvalidInput):
     """The supplied generators do not span a plane (or miss a coordinate)."""
 
 
-class InvalidDirection(ValueError):
+class InvalidDirection(InvalidInput):
     """Directions must be primitive integer vectors."""
 
 
-class NotContained(ValueError):
+class NotContained(InvalidInput):
     """The direction does not lie in the span of the plane."""
 
 
-class BudgetExceeded(ValueError):
+class BudgetExceeded(InvalidInput):
     """A coordinate's |u_i| + |v_i| exceeds the configured per-coordinate budget."""
 
 
@@ -515,7 +516,7 @@ def kronecker_lift(v: Sequence[int], epsilon: RationalLike) -> DensityCertificat
     vec = tuple(int(c) for c in v)
     eps = Fraction(epsilon)
     if eps <= 0:
-        raise ValueError("epsilon must be positive")
+        raise InvalidInput("epsilon must be positive")
     x, _ = shortest_projected_vector(vec)
     plane = saturate(vec, x)
     dsq = density_radius_sq(vec, plane)
@@ -637,7 +638,7 @@ def dense_sequence(u1: Sequence[int], u2: Sequence[int], j: int) -> IntVector:
     """The j-th member u1 + j*u2 of the line family filling the plane."""
     uu, vv = _plane_pair(u1, u2)
     if j < 0:
-        raise ValueError("index must be nonnegative")
+        raise InvalidInput("index must be nonnegative")
     return primitive_part(tuple(a + j * b for a, b in zip(uu, vv)))
 
 
@@ -738,7 +739,7 @@ def ball_volume(k: int) -> PiPower:
     Gamma value, so the power of pi is always an integer.
     """
     if k < 0:
-        raise ValueError("dimension must be nonnegative")
+        raise InvalidInput("dimension must be nonnegative")
     m, odd = divmod(k, 2)
     if not odd:
         return PiPower(Fraction(1, math.factorial(m)), m)
@@ -752,7 +753,7 @@ def basis_length_bound(k: int, volume: RationalLike) -> PiPower:
     """Reduced-basis length bound 2^k (3/2)^(k(k-1)/2) * V / omega_k."""
     V = Fraction(volume)
     if k < 1 or V <= 0:
-        raise ValueError("need k >= 1 and a positive volume")
+        raise InvalidInput("need k >= 1 and a positive volume")
     om = ball_volume(k)
     e = k * (k - 1) // 2
     coef = Fraction(2**k) * Fraction(3**e, 2**e) * V / om.coefficient
@@ -768,9 +769,9 @@ def lift_volume_threshold(n: int, k: int, epsilon: RationalLike) -> PiPower:
     """
     eps = Fraction(epsilon)
     if not (1 <= k < n):
-        raise ValueError("need 1 <= k < n")
+        raise InvalidInput("need 1 <= k < n")
     if eps <= 0:
-        raise ValueError("epsilon must be positive")
+        raise InvalidInput("epsilon must be positive")
     codim = n - k
     om = ball_volume(codim)
     coef = 1 / (om.coefficient * (eps / 2) ** codim)
@@ -784,7 +785,7 @@ def lrc_threshold(n: int) -> PiPower:
     powers of pi cancel into the integer-power representation.
     """
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise InvalidInput("need n >= 2")
     return lift_volume_threshold(n, 1, Fraction(2, n * (n + 1)))
 
 
@@ -835,7 +836,7 @@ def named_constants(
     coincide.
     """
     if not (1 <= k < n):
-        raise ValueError("need 1 <= k < n")
+        raise InvalidInput("need 1 <= k < n")
     eps = Fraction(epsilon) if epsilon is not None else Fraction(2, n * (n + 1))
     vol = Fraction(volume)
     return NamedConstants(

@@ -36,7 +36,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import HALF, IntVector, RationalLike, circle_distance, torus_point
+from .core import HALF, IntVector, InvalidInput, RationalLike, circle_distance, torus_point
 
 __all__ = [
     "InvalidNormal",
@@ -56,6 +56,11 @@ __all__ = [
 # would take over ten minutes.
 _INT64_LIMIT = 1 << 60
 
+# Most candidate times one coset scan may evaluate, at 1.5 to 2 us each
+# for n = 3 and 4: a direction past it would keep the scan running for
+# more than about a minute, so it is refused before anything is scanned.
+_COSET_CANDIDATES = 1 << 25
+
 # Most cells one scan grid may hold.  Every grid the kernel builds, for a
 # block of tuples or for one huge tuple, is sliced to this size, so its
 # scratch memory stays at a few MiB whatever the speeds.
@@ -69,11 +74,12 @@ _GRID_CELLS = 1 << 16
 _SCRATCH = threading.local()
 
 
-class InvalidSpeeds(ValueError):
-    """Speeds must be nonzero with gcd 1, and at most 759,250,124 to be scanned."""
+class InvalidSpeeds(InvalidInput):
+    """Speeds must be nonzero with gcd 1, and at most 759,250,124 to be scanned;
+    a coset scan takes at most 2**25 candidate times."""
 
 
-class InvalidNormal(ValueError):
+class InvalidNormal(InvalidInput):
     """Hyperplane normals must be primitive and not axis-parallel."""
 
 
@@ -348,18 +354,26 @@ def coset_center_distance(
     crossings (q = D|v_i - v_j| and q = D|v_i + v_j|).  At t = j/q,
     2q ||t v_i + s_i - 1/2|| = |(2 j v_i + 2 q s_i) mod 2q - q|, the
     kernel's grid with an integer offset per speed, so the whole scan is
-    in Python ints.  The witness is the earliest minimizing time.
+    in Python ints.  The witness is the earliest minimizing time.  Class
+    (e, u) holds |e| candidates; a direction whose classes hold more than
+    ``_COSET_CANDIDATES`` in all raises ``InvalidSpeeds`` before the scan.
     """
     vec = tuple(int(c) for c in direction)
     pt = torus_point(shift)
     if len(pt) != len(vec) or not vec:
-        raise ValueError("direction and shift must have the same positive length")
+        raise InvalidInput("direction and shift must have the same positive length")
     den = lcm(*(s.denominator for s in pt))
     num = [s.numerator * (den // s.denominator) for s in pt]
     # Class (e, u) holds the times (u + c*D) / (D*e) for every integer c.
     classes = [(1, 0)] + [(2 * v, -2 * c) for v, c in zip(vec, num)]
     for (vi, ci), (vj, cj) in itertools.combinations(zip(vec, num), 2):
         classes += [(vi - vj, cj - ci), (vi + vj, -ci - cj)]
+    work = sum(abs(e) for e, _ in classes)
+    if work > _COSET_CANDIDATES:
+        raise InvalidSpeeds(
+            f"direction {vec} needs {work} candidate times, past the coset"
+            f" scan's bound {_COSET_CANDIDATES}"
+        )
     bd, bq, bj = 1, 1, 0  # 1/2 at t = 0: no value is larger
     for e, u in classes:
         if e == 0:

@@ -23,7 +23,15 @@ from math import gcd, isqrt
 from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .core import HALF, IntVector, Rational, RationalLike, format_rational, parse_rational
+from .core import (
+    HALF,
+    IntVector,
+    InvalidInput,
+    Rational,
+    RationalLike,
+    format_rational,
+    parse_rational,
+)
 from .lattice import DEFAULT_PI_BOUNDS, ball_volume
 from .loneliness import _scan_rows, max_loneliness
 
@@ -58,15 +66,15 @@ CANONICAL_CLASSES = "sorted-positive (one per permutation/sign class)"
 ABSENCE_MARGIN = Fraction(1, 10**6)
 
 
-class TableMismatch(ValueError):
+class TableMismatch(InvalidInput):
     """A table, or a table file, that does not have the shape needed."""
 
 
-class MissingOuterSpectrum(ValueError):
+class MissingOuterSpectrum(InvalidInput):
     """No built-in facts for this (n, target); supply them explicitly."""
 
 
-class CorruptCheckpoint(ValueError):
+class CorruptCheckpoint(InvalidInput):
     """A checkpoint file that cannot be read back as block results."""
 
 
@@ -78,13 +86,13 @@ def resolve_workers(workers: Optional[int] = None) -> int:
             try:
                 workers = int(env)
             except ValueError:
-                raise ValueError(
+                raise InvalidInput(
                     f"{THREADS_ENV_VAR} must be an integer, not {env!r}"
                 ) from None
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
-        raise ValueError("worker count must be at least 1")
+        raise InvalidInput("worker count must be at least 1")
     return workers
 
 
@@ -97,9 +105,9 @@ class EnumerationSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("need n >= 1")
+            raise InvalidInput("need n >= 1")
         if self.max_volume_sq < self.n:
-            raise ValueError(
+            raise InvalidInput(
                 "max_volume_sq below the all-ones tuple; nothing to enumerate"
             )
 
@@ -308,7 +316,7 @@ def _merge_block(
 
 
 def _check_block(result: _BlockResult, n: int) -> None:
-    """Raise ValueError or TypeError unless ``result`` is a block result.
+    """Raise InvalidInput or TypeError unless ``result`` is a block result.
 
     Each distance is written in lowest terms and appears once, so merging
     by its text cannot split or double a count.  Table files are held to
@@ -317,15 +325,15 @@ def _check_block(result: _BlockResult, n: int) -> None:
     seen = set()
     for d, mult, wits in result:
         if format_rational(parse_rational(d)) != d:
-            raise ValueError(f"distance {d!r} is not in lowest terms")
+            raise InvalidInput(f"distance {d!r} is not in lowest terms")
         if d in seen:
-            raise ValueError(f"distance {d} appears twice")
+            raise InvalidInput(f"distance {d} appears twice")
         seen.add(d)
         if type(mult) is not int or mult < 1:
-            raise ValueError(f"multiplicity {mult!r}")
+            raise InvalidInput(f"multiplicity {mult!r}")
         for w in wits:
             if len(w) != n or any(type(c) is not int for c in w):
-                raise ValueError(f"witness {w!r}")
+                raise InvalidInput(f"witness {w!r}")
 
 
 def _load_checkpoint(path: str, spec: EnumerationSpec) -> Dict[int, _BlockResult]:
@@ -343,7 +351,7 @@ def _load_checkpoint(path: str, spec: EnumerationSpec) -> Dict[int, _BlockResult
         )
     header = (data["n"], data["max_volume_sq"], data["canonical_only"])
     if header != (spec.n, spec.max_volume_sq, True):
-        raise ValueError(
+        raise InvalidInput(
             f"checkpoint {path} was written for parameters {header}, "
             f"not {(spec.n, spec.max_volume_sq, True)}"
         )
@@ -352,7 +360,7 @@ def _load_checkpoint(path: str, spec: EnumerationSpec) -> Dict[int, _BlockResult
         blocks = {}
         for key, result in data["blocks"].items():
             if key not in starts:
-                raise ValueError(f"key {key!r} is not a block start 1..{len(starts)}")
+                raise InvalidInput(f"key {key!r} is not a block start 1..{len(starts)}")
             _check_block(result, spec.n)
             blocks[starts[key]] = result
     except (AttributeError, TypeError, ValueError) as exc:
@@ -491,7 +499,7 @@ def verify_family_fan_sun(r_max: int) -> FamilyReport:
     witnesses that the four-runner bound 1/(n+1) is not always attained.
     """
     if r_max < 0:
-        raise ValueError("need r_max >= 0")
+        raise InvalidInput("need r_max >= 0")
     checks = []
     for r in range(r_max + 1):
         speeds = (8, 4 * r + 3, 4 * r + 11, 4 * r + 19)
@@ -531,7 +539,7 @@ def verify_window(table: SpectrumTable, mode: str = "strict") -> WindowReport:
     never flagged.
     """
     if mode not in WINDOW_MODES:
-        raise ValueError(f"mode must be one of {WINDOW_MODES}")
+        raise InvalidInput(f"mode must be one of {WINDOW_MODES}")
     n = table.n
     in_window = 0
     out_of_window = 0
@@ -709,7 +717,7 @@ def accumulation_report(
     """
     win = Fraction(window)
     if win <= 0:
-        raise ValueError("window must be positive")
+        raise InvalidInput("window must be positive")
     rows = []
     for raw in targets:
         x = Fraction(raw)
@@ -749,7 +757,7 @@ def multiplicity_report(
     """Keys reaching the multiplicity threshold, flagged when a matching
     plane value predicts unbounded growth."""
     if threshold < 1:
-        raise ValueError("threshold must be at least 1")
+        raise InvalidInput("threshold must be at least 1")
     rows = [
         MultiplicityRow(
             key=key,

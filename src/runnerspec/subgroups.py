@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     HALF,
     IntVector,
+    InvalidInput,
     RationalLike,
     TorusPoint,
     UnsupportedDimension,
@@ -56,11 +57,11 @@ DEFAULT_COSET_LIMIT = 10**6
 _CLOSURE_CHECK_LIMIT = 512
 
 
-class CenterReached(ValueError):
+class CenterReached(InvalidInput):
     """Deep witnesses exist only when the orbit misses the center."""
 
 
-class SubgroupTooLarge(ValueError):
+class SubgroupTooLarge(InvalidInput):
     """Too many cosets to iterate, or a cyclic order past the exact scan's
     int64 bound (above 759,250,124)."""
 
@@ -75,7 +76,7 @@ class FiniteCyclicSubgroup:
     def __init__(self, generator: Iterable[RationalLike]):
         pt = torus_point(generator)
         if not pt:
-            raise ValueError("generator needs at least one coordinate")
+            raise InvalidInput("generator needs at least one coordinate")
         object.__setattr__(self, "generator", pt)
         object.__setattr__(self, "order", lcm(*(c.denominator for c in pt)))
 
@@ -163,11 +164,11 @@ class ProductSubgroup:
         elif elems:
             n = len(next(iter(elems)))
         else:
-            raise ValueError("need at least one direction or finite element")
+            raise InvalidInput("need at least one direction or finite element")
         if any(len(d) != n for d in dirs) or any(len(e) != n for e in elems):
-            raise ValueError("mixed ambient dimensions")
+            raise InvalidInput("mixed ambient dimensions")
         if dirs and len(_row_hnf(dirs)[0]) != len(dirs):
-            raise ValueError("torus directions must be linearly independent")
+            raise InvalidInput("torus directions must be linearly independent")
         elems.add(torus_point([0] * n))
         ordered = tuple(sorted(elems))
         if len(ordered) <= _CLOSURE_CHECK_LIMIT:
@@ -176,7 +177,7 @@ class ProductSubgroup:
                 for b in ordered:
                     s = tuple((x + y) % 1 for x, y in zip(a, b))
                     if s not in index:
-                        raise ValueError(
+                        raise InvalidInput(
                             "finite element list is not closed under addition"
                         )
         object.__setattr__(self, "torus_directions", dirs)
@@ -208,7 +209,7 @@ def d_subgroup(subgroup: ProductSubgroup) -> Fraction:
         for c in direction:
             g = gcd(g, c)
         if g != 1:
-            raise ValueError(f"direction {direction} is not primitive")
+            raise InvalidInput(f"direction {direction} is not primitive")
         if len(subgroup.finite_elements) > DEFAULT_COSET_LIMIT:
             raise SubgroupTooLarge(
                 f"{len(subgroup.finite_elements)} cosets exceed the limit"
@@ -283,7 +284,7 @@ def pad_subgroup(subgroup: ProductSubgroup, extra: int) -> ProductSubgroup:
     caller on the result.
     """
     if extra < 0:
-        raise ValueError("cannot pad by a negative number of circles")
+        raise InvalidInput("cannot pad by a negative number of circles")
     if extra == 0:
         return subgroup
     n = subgroup.ambient_dimension

@@ -248,6 +248,7 @@ def test_unusable_paths_are_usage_errors(tmp_path, capsys, monkeypatch, args, ta
     "args",
     [
         ("dist", "cyclic", "1/0", "1/2"),
+        ("dist", "cyclic", "1/0"),
         ("lift", "--v", "3", "7", "199", "--eps", "1/0"),
         ("verify", "prop81", "--target", "1/0"),
         ("report", "acc", "--n", "2", "--max-vol2", "10", "--targets", "1/0", "--window", "1/10"),
@@ -258,6 +259,56 @@ def test_zero_denominator_is_a_usage_error(capsys, args):
     assert code == 2
     assert out == ""
     assert err == "error: zero denominator in '1/0'\n"
+
+
+_TABLE = ("--n", "2", "--max-vol2", "10")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("ml", "0", "1"), "zero speed in (0, 1)"),
+        (("ml", "2", "4"), "speeds (2, 4) share the common factor 2"),
+        (("dist", "cyclic", "abc"), "Invalid literal for Fraction: 'abc'"),
+        (("dist", "cyclic", "1/759250125"), "order 759250125 is past the exact scan's bound, 2*q^2 < 2^60"),
+        (("dist", "line", "1", "2", "--shift", "1/3"), "shift needs one rational per coordinate"),
+        (("dist", "line", "0", "0"), "zero speed in (0, 0)"),
+        (("dist", "plane", "1", "x", "--", "0", "1"), "invalid literal for int() with base 10: 'x'"),
+        (("dist", "plane", "1", "0", "--", "2", "0"), "(1, 0) and (2, 0) are linearly dependent"),
+        (("dist", "plane", "13", "0", "1", "--", "0", "1", "1"), "coordinate 0 has |u_i|+|v_i| = 13 > budget 12"),
+        (("lift", "--v", "1", "--eps", "1/5"), "ambient dimension 1 is not supported"),
+        (("lift", "--v", "2", "4", "--eps", "1/5"), "(2, 4) is not primitive (gcd 2)"),
+        (("lift", "--v", "1", "2", "--eps", "-1"), "epsilon must be positive"),
+        (("lift", "--v", "1", "2", "3", "4", "5", "--eps", "1/5"), "ambient dimension 5 is not supported"),
+        (("constants", "--n", "1"), "need 1 <= k < n"),
+        (("constants", "--n", "3", "--eps", "0"), "epsilon must be positive"),
+        (("enumerate", "--n", "0", "--max-vol2", "5"), "need n >= 1"),
+        (("spectrum", *_TABLE, "--out", "{dir}/t.json", "--threads", "0"), "worker count must be at least 1"),
+        (("verify", "fan-sun", "--r-max", "-1"), "need r_max >= 0"),
+        (("verify", "window", "--table", "{dir}/empty.json"), "{dir}/empty.json: unsupported table version None"),
+        (("verify", "window", "--n", "3", "--max-vol2", "100", "--threads", "0"), "worker count must be at least 1"),
+        (("verify", "prop81", "--cutoff", "1"), "max_volume_sq below the all-ones tuple; nothing to enumerate"),
+        (("report", "acc", *_TABLE, "--targets", "1/6", "--window", "0"), "window must be positive"),
+        (("report", "acc", *_TABLE, "--targets", "x", "--window", "1/10"), "Invalid literal for Fraction: 'x'"),
+        (("report", "mult", *_TABLE, "--threshold", "0"), "threshold must be at least 1"),
+    ],
+)
+def test_bad_input_is_a_usage_error(tmp_path, capsys, args, message):
+    # The zero-denominator cases are in test_zero_denominator_is_a_usage_error.
+    (tmp_path / "empty.json").write_text("{}")
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in args))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message.format(dir=tmp_path)}\n"
+
+
+def test_an_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def boom(speeds):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "max_loneliness", boom)
+    with pytest.raises(ValueError, match="boom"):
+        main(["ml", "1", "2"])
 
 
 @pytest.mark.parametrize(
@@ -466,6 +517,22 @@ def test_cyclic_refuses_an_order_past_the_int64_bound():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: order 759250125 ")
+
+
+def test_coset_refuses_a_direction_past_its_candidate_bound():
+    # About 10^9 candidate times; scanning them would take about half an hour.
+    proc = subprocess.run(
+        [sys.executable, "-m", "runnerspec", "dist", "line", "1", "100000000", "100000001",
+         "--shift", "1/3", "0", "0"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: direction (1, 100000000, 100000001) needs 1000000009 ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_console_script():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import runnerspec
 from runnerspec.core import (
+    InvalidInput,
     ZeroVector,
     circle_distance,
     dot,
@@ -112,3 +114,12 @@ def test_dot_and_norm():
     assert norm_sq((1, 2, 3)) == 14
     with pytest.raises(ValueError):
         dot((1, 2), (1, 2, 3))
+
+
+def test_every_exported_error_is_invalid_input():
+    # The command line reports InvalidInput, and only it, as bad input.
+    exported = [getattr(runnerspec, name) for name in runnerspec.__all__]
+    errors = [e for e in exported if isinstance(e, type) and issubclass(e, Exception)]
+    assert len(errors) == 13
+    assert all(issubclass(e, InvalidInput) for e in errors)
+    assert "InvalidInput" not in runnerspec.__all__

@@ -343,6 +343,25 @@ def test_d_min_max_validates_input():
         d_subtorus1((2, 4))
 
 
+def test_coset_scan_refuses_a_direction_past_its_candidate_bound(monkeypatch):
+    # (2, 3): one candidate at t = 0, 2|v_i| per coordinate, |2 - 3| and
+    # |2 + 3| for the pair.
+    direction, shift = (2, 3), (F(1, 3), 0)
+    work = 1 + 4 + 6 + 1 + 5
+    expected = coset_reference(direction, shift)
+    monkeypatch.setattr(loneliness, "_COSET_CANDIDATES", work)
+    assert coset_center_distance(direction, shift, with_witness=True) == expected
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a class was scanned past the bound")
+
+    monkeypatch.setattr(loneliness, "_COSET_CANDIDATES", work - 1)
+    monkeypatch.setattr(loneliness, "min", no_scan, raising=False)
+    message = f"needs {work} candidate times, past the coset scan's bound {work - 1}"
+    with pytest.raises(InvalidSpeeds, match=message):
+        coset_center_distance(direction, shift)
+
+
 # --- hyperplane closed form -----------------------------------------------
 
 
