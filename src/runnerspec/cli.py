@@ -40,6 +40,7 @@ from .spectrum import (
     WINDOW_MODES,
     EnumerationSpec,
     SpectrumTable,
+    _atomic_write,
     accumulation_report,
     build_spectrum,
     certify_absence,
@@ -172,9 +173,7 @@ def _run_lift(ns) -> int:
         print(f"spacing_identity_ok = {profile.spacing_identity_ok}")
         print(f"max_sample_sq = {_fmt(profile.max_sample_sq)}")
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            json.dump(cert.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        _atomic_write(ns.out, json.dumps(cert.to_json_dict(), indent=2) + "\n")
         _note(f"certificate written to {ns.out}")
     return 0
 
@@ -438,9 +437,7 @@ def _run_repro(ns) -> int:
     passed = all(holds for _, _, holds in steps)
     manifest = {"version": 1, "profile": profile, "results": results, "passed": passed}
     path = os.path.join(ns.out, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"manifest = {path}")
     print(f"passed = {passed}")
     return 0 if passed else 1

@@ -101,16 +101,31 @@ def linf_center_distance(point: Sequence[RationalLike]) -> Fraction:
     return max(abs(c - HALF) for c in coords)
 
 
+def _int_vector(entries: Iterable[object]) -> IntVector:
+    """The entries as a tuple of ints.
+
+    Raises InvalidInput naming the first entry that is not an integer:
+    ints, bools, numpy integers and 2.0 pass; 1.5, 5/2 and "3" do not.
+    """
+    vals = tuple(entries)
+    for i, c in enumerate(vals):
+        try:
+            ok = int(c) == c
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise InvalidInput(f"entry {i} of {vals} is not an integer: {c!r}")
+    return tuple(map(int, vals))
+
+
 def primitive_part(vector: Sequence[int]) -> IntVector:
     """Divide an integer vector by the gcd of its entries.
 
     The sign is normalized so that the first nonzero entry comes out
     positive; the zero vector is rejected.
     """
-    vec = tuple(int(c) for c in vector)
-    g = 0
-    for c in vec:
-        g = gcd(g, c)
+    vec = _int_vector(vector)
+    g = gcd(*vec)
     if g == 0:
         raise ZeroVector("cannot normalize the zero vector")
     first = next(c for c in vec if c != 0)

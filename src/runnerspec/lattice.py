@@ -1,12 +1,12 @@
 """Exact lattice geometry for plane subtori and density certificates.
 
-Everything runs over Python ints and fractions: integer kernels via
-unimodular column reduction, Hermite forms for canonical bases, shortest
-vectors through greedy Gram reduction plus a certified box enumeration,
-and plane center distances as minima of the integer coset scan over the
-plane's crease circles.  The named constants at the bottom are carried
-symbolically as rational multiples of integer powers of pi, with
-rigorous rational enclosures.
+Everything runs over Python ints and fractions: one unimodular row
+reduction gives Hermite forms for canonical bases, integer kernels and
+the split of Z^n along a line; shortest vectors come from greedy Gram
+reduction plus a certified box enumeration, and plane center distances
+are minima of the integer coset scan over the plane's crease circles.
+The named constants at the bottom are carried symbolically as rational
+multiples of integer powers of pi, with rigorous rational enclosures.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .core import (
     InvalidInput,
     RationalLike,
     UnsupportedDimension,
+    _int_vector,
     dot,
     norm_sq,
     primitive_part,
@@ -102,9 +103,7 @@ def _ext_gcd(a: int, b: int) -> Tuple[int, int, int]:
 
 
 def _require_primitive(vec: Sequence[int]) -> None:
-    g = 0
-    for c in vec:
-        g = gcd(g, c)
+    g = gcd(*vec)
     if g != 1:
         raise InvalidDirection(f"{tuple(vec)} is not primitive (gcd {g})")
 
@@ -116,10 +115,10 @@ def _unit_basis(n: int) -> List[IntVector]:
 def _pivot_columns(
     columns: Iterable[Tuple[IntVector, int]],
 ) -> Tuple[Optional[Tuple[IntVector, int]], List[IntVector]]:
-    """Reduce (column, dot product with one row) pairs unimodularly.
+    """Reduce (vector, key) pairs unimodularly, each key linear in its vector.
 
-    Returns (pivot column with the gcd of the products, or None) and the
-    kept columns, whose products are all 0.
+    Returns (pivot vector with the gcd of the keys, or None) and the kept
+    vectors, whose keys are all 0.
     """
     pivot: Optional[Tuple[IntVector, int]] = None
     kept: List[IntVector] = []
@@ -139,65 +138,36 @@ def _pivot_columns(
 
 
 def _integer_kernel(rows: Sequence[Sequence[int]], n: int) -> List[IntVector]:
-    """Basis of {x in Z^n : r . x = 0 for every row r}.
-
-    Unimodular column reduction: each row collapses the current basis
-    columns onto a single pivot carrying the gcd of the dot products; the
-    pivot is dropped, the rest stay orthogonal to everything seen so far.
-    Integer kernels of integer matrices are saturated by construction.
-    """
-    basis = _unit_basis(n)
-    for r in rows:
-        _, basis = _pivot_columns([(col, dot(r, col)) for col in basis])
-    return basis
+    """Basis of {x in Z^n : r . x = 0 for every row r}, saturated."""
+    return _row_hnf([tuple(r[i] for r in rows) for i in range(n)])[2]
 
 
 def _row_hnf(
     rows: Sequence[Sequence[int]],
-) -> Tuple[List[IntVector], List[IntVector]]:
+) -> Tuple[List[IntVector], List[IntVector], List[IntVector]]:
     """Row Hermite form with positive pivots and reduced entries above.
 
-    Returns (H, T): the nonzero rows H of the form, and T (one row per
-    row of H) such that T @ input = H.
+    Each row carries its row of the identity; per column, the open rows
+    collapse onto one pivot, which reduces the rows placed before it.
+    Returns (H, T, Z): the nonzero rows H of the form, T with T @ input
+    = H, and Z, a basis of the left kernel; [T; Z] is unimodular.
     """
-    work = [list(r) for r in rows]
-    m = len(work)
-    if m == 0:
-        return [], []
-    n = len(work[0])
-    T = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    r = 0
-    for col in range(n):
-        if r >= m:
-            break
-        nz = next((i for i in range(r, m) if work[i][col] != 0), None)
-        if nz is None:
+    width = len(rows[0]) if rows else 0
+    work = [tuple(r) + e for r, e in zip(rows, _unit_basis(len(rows)))]
+    placed: List[IntVector] = []
+    for col in range(width):
+        pivot, work = _pivot_columns((r, r[col]) for r in work)
+        if pivot is None:
             continue
-        if nz != r:
-            work[r], work[nz] = work[nz], work[r]
-            T[r], T[nz] = T[nz], T[r]
-        for i in range(r + 1, m):
-            if work[i][col] == 0:
-                continue
-            a, b = work[r][col], work[i][col]
-            g, x, y = _ext_gcd(a, b)
-            new_r = [x * p + y * q for p, q in zip(work[r], work[i])]
-            new_i = [(a // g) * q - (b // g) * p for p, q in zip(work[r], work[i])]
-            tr = [x * p + y * q for p, q in zip(T[r], T[i])]
-            ti = [(a // g) * q - (b // g) * p for p, q in zip(T[r], T[i])]
-            work[r], work[i] = new_r, new_i
-            T[r], T[i] = tr, ti
-        if work[r][col] < 0:
-            work[r] = [-c for c in work[r]]
-            T[r] = [-c for c in T[r]]
-        p = work[r][col]
-        for i in range(r):
-            q = work[i][col] // p
-            if q:
-                work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-                T[i] = [a - q * b for a, b in zip(T[i], T[r])]
-        r += 1
-    return [tuple(row) for row in work[:r]], [tuple(row) for row in T[:r]]
+        prow, p = pivot
+        if p < 0:
+            prow, p = tuple(-c for c in prow), -p
+        for i, d in enumerate(placed):
+            q = d[col] // p
+            placed[i] = tuple(a - q * b for a, b in zip(d, prow))
+        placed.append(prow)
+    H = [d[:width] for d in placed]
+    return H, [d[width:] for d in placed], [d[width:] for d in work]
 
 
 def _independent2(u: Sequence[int], v: Sequence[int]) -> bool:
@@ -209,8 +179,7 @@ def _independent2(u: Sequence[int], v: Sequence[int]) -> bool:
 
 def _plane_pair(u: Sequence[int], v: Sequence[int]) -> Tuple[IntVector, IntVector]:
     """u and v as int tuples, or DegenerateBasis unless they span a plane."""
-    uu = tuple(int(c) for c in u)
-    vv = tuple(int(c) for c in v)
+    uu, vv = _int_vector(u), _int_vector(v)
     if len(uu) != len(vv):
         raise DegenerateBasis("mismatched lengths")
     if not _independent2(uu, vv):
@@ -238,7 +207,7 @@ class SaturatedPlane:
 
     def coords_of(self, vector: Sequence[int]) -> Tuple[Fraction, Fraction]:
         """Rational coordinates of a vector in this basis, or NotContained."""
-        vec = tuple(int(c) for c in vector)
+        vec = _int_vector(vector)
         (a, b), (_, c) = self.gram()
         det = a * c - b * b
         r1 = dot(vec, self.basis_u)
@@ -272,7 +241,7 @@ def saturate(u: Sequence[int], v: Sequence[int]) -> SaturatedPlane:
     n = len(uu)
     rel = _integer_kernel([uu, vv], n)
     plane = _integer_kernel(rel, n)
-    hnf, _ = _row_hnf(plane)
+    hnf = _row_hnf(plane)[0]
     assert len(hnf) == 2
     return SaturatedPlane(hnf[0], hnf[1])
 
@@ -369,17 +338,6 @@ def _shortest_on_gram(
     return best, out
 
 
-def _split_along(v: Sequence[int]) -> Tuple[IntVector, List[IntVector]]:
-    """(c, kernel) with v . c = 1 and kernel a basis of Z^n orthogonal to v."""
-    pivot, kept = _pivot_columns(zip(_unit_basis(len(v)), v))
-    assert pivot is not None
-    pcol, pa = pivot
-    assert abs(pa) == 1
-    if pa < 0:
-        pcol = tuple(-c for c in pcol)
-    return pcol, kept
-
-
 def shortest_projected_vector(v: Sequence[int]) -> Tuple[IntVector, Fraction]:
     """Integer x outside Z*v whose component orthogonal to v is shortest.
 
@@ -390,13 +348,14 @@ def shortest_projected_vector(v: Sequence[int]) -> Tuple[IntVector, Fraction]:
     squared length of the projection; x is a deterministic representative
     (reduced along v, lexicographically smallest of the sign pair).
     """
-    vec = tuple(int(c) for c in v)
+    vec = _int_vector(v)
     n = len(vec)
     if n not in (2, 3, 4):
         raise UnsupportedDimension(f"ambient dimension {n} is not supported")
     _require_primitive(vec)
     N = norm_sq(vec)
-    c_vec, kernel = _split_along(vec)
+    H, (c_vec,), kernel = _row_hnf([[x] for x in vec])
+    assert H == [(1,)]
     r0 = len(kernel)  # n - 1
     kappa = tuple(vi - N * ci for vi, ci in zip(vec, c_vec))
     # kappa lies in the kernel lattice; its integer coordinates there
@@ -413,7 +372,7 @@ def shortest_projected_vector(v: Sequence[int]) -> Tuple[IntVector, Fraction]:
     stack = [
         [N if j == i else 0 for j in range(r0)] for i in range(r0)
     ] + [[-x for x in lam_int]]
-    hnf, T = _row_hnf(stack)
+    hnf, T, _ = _row_hnf(stack)
     assert len(hnf) == r0
     preimages = []
     for trow in T:
@@ -500,7 +459,7 @@ class DensityCertificate:
 
 def density_radius_sq(v: Sequence[int], plane: SaturatedPlane) -> Fraction:
     """Squared density radius of the orbit of v inside the plane torus."""
-    vec = tuple(int(c) for c in v)
+    vec = _int_vector(v)
     _require_primitive(vec)
     plane.coords_of(vec)  # raises NotContained if v is outside the span
     return Fraction(plane.covolume_sq, 4 * norm_sq(vec))
@@ -513,7 +472,7 @@ def kronecker_lift(v: Sequence[int], epsilon: RationalLike) -> DensityCertificat
     orthogonal component; ``guaranteed`` records whether the certified
     squared radius is at most epsilon squared.
     """
-    vec = tuple(int(c) for c in v)
+    vec = _int_vector(v)
     eps = Fraction(epsilon)
     if eps <= 0:
         raise InvalidInput("epsilon must be positive")

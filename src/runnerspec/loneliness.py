@@ -36,7 +36,15 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import HALF, IntVector, InvalidInput, RationalLike, circle_distance, torus_point
+from .core import (
+    HALF,
+    IntVector,
+    InvalidInput,
+    RationalLike,
+    _int_vector,
+    circle_distance,
+    torus_point,
+)
 
 __all__ = [
     "InvalidNormal",
@@ -94,14 +102,12 @@ class SpeedTuple:
     speeds: IntVector
 
     def __init__(self, speeds: Iterable[int]):
-        vals = tuple(int(s) for s in speeds)
+        vals = _int_vector(speeds)
         if not vals:
             raise InvalidSpeeds("need at least one speed")
         if any(s == 0 for s in vals):
             raise InvalidSpeeds(f"zero speed in {vals}")
-        g = 0
-        for s in vals:
-            g = gcd(g, s)
+        g = gcd(*vals)
         if g != 1:
             raise InvalidSpeeds(f"speeds {vals} share the common factor {g}")
         object.__setattr__(self, "speeds", tuple(abs(s) for s in vals))
@@ -323,13 +329,10 @@ def d_hyperplane(normal: Sequence[int]) -> Fraction:
     l1 norm of the normal.  Axis-parallel normals are rejected because the
     subgroup they cut out is contained in a coordinate hyperplane.
     """
-    vec = tuple(int(c) for c in normal)
+    vec = _int_vector(normal)
     if not vec or all(c == 0 for c in vec):
         raise InvalidNormal("zero normal")
-    g = 0
-    for c in vec:
-        g = gcd(g, c)
-    if g != 1:
+    if gcd(*vec) != 1:
         raise InvalidNormal(f"normal {vec} is not primitive")
     if sum(1 for c in vec if c != 0) == 1:
         raise InvalidNormal(f"normal {vec} is axis-parallel")
@@ -358,7 +361,7 @@ def coset_center_distance(
     (e, u) holds |e| candidates; a direction whose classes hold more than
     ``_COSET_CANDIDATES`` in all raises ``InvalidSpeeds`` before the scan.
     """
-    vec = tuple(int(c) for c in direction)
+    vec = _int_vector(direction)
     pt = torus_point(shift)
     if len(pt) != len(vec) or not vec:
         raise InvalidInput("direction and shift must have the same positive length")

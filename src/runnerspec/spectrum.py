@@ -16,7 +16,6 @@ import contextlib
 import json
 import multiprocessing
 import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -199,19 +198,30 @@ class SpectrumTable:
         for key, fixed in (("k", 1), ("canonicalization", CANONICAL_CLASSES)):
             if data[key] != fixed:
                 raise TableMismatch(f"table has {key}={data[key]!r}, not {fixed!r}")
+        n, max_volume_sq = data["n"], data["max_volume_sq"]
         try:
-            n = int(data["n"])
-            rows = [(row["d"], row["mult"], row["witnesses"]) for row in data["entries"]]
+            for key in ("n", "max_volume_sq"):
+                if type(data[key]) is not int:
+                    raise InvalidInput(f"field {key!r} is {data[key]!r}, not an integer")
+            if not isinstance(data["entries"], list):
+                raise InvalidInput("field 'entries' is not a list")
+            rows = []
+            for i, row in enumerate(data["entries"]):
+                try:
+                    rows.append((row["d"], row["mult"], row["witnesses"]))
+                except KeyError as exc:
+                    raise InvalidInput(f"entry {i} has no {exc.args[0]!r} field") from None
+                except TypeError:
+                    raise InvalidInput(f"entry {i} is not an object") from None
             _check_block(rows, n)
-            entries = {
-                parse_rational(d): SpectrumEntry(
-                    multiplicity=mult, witnesses=tuple(tuple(w) for w in wits)
-                )
-                for d, mult, wits in rows
-            }
-            max_volume_sq = int(data["max_volume_sq"])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise TableMismatch(f"table has a malformed value: {exc!r}") from None
+        except InvalidInput as exc:
+            raise TableMismatch(f"table has a malformed value: {exc}") from None
+        entries = {
+            parse_rational(d): SpectrumEntry(
+                multiplicity=mult, witnesses=tuple(tuple(w) for w in wits)
+            )
+            for d, mult, wits in rows
+        }
         if not entries:
             raise TableMismatch("table has no entries")
         return cls(n=n, max_volume_sq=max_volume_sq, entries=entries)
@@ -249,11 +259,16 @@ def _read_json(path: str, what: str, error: type) -> object:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Replace ``path`` by ``text`` in one rename; an OSError names ``path``."""
+    """Replace ``path`` by ``text`` in one rename; an OSError names ``path``.
+
+    The file is created with mode 0o666 less the umask, like ``open``.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        name = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -316,24 +331,37 @@ def _merge_block(
 
 
 def _check_block(result: _BlockResult, n: int) -> None:
-    """Raise InvalidInput or TypeError unless ``result`` is a block result.
+    """Raise InvalidInput, naming the entry, unless ``result`` is a block result.
 
     Each distance is written in lowest terms and appears once, so merging
     by its text cannot split or double a count.  Table files are held to
     the same rules.
     """
+    if not isinstance(result, list):
+        raise InvalidInput(f"{result!r} is not a list of entries")
     seen = set()
-    for d, mult, wits in result:
-        if format_rational(parse_rational(d)) != d:
-            raise InvalidInput(f"distance {d!r} is not in lowest terms")
+    for i, row in enumerate(result):
+        if not isinstance(row, (list, tuple)) or len(row) != 3:
+            raise InvalidInput(f"entry {i} is {row!r}, not [distance, mult, witnesses]")
+        d, mult, wits = row
+        if not isinstance(d, str):
+            raise InvalidInput(f"entry {i}: distance {d!r} is not a string")
+        try:
+            lowest = format_rational(parse_rational(d)) == d
+        except InvalidInput as exc:
+            raise InvalidInput(f"entry {i}: {exc}") from None
+        if not lowest:
+            raise InvalidInput(f"entry {i}: distance {d!r} is not in lowest terms")
         if d in seen:
-            raise InvalidInput(f"distance {d} appears twice")
+            raise InvalidInput(f"entry {i}: distance {d} appears twice")
         seen.add(d)
         if type(mult) is not int or mult < 1:
-            raise InvalidInput(f"multiplicity {mult!r}")
+            raise InvalidInput(f"entry {i}: multiplicity {mult!r} is not a positive integer")
+        if not isinstance(wits, list):
+            raise InvalidInput(f"entry {i}: witnesses {wits!r} are not a list")
         for w in wits:
-            if len(w) != n or any(type(c) is not int for c in w):
-                raise InvalidInput(f"witness {w!r}")
+            if not isinstance(w, list) or len(w) != n or any(type(c) is not int for c in w):
+                raise InvalidInput(f"entry {i}: witness {w!r} is not a list of {n} integers")
 
 
 def _load_checkpoint(path: str, spec: EnumerationSpec) -> Dict[int, _BlockResult]:
@@ -640,6 +668,8 @@ def certify_absence(
     distance strictly below the target.
     """
     target = Fraction(target)
+    if not 0 <= target <= HALF:
+        raise InvalidInput(f"target {format_rational(target)} is not a distance in [0, 1/2]")
     if outer_facts is None:
         outer_facts = _builtin_outer_facts(n)
         if outer_facts is None:

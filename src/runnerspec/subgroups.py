@@ -22,6 +22,7 @@ from .core import (
     RationalLike,
     TorusPoint,
     UnsupportedDimension,
+    _int_vector,
     circle_distance,
     linf_center_distance,
     torus_point,
@@ -157,7 +158,7 @@ class ProductSubgroup:
         torus_directions: Iterable[Sequence[int]] = (),
         finite_elements: Iterable[Iterable[RationalLike]] = (),
     ):
-        dirs = tuple(tuple(int(c) for c in d) for d in torus_directions)
+        dirs = tuple(_int_vector(d) for d in torus_directions)
         elems = {torus_point(e) for e in finite_elements}
         if dirs:
             n = len(dirs[0])
@@ -205,10 +206,7 @@ def d_subgroup(subgroup: ProductSubgroup) -> Fraction:
         return min(linf_center_distance(e) for e in subgroup.finite_elements)
     if dim == 1:
         direction = subgroup.torus_directions[0]
-        g = 0
-        for c in direction:
-            g = gcd(g, c)
-        if g != 1:
+        if gcd(*direction) != 1:
             raise InvalidInput(f"direction {direction} is not primitive")
         if len(subgroup.finite_elements) > DEFAULT_COSET_LIMIT:
             raise SubgroupTooLarge(

@@ -291,6 +291,8 @@ _TABLE = ("--n", "2", "--max-vol2", "10")
         (("report", "acc", *_TABLE, "--targets", "1/6", "--window", "0"), "window must be positive"),
         (("report", "acc", *_TABLE, "--targets", "x", "--window", "1/10"), "Invalid literal for Fraction: 'x'"),
         (("report", "mult", *_TABLE, "--threshold", "0"), "threshold must be at least 1"),
+        (("verify", "prop81", "--target", "1"), "target 1 is not a distance in [0, 1/2]"),
+        (("verify", "prop81", "--target", "-1"), "target -1 is not a distance in [0, 1/2]"),
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, args, message):

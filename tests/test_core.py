@@ -1,7 +1,9 @@
 """Tests for the exact circle and torus primitives."""
 
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -98,6 +100,27 @@ def test_primitive_part():
     assert primitive_part((5,)) == (1,)
     with pytest.raises(ZeroVector):
         primitive_part((0, 0))
+
+
+@pytest.mark.parametrize(
+    "call, entry",
+    [
+        (lambda: runnerspec.max_loneliness([1.5, 2]), "1.5"),
+        (lambda: runnerspec.max_loneliness([F(5, 2), 3]), "Fraction(5, 2)"),
+        (lambda: runnerspec.d_hyperplane([1.2, 1]), "1.2"),
+        (lambda: runnerspec.kronecker_lift((F(1, 2), 1), 1), "Fraction(1, 2)"),
+        (lambda: runnerspec.saturate((1, 0), (0, "1")), "'1'"),
+        (lambda: primitive_part((2, 4.5)), "4.5"),
+    ],
+)
+def test_non_integer_entries_are_refused(call, entry):
+    with pytest.raises(InvalidInput, match=f"is not an integer: {re.escape(entry)}$"):
+        call()
+
+
+def test_integral_entries_of_other_types_are_read_as_ints():
+    assert primitive_part((np.int64(2), 4.0, True)) == (2, 4, 1)
+    assert runnerspec.max_loneliness([np.int64(1), 2.0]) == runnerspec.max_loneliness([1, 2])
 
 
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=4))

@@ -8,9 +8,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from runnerspec.core import UnsupportedDimension, primitive_part
 from runnerspec.lattice import (
+    _row_hnf,
     DEFAULT_PI_BOUNDS,
     REFINED_PI_BOUNDS,
     BudgetExceeded,
@@ -105,10 +108,56 @@ def test_coords_of_raises_off_plane():
         ((1, 2), (0, -1), F(1, 5)),
         ((1, 1), (0, -1), F(1, 2)),
         ((1, 2, 3), (0, -1, -1), F(3, 14)),
+        # ties between projections of equal length: the chosen offset is frozen
+        ((1, 1, 1), (-1, 0, 0), F(2, 3)),
+        ((12, 10, 3), (-5, -4, -1), F(17, 253)),
+        ((11, 7, 5), (-5, -3, -2), F(14, 195)),
+        ((1, 1, 1, 1), (0, -1, 0, 0), F(3, 4)),
     ],
 )
 def test_shortest_projected_known(v, x, p_sq):
     assert shortest_projected_vector(v) == (x, p_sq)
+
+
+def _det(M):
+    """Integer determinant by cofactor expansion along the first row."""
+    if not M:
+        return 1
+    return sum(
+        (-1) ** j * M[0][j] * _det([row[:j] + row[j + 1 :] for row in M[1:]])
+        for j in range(len(M))
+        if M[0][j]
+    )
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(-6, 6), min_size=width, max_size=width),
+            min_size=0,
+            max_size=4,
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_row_hnf_is_a_unimodular_hermite_form(A):
+    H, T, Z = _row_hnf(A)
+    width = len(A[0]) if A else 0
+
+    def times(row):
+        return tuple(sum(r * a[j] for r, a in zip(row, A)) for j in range(width))
+
+    assert [times(t) for t in T] == H
+    assert all(times(z) == (0,) * width for z in Z)
+    assert len(H) + len(Z) == len(A)
+    assert abs(_det([list(r) for r in T + Z])) == 1
+    # Hermite form: pivots move strictly right, are positive, and the
+    # entries above each pivot lie in [0, pivot)
+    pivots = [next(j for j, c in enumerate(h) if c) for h in H]
+    assert pivots == sorted(set(pivots))
+    for i, (h, j) in enumerate(zip(H, pivots)):
+        assert h[j] > 0
+        assert all(0 <= H[k][j] < h[j] for k in range(i))
 
 
 def test_shortest_projected_matches_brute_force():

@@ -1,7 +1,9 @@
 """Tests for enumeration, spectrum assembly, verifiers, and reports."""
 
 import json
+import os
 import re
+import stat
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -9,6 +11,7 @@ from math import gcd
 import pytest
 
 from runnerspec import spectrum
+from runnerspec.core import InvalidInput
 from runnerspec.loneliness import d_subtorus1
 from runnerspec.spectrum import (
     CANONICAL_CLASSES,
@@ -255,6 +258,22 @@ def test_load_rejects_a_foreign_table(tmp_path, field, value, message):
         SpectrumTable.load_json(str(path))
 
 
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        (lambda data: data.update(n="two"), "field 'n' is 'two', not an integer"),
+        (lambda data: data["entries"][1].pop("witnesses"), "entry 1 has no 'witnesses' field"),
+        (lambda data: data["entries"][0].update(d="1/x"), "entry 0: Invalid literal for Fraction: '1/x'"),
+    ],
+)
+def test_load_explains_a_damaged_table(damage, reason):
+    data = build_spectrum(EnumerationSpec(2, 10)).to_json_dict()
+    damage(data)
+    with pytest.raises(TableMismatch) as info:
+        SpectrumTable.from_json_dict(data)
+    assert str(info.value) == f"table has a malformed value: {reason}"
+
+
 def test_load_names_an_unreadable_table(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(TableMismatch, match=f"cannot read table {re.escape(str(missing))}"):
@@ -264,6 +283,21 @@ def test_load_names_an_unreadable_table(tmp_path):
     truncated.write_text(truncated.read_text()[:40])
     with pytest.raises(TableMismatch, match=f"table {re.escape(str(truncated))} is not valid JSON"):
         SpectrumTable.load_json(str(truncated))
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_saved_files_follow_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        spec = EnumerationSpec(2, 50)
+        table = build_spectrum(spec, workers=1, checkpoint_path=str(tmp_path / "ckpt.json"))
+        table.save_json(str(tmp_path / "table.json"))
+        table.save_flat(str(tmp_path / "table.tsv"))
+    finally:
+        os.umask(old)
+    for name in ("ckpt.json", "table.json", "table.tsv"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json", "table.json", "table.tsv"]
 
 
 def test_flat_export(tmp_path):
@@ -422,6 +456,21 @@ def test_certify_progress_reports_every_hundred_thousand(monkeypatch):
     assert cert.phase_a_checked == mobius_primitive_count(2, 10**6)
     assert len(seen) == 2
     assert seen == list(range(100_000, cert.phase_a_checked + 1, 100_000))
+
+
+@pytest.mark.parametrize("target", [F(3, 5), F(1), F(-1, 10)])
+def test_certify_refuses_a_target_that_is_no_distance(monkeypatch, target):
+    def no_scan(rows):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(spectrum, "_scan_rows", no_scan)
+    with pytest.raises(InvalidInput, match=r"is not a distance in \[0, 1/2\]"):
+        certify_absence(target, 3, 300)
+
+
+def test_certify_accepts_the_end_points():
+    assert certify_absence(F(0), 3, 30).phase_a_witness == (1, 1, 1)
+    assert certify_absence(F(1, 2), 3, 30).phase_a_passed
 
 
 def test_certify_requires_outer_facts():
