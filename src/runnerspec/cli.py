@@ -498,7 +498,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vol2", type=int, required=True)
     p.add_argument("--out", required=True, help="JSON output path")
     p.add_argument("--flat", default=None, help="also write a flat TSV")
-    p.add_argument("--checkpoint", default=None, help="sidecar file for resumable builds")
+    p.add_argument(
+        "--checkpoint",
+        default=None,
+        help="append-only log of finished blocks; rerunning with it resumes the build",
+    )
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--progress", action="store_true")
     p.set_defaults(func=_run_spectrum)

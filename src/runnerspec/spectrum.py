@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from time import perf_counter
+from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
     HALF,
@@ -55,7 +56,7 @@ THREADS_ENV_VAR = "RUNNERSPEC_THREADS"
 WITNESS_CAP = 8
 
 TABLE_FORMAT_VERSION = 1
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 CANONICAL_CLASSES = "sorted-positive (one per permutation/sign class)"
 
@@ -228,7 +229,13 @@ class SpectrumTable:
 
     @classmethod
     def load_json(cls, path: str) -> "SpectrumTable":
-        data = _read_json(path, "table", TableMismatch)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise TableMismatch(f"cannot read table {path}: {exc.strerror}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise TableMismatch(f"table {path} is not valid JSON: {exc}") from None
         try:
             return cls.from_json_dict(data)
         except TableMismatch as exc:
@@ -247,21 +254,12 @@ def _approx(x: Rational) -> str:
     return f"{float(x):.12g}"
 
 
-def _read_json(path: str, what: str, error: type) -> object:
-    """Parse the JSON file ``path``, raising ``error`` that names the ``what``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise error(f"{what} {path} is not valid JSON: {exc}") from None
-
-
 def _atomic_write(path: str, text: str) -> None:
     """Replace ``path`` by ``text`` in one rename; an OSError names ``path``.
 
     The file is created with mode 0o666 less the umask, like ``open``.
+    It is fsynced before the rename and its directory after it, so the
+    new contents survive a crash once this returns.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
@@ -271,7 +269,14 @@ def _atomic_write(path: str, text: str) -> None:
         tmp = name
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
@@ -288,15 +293,17 @@ def _volume_key(t: Sequence[int]):
     return (sum(map(mul, t, t)), tuple(t))
 
 
-def _spectrum_block(args: Tuple[int, int, int]) -> Tuple[int, _BlockResult]:
+def _spectrum_block(args: Tuple[int, int, int]) -> Tuple[int, _BlockResult, dict]:
     """Scan one leading-coordinate block in one kernel call.
 
     Tuples are grouped by their reduced maximum loneliness a/q, and one
     Fraction is built per distinct value.  The groups are ordered by
     a * scale // q, which is strictly increasing in a/q: two distinct
     fractions whose denominators are at most sqrt(scale) differ by at
-    least 1/scale.
+    least 1/scale.  Returns the block start, its result and its trace:
+    tuple count, wall time in seconds and the pid of the process.
     """
+    start = perf_counter()
     n, max_volume_sq, v1 = args
     tuples = list(_canonical_block(n, max_volume_sq, v1))
     groups: Dict[Tuple[int, int], List[IntVector]] = {}
@@ -310,7 +317,8 @@ def _spectrum_block(args: Tuple[int, int, int]) -> Tuple[int, _BlockResult]:
         best = sorted(wits, key=_volume_key)[:WITNESS_CAP]
         d = Fraction(q - 2 * a, 2 * q)
         out.append((format_rational(d), len(wits), [list(w) for w in best]))
-    return v1, out
+    seconds = round(perf_counter() - start, 6)
+    return v1, out, {"tuples": len(tuples), "seconds": seconds, "pid": os.getpid()}
 
 
 def _merge_block(
@@ -364,49 +372,112 @@ def _check_block(result: _BlockResult, n: int) -> None:
                 raise InvalidInput(f"entry {i}: witness {w!r} is not a list of {n} integers")
 
 
-def _load_checkpoint(path: str, spec: EnumerationSpec) -> Dict[int, _BlockResult]:
-    if not os.path.exists(path):
-        return {}
-    data = _read_json(path, "checkpoint", CorruptCheckpoint)
-    if not isinstance(data, dict):
-        raise CorruptCheckpoint(f"checkpoint {path} is not a JSON object")
-    for key in ("version", "n", "max_volume_sq", "canonical_only", "blocks"):
-        if key not in data:
-            raise CorruptCheckpoint(f"checkpoint {path} has no {key!r} field")
-    if data["version"] != CHECKPOINT_FORMAT_VERSION:
+# A checkpoint (format version 2) is an append-only log of JSON lines: a
+# header {"version", "n", "max_volume_sq", "canonical_only"}, then one line
+# per finished block, {"block", "sha256", "result", "tuples", "seconds",
+# "pid"}.  "sha256" digests the compact JSON of "result"; the last three
+# fields trace the run and are not read back.
+_COMPACT = (",", ":")
+
+
+def _digest(result: object) -> str:
+    # Imported here: hashlib costs about 5 ms at import, and only
+    # checkpointed builds need it.
+    import hashlib
+
+    return hashlib.sha256(json.dumps(result, separators=_COMPACT).encode()).hexdigest()
+
+
+def _read_checkpoint(path: str, data: bytes, spec: EnumerationSpec) -> Dict[int, _BlockResult]:
+    """The blocks of the log ``data``, less a torn line after the last newline."""
+    head, newline, body = data.partition(b"\n")
+    try:
+        header = json.loads(head)
+    except ValueError as exc:
+        raise CorruptCheckpoint(f"checkpoint {path} header is not valid JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise CorruptCheckpoint(f"checkpoint {path} header is not a JSON object")
+    for key in ("version", "n", "max_volume_sq", "canonical_only"):
+        if key not in header:
+            raise CorruptCheckpoint(f"checkpoint {path} header has no {key!r} field")
+    if header["version"] == 1:
         raise CorruptCheckpoint(
-            f"checkpoint {path} has unsupported version {data['version']!r}"
+            f"checkpoint {path} is in format version 1, which is no longer read; "
+            "delete it and rebuild"
         )
-    header = (data["n"], data["max_volume_sq"], data["canonical_only"])
-    if header != (spec.n, spec.max_volume_sq, True):
+    if header["version"] != CHECKPOINT_FORMAT_VERSION:
+        raise CorruptCheckpoint(
+            f"checkpoint {path} has unsupported version {header['version']!r}"
+        )
+    if not newline:
+        raise CorruptCheckpoint(f"checkpoint {path} header line is torn (no newline)")
+    found = (header["n"], header["max_volume_sq"], header["canonical_only"])
+    if found != (spec.n, spec.max_volume_sq, True):
         raise InvalidInput(
-            f"checkpoint {path} was written for parameters {header}, "
+            f"checkpoint {path} was written for parameters {found}, "
             f"not {(spec.n, spec.max_volume_sq, True)}"
         )
-    starts = {str(v1): v1 for v1 in _block_starts(spec)}
-    try:
-        blocks = {}
-        for key, result in data["blocks"].items():
-            if key not in starts:
-                raise InvalidInput(f"key {key!r} is not a block start 1..{len(starts)}")
+    starts = _block_starts(spec)
+    blocks: Dict[int, _BlockResult] = {}
+    for number, line in enumerate(body.split(b"\n")[:-1], start=2):
+        where = f"checkpoint {path} line {number}"
+        try:
+            entry = json.loads(line)
+        except ValueError as exc:
+            raise CorruptCheckpoint(f"{where} is not valid JSON: {exc}") from None
+        if not isinstance(entry, dict):
+            raise CorruptCheckpoint(f"{where} is not a JSON object")
+        for key in ("block", "sha256", "result"):
+            if key not in entry:
+                raise CorruptCheckpoint(f"{where} has no {key!r} field")
+        v1, result = entry["block"], entry["result"]
+        if entry["sha256"] != _digest(result):
+            raise CorruptCheckpoint(f"{where}: sha256 does not match the result")
+        try:
+            if type(v1) is not int or v1 not in starts:
+                raise InvalidInput(f"key {v1!r} is not a block start 1..{len(starts)}")
             _check_block(result, spec.n)
-            blocks[starts[key]] = result
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CorruptCheckpoint(f"checkpoint {path} has a malformed block: {exc}") from None
+        except InvalidInput as exc:
+            raise CorruptCheckpoint(f"{where} has a malformed block: {exc}") from None
+        if v1 in blocks:
+            raise CorruptCheckpoint(f"{where} repeats block {v1}")
+        blocks[v1] = result
     return blocks
 
 
-def _save_checkpoint(
-    path: str, spec: EnumerationSpec, blocks: Dict[int, _BlockResult]
-) -> None:
-    data = {
-        "version": CHECKPOINT_FORMAT_VERSION,
-        "n": spec.n,
-        "max_volume_sq": spec.max_volume_sq,
-        "canonical_only": True,  # fixed in format version 1
-        "blocks": {str(v1): blocks[v1] for v1 in sorted(blocks)},
-    }
-    _atomic_write(path, json.dumps(data))
+def _load_checkpoint(path: str, spec: EnumerationSpec) -> Tuple[Dict[int, _BlockResult], int]:
+    """The blocks logged at ``path``, and the log's length up to its last newline.
+
+    A missing log is created, holding its header alone.  A log that fails
+    a check raises and is left as it was.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        header = {
+            "version": CHECKPOINT_FORMAT_VERSION,
+            "n": spec.n,
+            "max_volume_sq": spec.max_volume_sq,
+            "canonical_only": True,  # fixed since format version 1
+        }
+        text = json.dumps(header, separators=_COMPACT) + "\n"
+        _atomic_write(path, text)
+        return {}, len(text)
+    except OSError as exc:
+        raise CorruptCheckpoint(f"cannot read checkpoint {path}: {exc.strerror}") from None
+    return _read_checkpoint(path, data, spec), data.rfind(b"\n") + 1
+
+
+def _append_block(log: BinaryIO, v1: int, result: _BlockResult, trace: dict) -> None:
+    """Append one block line to ``log`` and fsync it; an OSError names the log."""
+    line = {"block": v1, "sha256": _digest(result), "result": result, **trace}
+    try:
+        log.write((json.dumps(line, separators=_COMPACT) + "\n").encode())
+        log.flush()
+        os.fsync(log.fileno())
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, log.name) from None
 
 
 def build_spectrum(
@@ -421,25 +492,37 @@ def build_spectrum(
     are merged in block order, so the output is identical for any worker
     count and also across checkpoint-interrupted runs.  ``progress`` is
     called with (blocks_done, blocks_total) after every block.
+
+    ``checkpoint_path`` names an append-only log.  Each finished block is
+    appended to it as one JSON line (the result, the result's sha256, and
+    the block's tuple count, wall time and worker pid), flushed and
+    fsynced before ``progress`` is called.  A later call with the same
+    spec reads the logged blocks back, checking every digest and block,
+    drops a line torn by an interrupted write, and builds only the rest.
+    A version-1 checkpoint is refused; delete it and rebuild.
     """
     workers = resolve_workers(workers)
     starts = list(_block_starts(spec))
-    done: Dict[int, _BlockResult] = (
-        _load_checkpoint(checkpoint_path, spec) if checkpoint_path else {}
-    )
-    args = [(spec.n, spec.max_volume_sq, v1) for v1 in starts if v1 not in done]
     total = len(starts)
-    completed = total - len(args)
     with contextlib.ExitStack() as stack:
+        done: Dict[int, _BlockResult] = {}
+        log = None
+        if checkpoint_path:
+            done, intact = _load_checkpoint(checkpoint_path, spec)
+            log = stack.enter_context(open(checkpoint_path, "ab"))
+            if log.tell() > intact:
+                log.truncate(intact)  # a line torn by an interrupted write
+        args = [(spec.n, spec.max_volume_sq, v1) for v1 in starts if v1 not in done]
+        completed = total - len(args)
         results = map(_spectrum_block, args)
         if workers > 1 and args:
             pool = stack.enter_context(multiprocessing.Pool(workers))
             results = pool.imap_unordered(_spectrum_block, args)
-        for v1, result in results:
+        for v1, result, trace in results:
             done[v1] = result
             completed += 1
-            if checkpoint_path:
-                _save_checkpoint(checkpoint_path, spec, done)
+            if log is not None:
+                _append_block(log, v1, result, trace)
             if progress:
                 progress(completed, total)
     entries: Dict[str, Tuple[int, List[IntVector]]] = {}

@@ -20,6 +20,8 @@ from runnerspec import cli
 from runnerspec.cli import main
 from runnerspec.lattice import ball_volume, basis_length_bound
 
+from test_spectrum import _edit, _edit_result, _line, _set
+
 
 def run(capsys, *args):
     code = main(list(args))
@@ -186,13 +188,10 @@ def _spectrum_args(tmp_path, *extra):
 @pytest.mark.parametrize(
     "damage, message",
     [
-        (lambda text: text.replace('"blocks"', '"blokcs"'), "has no 'blocks' field"),
-        (lambda text: text[: len(text) // 2], "is not valid JSON"),
-        (lambda text: text.replace('"1/10", 1,', '"2/20", 1,'), "'2/20' is not in lowest terms"),
-        (
-            lambda text: text.replace('"3": []', '"3": [], "02": [["1/4", 9, [[2, 3, 4]]]]'),
-            "key '02' is not a block start",
-        ),
+        (lambda text: _edit(text, 1, lambda e: e.pop("result")), "has no 'result' field"),
+        (lambda text: _line(text, 1, lambda s: s[: len(s) // 2]), "is not valid JSON"),
+        (lambda text: _edit_result(text, 1, _set(1, 0, "2/20")), "'2/20' is not in lowest terms"),
+        (lambda text: _edit(text, 3, lambda e: e.update(block="02")), "key '02' is not a block start"),
     ],
 )
 def test_spectrum_rejects_a_corrupt_checkpoint(tmp_path, capsys, damage, message):

@@ -1,5 +1,6 @@
 """Tests for enumeration, spectrum assembly, verifiers, and reports."""
 
+import hashlib
 import json
 import os
 import re
@@ -120,45 +121,93 @@ def test_witness_cap_and_ordering(table_n3_1e4):
     assert vols == sorted(vols)
 
 
-def test_checkpoint_resume(tmp_path):
-    spec = EnumerationSpec(3, 300)
-    path = str(tmp_path / "ckpt.json")
-    full = build_spectrum(spec, checkpoint_path=path)
-    with open(path) as fh:
-        data = json.load(fh)
-    assert data["version"] == 1
-    dropped = max(data["blocks"])
-    del data["blocks"][dropped]
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-    resumed = build_spectrum(spec, checkpoint_path=path)
-    assert resumed == full
-
-
 class _Interrupted(Exception):
     pass
+
+
+def _interrupt_at(block):
+    def progress(done, total):
+        if done == block:
+            raise _Interrupted
+
+    return progress
+
+
+def _sha256(result):
+    return hashlib.sha256(json.dumps(result, separators=(",", ":")).encode()).hexdigest()
+
+
+def _log(path):
+    """The header and block entries of the checkpoint log at ``path``."""
+    text = path.read_text()
+    assert text.endswith("\n")
+    return [json.loads(line) for line in text.split("\n")[:-1]]
+
+
+def _assert_same_bytes(tmp_path, table, reference):
+    table.save_json(str(tmp_path / "table.json"))
+    reference.save_json(str(tmp_path / "reference.json"))
+    assert (tmp_path / "table.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+def test_checkpoint_resume(tmp_path):
+    spec = EnumerationSpec(3, 300)
+    path = tmp_path / "ckpt.jsonl"
+    with pytest.raises(_Interrupted):
+        build_spectrum(spec, workers=1, checkpoint_path=str(path), progress=_interrupt_at(3))
+    header, *blocks = _log(path)
+    assert header == {"version": 2, "n": 3, "max_volume_sq": 300, "canonical_only": True}
+    assert [b["block"] for b in blocks] == [1, 2, 3]
+    for b in blocks:
+        assert b["sha256"] == _sha256(b["result"])
+        assert b["tuples"] == len(list(spectrum._canonical_block(3, 300, b["block"])))
+        assert b["pid"] == os.getpid()
+        assert isinstance(b["seconds"], float) and b["seconds"] >= 0
+    resumed = build_spectrum(spec, workers=1, checkpoint_path=str(path))
+    _assert_same_bytes(tmp_path, resumed, build_spectrum(spec, workers=1))
+    assert [b["block"] for b in _log(path)[1:]] == list(spectrum._block_starts(spec))
 
 
 @pytest.mark.parametrize("first, then", [(2, 1), (1, 2)])
 def test_resume_with_another_worker_count(tmp_path, first, then):
     spec = EnumerationSpec(3, 2000)
-    path = str(tmp_path / "ckpt.json")
-
-    def interrupt(done, total):
-        if done == 3:
-            raise _Interrupted
-
+    path = tmp_path / "ckpt.jsonl"
     with pytest.raises(_Interrupted):
-        build_spectrum(spec, workers=first, checkpoint_path=path, progress=interrupt)
-    with open(path) as fh:
-        saved = len(json.load(fh)["blocks"])
-    assert 3 <= saved < len(spectrum._block_starts(spec))
-    resumed = build_spectrum(spec, workers=then, checkpoint_path=path)
-    full = build_spectrum(spec, workers=1)
-    assert resumed == full
-    resumed.save_json(str(tmp_path / "resumed.json"))
-    full.save_json(str(tmp_path / "full.json"))
-    assert (tmp_path / "resumed.json").read_bytes() == (tmp_path / "full.json").read_bytes()
+        build_spectrum(spec, workers=first, checkpoint_path=str(path), progress=_interrupt_at(3))
+    blocks = _log(path)[1:]
+    assert len(blocks) == len({b["block"] for b in blocks}) == 3
+    resumed = build_spectrum(spec, workers=then, checkpoint_path=str(path))
+    _assert_same_bytes(tmp_path, resumed, build_spectrum(spec, workers=1))
+
+
+def test_checkpoint_log_is_append_only(tmp_path):
+    spec = EnumerationSpec(3, 2000)
+    path = tmp_path / "ckpt.jsonl"
+    snapshots = []
+    build_spectrum(
+        spec, workers=2, checkpoint_path=str(path),
+        progress=lambda done, total: snapshots.append(path.read_bytes()),
+    )
+    assert len(snapshots) == len(spectrum._block_starts(spec))
+    assert snapshots[0].count(b"\n") == 2
+    for before, after in zip(snapshots, snapshots[1:]):
+        assert after.startswith(before)
+        assert after.count(b"\n") == before.count(b"\n") + 1
+    assert path.read_bytes() == snapshots[-1]
+
+
+@pytest.mark.parametrize("cut", [1, 7, 60])
+def test_torn_last_line_is_dropped(tmp_path, cut):
+    spec = EnumerationSpec(3, 2000)
+    path = tmp_path / "ckpt.jsonl"
+    full = build_spectrum(spec, workers=1, checkpoint_path=str(path))
+    text = path.read_bytes()
+    path.write_bytes(text[:-cut])
+    resumed = build_spectrum(spec, workers=1, checkpoint_path=str(path))
+    _assert_same_bytes(tmp_path, resumed, full)
+    blocks = [b["block"] for b in _log(path)[1:]]
+    assert blocks == list(spectrum._block_starts(spec))
+    assert path.read_bytes().startswith(text[: text.rstrip(b"\n").rfind(b"\n") + 1])
 
 
 def test_checkpoint_header_mismatch(tmp_path):
@@ -168,34 +217,84 @@ def test_checkpoint_header_mismatch(tmp_path):
         build_spectrum(EnumerationSpec(3, 400), checkpoint_path=path)
 
 
+# Damage to the log of EnumerationSpec(3, 30): line 0 is the header and
+# lines 1-3 hold blocks 1-3; row 1 of block 1 is ["1/10", 1, [[1, 1, 4]]].
+
+
+def _line(text, index, change):
+    lines = text.split("\n")
+    lines[index] = change(lines[index])
+    return "\n".join(lines)
+
+
+def _edit(text, index, edit):
+    """Apply ``edit`` to the parsed entry on log line ``index``."""
+
+    def change(line):
+        entry = json.loads(line)
+        edit(entry)
+        return json.dumps(entry, separators=(",", ":"))
+
+    return _line(text, index, change)
+
+
+def _edit_result(text, index, edit):
+    """Apply ``edit`` to the result on log line ``index`` and digest it
+    again, so that only the edit is wrong."""
+
+    def redigest(entry):
+        edit(entry["result"])
+        entry["sha256"] = _sha256(entry["result"])
+
+    return _edit(text, index, redigest)
+
+
+def _set(row, column, value):
+    return lambda result: result[row].__setitem__(column, value)
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
-        (lambda text: text[: len(text) // 2], "is not valid JSON"),
-        (lambda text: "[]", "is not a JSON object"),
-        (lambda text: text.replace('"blocks"', '"blokcs"'), "has no 'blocks' field"),
-        (lambda text: text.replace('"version": 1', '"version": 7'), "unsupported version 7"),
-        (lambda text: text.replace('"1": [[', '"x": [['), "malformed block"),
-        (lambda text: text.replace('"1": [[', '"1": [[[], '), "malformed block"),
-        (lambda text: text.replace('"1/10", 1,', '"1/10", "many",'), "malformed block"),
-        (lambda text: text.replace("[[1, 1, 4]]", "[[1, 1]]"), "malformed block"),
-        (lambda text: text.replace('"1/10", 1,', '"2/20", 1,'), "'2/20' is not in lowest terms"),
+        (lambda text: _line(text, 1, lambda s: s[: len(s) // 2]), "is not valid JSON"),
+        (lambda text: _line(text, 0, lambda s: "[]"), "is not a JSON object"),
+        (lambda text: _edit(text, 1, lambda e: e.pop("result")), "has no 'result' field"),
+        (lambda text: _edit(text, 0, lambda e: e.update(version=7)), "unsupported version 7"),
+        (lambda text: _edit(text, 1, lambda e: e.update(block="x")), "malformed block"),
+        (lambda text: _edit_result(text, 1, lambda r: r.insert(0, [])), "malformed block"),
+        (lambda text: _edit_result(text, 1, _set(1, 1, "many")), "malformed block"),
+        (lambda text: _edit_result(text, 1, _set(1, 2, [[1, 1]])), "malformed block"),
+        (lambda text: _edit_result(text, 1, _set(1, 0, "2/20")), "'2/20' is not in lowest terms"),
         (
-            lambda text: text.replace('["1/4", 1,', '["1/6", 1, [[1, 2, 3]]], ["1/4", 1,'),
+            lambda text: _edit_result(text, 1, lambda r: r.append(["1/6", 1, [[1, 2, 3]]])),
             "distance 1/6 appears twice",
         ),
+        (lambda text: _edit(text, 3, lambda e: e.update(block="02")), "key '02' is not a block start"),
+        (lambda text: _edit(text, 2, lambda e: e.update(block=" 2")), "key ' 2' is not a block start"),
+        (lambda text: _edit(text, 1, lambda e: e.update(block=0)), "key 0 is not a block start"),
+        (lambda text: _edit(text, 3, lambda e: e.update(block=99)), "key 99 is not a block start"),
         (
-            lambda text: text.replace('"3": []', '"3": [], "02": [["1/4", 9, [[2, 3, 4]]]]'),
-            "key '02' is not a block start",
+            lambda text: _edit(text, 0, lambda e: e.pop("canonical_only")),
+            "header has no 'canonical_only' field",
         ),
-        (lambda text: text.replace('"2": [', '" 2": ['), "key ' 2' is not a block start"),
-        (lambda text: text.replace('"blocks": {', '"blocks": {"0": [], '), "key '0' is not a block start"),
-        (lambda text: text.replace('"3": []', '"3": [], "99": []'), "key '99' is not a block start"),
+        (
+            lambda text: _edit(text, 2, lambda e: e.update(sha256=e["sha256"][::-1])),
+            "line 3: sha256 does not match",
+        ),
+        (lambda text: text + text.split("\n")[1] + "\n", "line 5 repeats block 1"),
+        (lambda text: text[:20], "header is not valid JSON"),
+        (lambda text: text.split("\n")[0], "header line is torn"),
+        (
+            lambda text: json.dumps(
+                {"version": 1, "n": 3, "max_volume_sq": 30, "canonical_only": True, "blocks": {}}
+            ),
+            "format version 1, which is no longer read; delete it and rebuild",
+        ),
     ],
 )
 def test_corrupt_checkpoint_names_the_file(tmp_path, damage, message):
     spec = EnumerationSpec(3, 30)
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.jsonl"
     build_spectrum(spec, workers=1, checkpoint_path=str(path))
     text = path.read_text()
     bad = damage(text)
@@ -204,6 +303,7 @@ def test_corrupt_checkpoint_names_the_file(tmp_path, damage, message):
     with pytest.raises(CorruptCheckpoint, match=message) as info:
         build_spectrum(spec, workers=1, checkpoint_path=str(path))
     assert str(path) in str(info.value)
+    assert path.read_text() == bad
 
 
 def test_json_round_trip(tmp_path):
@@ -298,6 +398,30 @@ def test_saved_files_follow_the_umask(tmp_path, umask, mode):
     for name in ("ckpt.json", "table.json", "table.tsv"):
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode, name
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json", "table.json", "table.tsv"]
+
+
+def test_saved_files_are_fsynced(tmp_path, monkeypatch):
+    synced = []
+    fsync = os.fsync
+
+    def record(fd):
+        synced.append(os.fstat(fd).st_ino)
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", record)
+    spec = EnumerationSpec(2, 50)
+    table = build_spectrum(spec, workers=1, checkpoint_path=str(tmp_path / "ckpt.jsonl"))
+    blocks = len(spectrum._block_starts(spec))
+    # The header is written atomically, then each block is appended.
+    assert synced.count(os.stat(tmp_path / "ckpt.jsonl").st_ino) == 1 + blocks
+    synced.clear()
+    table.save_json(str(tmp_path / "table.json"))
+    table.save_flat(str(tmp_path / "table.tsv"))
+    directory = os.stat(tmp_path).st_ino
+    assert synced == [
+        os.stat(tmp_path / "table.json").st_ino, directory,
+        os.stat(tmp_path / "table.tsv").st_ino, directory,
+    ]
 
 
 def test_flat_export(tmp_path):
