@@ -19,7 +19,6 @@ __all__ = [
     "ZeroVector",
     "circle_distance",
     "format_rational",
-    "linf_center_distance",
     "parse_rational",
     "primitive_part",
     "torus_point",
@@ -86,19 +85,6 @@ def circle_distance(x: RationalLike) -> Fraction:
 def torus_point(coords: Iterable[RationalLike]) -> TorusPoint:
     """Wrap rational coordinates into the fundamental domain [0,1)^n."""
     return tuple(Fraction(c) % 1 for c in coords)
-
-
-def linf_center_distance(point: Sequence[RationalLike]) -> Fraction:
-    """L-infinity distance from a torus point to the center (1/2, ..., 1/2).
-
-    Coordinates are wrapped into [0,1) first; on that interval |c - 1/2|
-    equals the circle distance from c to 1/2, so the max over coordinates
-    is the true torus distance.
-    """
-    coords = torus_point(point)
-    if not coords:
-        raise InvalidInput("need at least one coordinate")
-    return max(abs(c - HALF) for c in coords)
 
 
 def _int_vector(entries: Iterable[object]) -> IntVector:

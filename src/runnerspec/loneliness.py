@@ -347,8 +347,9 @@ def coset_center_distance(
     """Exact min over t of the center distance of the coset t*direction + shift.
 
     Zero entries in ``direction`` are allowed; those coordinates are frozen
-    at their shift value and contribute a constant term.  This generality
-    is what padded subgroups and explicit cosets need.
+    at their shift value and contribute a constant term.  ``d_subtorus2``
+    needs them: on a plane's crease circle, a coordinate whose (u_i, v_i)
+    is parallel to the crease line stays constant.
 
     With the shift written as c_i/D over its common denominator, every
     vertex of t -> max_i ||t v_i + s_i - 1/2|| in [0, 1) lies in one of

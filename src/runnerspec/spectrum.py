@@ -204,6 +204,7 @@ class SpectrumTable:
             for key in ("n", "max_volume_sq"):
                 if type(data[key]) is not int:
                     raise InvalidInput(f"field {key!r} is {data[key]!r}, not an integer")
+            EnumerationSpec(n, max_volume_sq)
             if not isinstance(data["entries"], list):
                 raise InvalidInput("field 'entries' is not a list")
             rows = []
@@ -514,8 +515,9 @@ def build_spectrum(
                 log.truncate(intact)  # a line torn by an interrupted write
         args = [(spec.n, spec.max_volume_sq, v1) for v1 in starts if v1 not in done]
         completed = total - len(args)
+        workers = min(workers, len(args))
         results = map(_spectrum_block, args)
-        if workers > 1 and args:
+        if workers > 1:
             pool = stack.enter_context(multiprocessing.Pool(workers))
             results = pool.imap_unordered(_spectrum_block, args)
         for v1, result, trace in results:

@@ -290,25 +290,6 @@ def subtorus2_reference(u: Sequence[int], v: Sequence[int]) -> Fraction:
     return best
 
 
-def face_contacts_reference(coords: Sequence[Fraction]) -> Tuple[Fraction, set]:
-    """(d, faces) for the cyclic group of a rational point, element by element.
-
-    d is the least max_i |(k*g)_i - 1/2| over all multiples k*g, and faces
-    holds (i, +1) or (i, -1) when some multiple at distance d has
-    coordinate i at 1/2 + d or 1/2 - d (none when d = 0).
-    """
-    half = Fraction(1, 2)
-    pts = [Fraction(c) % 1 for c in coords]
-    order = lcm(*(c.denominator for c in pts))
-    elements = [[(k * c) % 1 for c in pts] for k in range(order)]
-    d = min(max(abs(x - half) for x in e) for e in elements)
-    faces = set()
-    for e in elements:
-        if d > 0 and max(abs(x - half) for x in e) == d:
-            faces.update((i, 1 if x > half else -1) for i, x in enumerate(e) if abs(x - half) == d)
-    return d, faces
-
-
 def brute_shortest_projected(v: Sequence[int]) -> Fraction:
     """Smallest positive squared projection onto the complement of v.
 

@@ -476,8 +476,17 @@ def test_package_exports_each_module_list():
             assert getattr(runnerspec, name) is getattr(module, name)
             owners[name] = m
     assert sorted(runnerspec.__all__) == sorted(owners)
-    assert len(owners) == 66
-    for gone in ("d_min_max", "covolume_sq_2", "volume_sq_1"):
+    assert len(owners) == 59
+    retired = (
+        "ProductSubgroup",
+        "d_subgroup",
+        "extremal_face_contacts",
+        "find_rational_witness",
+        "is_proper",
+        "linf_center_distance",
+        "pad_subgroup",
+    )
+    for gone in ("d_min_max", "covolume_sq_2", "volume_sq_1") + retired:
         assert not hasattr(runnerspec, gone)
 
 

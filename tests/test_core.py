@@ -15,7 +15,6 @@ from runnerspec.core import (
     circle_distance,
     dot,
     format_rational,
-    linf_center_distance,
     norm_sq,
     parse_rational,
     primitive_part,
@@ -77,20 +76,6 @@ def test_circle_distance_triangle(x, y):
 
 def test_torus_point_wraps():
     assert torus_point([F(3, 2), F(-1, 4), 2]) == (F(1, 2), F(3, 4), F(0))
-
-
-def test_linf_center_distance_values():
-    assert linf_center_distance((0, 0)) == F(1, 2)
-    assert linf_center_distance((F(1, 2), F(1, 2))) == 0
-    assert linf_center_distance((F(1, 4), F(1, 2))) == F(1, 4)
-    with pytest.raises(ValueError):
-        linf_center_distance(())
-
-
-@given(st.lists(rationals, min_size=1, max_size=4))
-def test_linf_center_distance_range(coords):
-    d = linf_center_distance(coords)
-    assert 0 <= d <= F(1, 2)
 
 
 def test_primitive_part():

@@ -84,6 +84,23 @@ def test_max_loneliness_known_values(speeds, ml, witness):
     assert res.d_value == F(1, 2) - ml
 
 
+@pytest.mark.parametrize(
+    "speeds, point",
+    [
+        ((1, 2), (F(1, 3), F(2, 3))),
+        ((1, 3), (F(1, 2), F(1, 2))),
+        ((1, 2, 3), (F(1, 4), F(1, 2), F(3, 4))),
+    ],
+)
+def test_witness_point_realizes_the_center_distance(speeds, point):
+    # The orbit point at the witness time is a rational point of the
+    # closure at L-infinity distance d_value from the center.
+    res = max_loneliness(speeds)
+    w = tuple(res.witness_time * s % 1 for s in speeds)
+    assert w == point
+    assert max(abs(c - F(1, 2)) for c in w) == res.d_value
+
+
 def test_max_loneliness_four_runner_family():
     assert max_loneliness((8, 3, 11, 19)).ml == F(7, 30)
 
@@ -304,6 +321,8 @@ def test_d_min_max_examples():
     assert coset_center_distance((1, 2), (0, 0)) == F(1, 6)
     assert coset_center_distance((1, 3), (0, 0)) == F(0)
     assert coset_center_distance((1,), (F(1, 2),)) == F(0)
+    # a zero entry freezes its coordinate: the circle x_2 = 1/3
+    assert coset_center_distance((1, 0), (0, F(1, 3))) == F(1, 6)
 
 
 @given(speed_lists)

@@ -107,6 +107,35 @@ def test_build_deterministic_across_workers():
         assert build_spectrum(spec, workers=workers) == base
 
 
+def test_pool_never_has_more_workers_than_blocks_left(tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, workers):
+            pools.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, func, args):
+            return map(func, args)
+
+    monkeypatch.setattr(spectrum.multiprocessing, "Pool", RecordingPool)
+    spec = EnumerationSpec(2, 10)  # blocks 1 and 2
+    base = build_spectrum(spec, workers=1)
+    assert build_spectrum(spec, workers=64) == base
+    assert pools == [2]
+    path = tmp_path / "ckpt.jsonl"
+    with pytest.raises(_Interrupted):
+        build_spectrum(spec, workers=1, checkpoint_path=str(path), progress=_interrupt_at(1))
+    assert build_spectrum(spec, workers=64, checkpoint_path=str(path)) == base
+    assert build_spectrum(EnumerationSpec(2, 7), workers=64).max_key == F(1, 6)
+    assert pools == [2]
+
+
 def test_totals_match_mobius_oracle(table_n3_1e3, table_n3_1e4):
     assert table_n3_1e3.total_multiplicity() == mobius_primitive_count(3, 10**3) == 2343
     assert table_n3_1e4.total_multiplicity() == mobius_primitive_count(3, 10**4) == 73077
@@ -342,6 +371,9 @@ def test_json_round_trip(tmp_path):
             ],
             "distance 1/6 appears twice",
         ),
+        ("n", 0, "malformed value: need n >= 1"),
+        ("max_volume_sq", 0, "malformed value: max_volume_sq below the all-ones tuple"),
+        ("max_volume_sq", -7, "malformed value: max_volume_sq below the all-ones tuple"),
     ],
 )
 def test_load_rejects_a_foreign_table(tmp_path, field, value, message):
