@@ -170,6 +170,33 @@ def _row_hnf(
     return H, [d[width:] for d in placed], [d[width:] for d in work]
 
 
+def _matmul(A: Sequence[Sequence], B: Sequence[Sequence]) -> List[tuple]:
+    """Rows of A times columns of B; ``dot``'s strict zip checks the shapes."""
+    cols = list(zip(*B))
+    return [tuple(dot(row, col) for col in cols) for row in A]
+
+
+def _solve_symmetric(
+    A: Sequence[Sequence[int]], b: Sequence[int]
+) -> List[Fraction]:
+    """Solve A x = b exactly for a small nonsingular integer matrix.
+
+    Integer row operations clear each pivot's column, leaving a diagonal
+    system; the only division is one Fraction per unknown at the end.
+    """
+    n = len(A)
+    M = [list(row) + [bi] for row, bi in zip(A, b, strict=True)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if M[i][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        p = M[col]
+        for i in range(n):
+            if i != col and M[i][col] != 0:
+                f = M[i][col]
+                M[i] = [p[col] * x - f * y for x, y in zip(M[i], p)]
+    return [Fraction(M[i][n], M[i][i]) for i in range(n)]
+
+
 def _independent2(u: Sequence[int], v: Sequence[int]) -> bool:
     return any(
         u[i] * v[j] != u[j] * v[i]
@@ -208,16 +235,11 @@ class SaturatedPlane:
     def coords_of(self, vector: Sequence[int]) -> Tuple[Fraction, Fraction]:
         """Rational coordinates of a vector in this basis, or NotContained."""
         vec = _int_vector(vector)
-        (a, b), (_, c) = self.gram()
-        det = a * c - b * b
-        r1 = dot(vec, self.basis_u)
-        r2 = dot(vec, self.basis_v)
-        alpha = Fraction(c * r1 - b * r2, det)
-        beta = Fraction(a * r2 - b * r1, det)
-        recon = tuple(
-            alpha * x + beta * y for x, y in zip(self.basis_u, self.basis_v)
-        )
-        if recon != tuple(Fraction(c_) for c_ in vec):
+        if len(vec) != len(self.basis_u):
+            raise NotContained(f"{vec} has {len(vec)} entries, the plane has {len(self.basis_u)}")
+        basis = (self.basis_u, self.basis_v)
+        alpha, beta = _solve_symmetric(self.gram(), [dot(vec, b) for b in basis])
+        if _matmul([(alpha, beta)], basis)[0] != vec:
             raise NotContained(f"{vec} is not in the span of the plane")
         return alpha, beta
 
@@ -332,10 +354,7 @@ def _shortest_on_gram(
             best = q
             best_c = coeffs
     assert best is not None
-    out = tuple(
-        sum(best_c[i] * C[i][m] for i in range(r)) for m in range(r)
-    )
-    return best, out
+    return best, _matmul([best_c], C)[0]
 
 
 def shortest_projected_vector(v: Sequence[int]) -> Tuple[IntVector, Fraction]:
@@ -374,33 +393,11 @@ def shortest_projected_vector(v: Sequence[int]) -> Tuple[IntVector, Fraction]:
     ] + [[-x for x in lam_int]]
     hnf, T, _ = _row_hnf(stack)
     assert len(hnf) == r0
-    preimages = []
-    for trow in T:
-        x = [0] * n
-        for m in range(r0):
-            for idx in range(n):
-                x[idx] += trow[m] * kernel[m][idx]
-        for idx in range(n):
-            x[idx] += trow[r0] * c_vec[idx]
-        preimages.append(tuple(x))
-    G = [
-        [
-            Fraction(
-                sum(
-                    hnf[a][i] * hnf[b][j] * K[i][j]
-                    for i in range(r0)
-                    for j in range(r0)
-                ),
-                N * N,
-            )
-            for b in range(r0)
-        ]
-        for a in range(r0)
-    ]
+    preimages = _matmul(T, kernel + [c_vec])
+    HKH = _matmul(_matmul(hnf, K), list(zip(*hnf)))
+    G = [[Fraction(g, N * N) for g in row] for row in HKH]
     p_sq, coeffs = _shortest_on_gram(G)
-    x = tuple(
-        sum(coeffs[j] * preimages[j][idx] for j in range(r0)) for idx in range(n)
-    )
+    x = _matmul([coeffs], preimages)[0]
     m = _nearest_int(Fraction(dot(x, vec), N))
     x = tuple(xi - m * vi for xi, vi in zip(x, vec))
     neg = tuple(-c for c in x)
@@ -408,24 +405,6 @@ def shortest_projected_vector(v: Sequence[int]) -> Tuple[IntVector, Fraction]:
         x = neg
     assert Fraction(N * norm_sq(x) - dot(x, vec) ** 2, N) == p_sq
     return x, p_sq
-
-
-def _solve_symmetric(
-    A: Sequence[Sequence[int]], b: Sequence[int]
-) -> List[Fraction]:
-    """Solve A x = b exactly for a small nonsingular symmetric matrix."""
-    n = len(A)
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if M[i][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for i in range(n):
-            if i != col and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
-    return [M[i][n] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -527,9 +506,8 @@ def certificate_profile(cert: DensityCertificate) -> CertificateProfile:
     w = tuple(
         Fraction(zi) - Fraction(dot(z, vec), vv) * vi for zi, vi in zip(z, vec)
     )
-    wp_sq = sum(c * c for c in w)
-    c1 = sum(Fraction(a) * b for a, b in zip(b1, w))
-    c2 = sum(Fraction(a) * b for a, b in zip(b2, w))
+    wp_sq = norm_sq(w)
+    c1, c2 = dot(b1, w), dot(b2, w)
     g = _fraction_gcd(c1, c2)
     spacing_ok = (g * g) / (4 * wp_sq) == cert.delta_sq
     max_sq = Fraction(0)

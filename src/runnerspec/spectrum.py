@@ -298,11 +298,9 @@ def _spectrum_block(args: Tuple[int, int, int]) -> Tuple[int, _BlockResult, dict
     """Scan one leading-coordinate block in one kernel call.
 
     Tuples are grouped by their reduced maximum loneliness a/q, and one
-    Fraction is built per distinct value.  The groups are ordered by
-    a * scale // q, which is strictly increasing in a/q: two distinct
-    fractions whose denominators are at most sqrt(scale) differ by at
-    least 1/scale.  Returns the block start, its result and its trace:
-    tuple count, wall time in seconds and the pid of the process.
+    Fraction is built per distinct value.  Returns the block start, its
+    result and its trace: tuple count, wall time in seconds and the pid
+    of the process.
     """
     start = perf_counter()
     n, max_volume_sq, v1 = args
@@ -311,10 +309,8 @@ def _spectrum_block(args: Tuple[int, int, int]) -> Tuple[int, _BlockResult, dict
     for t, (a, q, _) in zip(tuples, _scan_rows(tuples)):
         g = gcd(a, q)
         groups.setdefault((a // g, q // g), []).append(t)
-    scale = max((q for _, q in groups), default=1) ** 2
     out: _BlockResult = []
-    for a, q in sorted(groups, key=lambda aq: aq[0] * scale // aq[1], reverse=True):
-        wits = groups[a, q]
+    for (a, q), wits in groups.items():
         best = sorted(wits, key=_volume_key)[:WITNESS_CAP]
         d = Fraction(q - 2 * a, 2 * q)
         out.append((format_rational(d), len(wits), [list(w) for w in best]))

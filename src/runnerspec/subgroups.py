@@ -27,10 +27,9 @@ from .core import (
 )
 from .loneliness import (
     SpeedsLike,
-    SpeedTuple,
+    _as_speed_tuple,
     _int64_ok,
     _scan_problems,
-    max_loneliness,
     maximizing_times,
 )
 
@@ -90,14 +89,15 @@ def deep_witness(v: SpeedsLike) -> Tuple[TorusPoint, int]:
     with ||t v_i|| equal to the maximum loneliness; returns the earliest
     point with the highest count.  Requires a positive center distance.
     """
-    st = v if isinstance(v, SpeedTuple) else SpeedTuple(v)
-    res = max_loneliness(st)
-    if res.d_value == 0:
+    st = _as_speed_tuple(v)
+    times = maximizing_times(st)
+    ml = min(circle_distance(times[0] * s) for s in st.speeds)
+    if ml == HALF:
         raise CenterReached(f"orbit of {st.speeds} reaches the center")
     best_point = None
     best_count = -1
-    for t in maximizing_times(st):
-        count = sum(1 for s in st.speeds if circle_distance(t * s) == res.ml)
+    for t in times:
+        count = sum(1 for s in st.speeds if circle_distance(t * s) == ml)
         if count > best_count:
             best_count = count
             best_point = torus_point(t * s for s in st.speeds)

@@ -98,6 +98,14 @@ def test_coords_of_raises_off_plane():
         plane.coords_of((0, 0, 1))
 
 
+def test_a_vector_of_another_length_is_not_contained():
+    plane = saturate((1, 0, 0), (0, 1, 0))
+    with pytest.raises(NotContained, match=r"\(1, 2\) has 2 entries, the plane has 3"):
+        plane.coords_of((1, 2))
+    with pytest.raises(NotContained, match="has 4 entries, the plane has 3"):
+        density_radius_sq((1, 2, 0, 0), plane)
+
+
 # --- shortest projected vector --------------------------------------------
 
 

@@ -197,6 +197,31 @@ def test_checkpoint_resume(tmp_path):
     assert [b["block"] for b in _log(path)[1:]] == list(spectrum._block_starts(spec))
 
 
+def test_block_result_order_does_not_reach_the_files(tmp_path, monkeypatch):
+    spec = EnumerationSpec(3, 2000)
+    plain = build_spectrum(spec, workers=1)
+    scan_block = spectrum._spectrum_block
+
+    def reversed_block(args):
+        v1, result, trace = scan_block(args)
+        return v1, result[::-1], trace
+
+    monkeypatch.setattr(spectrum, "_spectrum_block", reversed_block)
+    path = tmp_path / "ckpt.jsonl"
+    with pytest.raises(_Interrupted):
+        build_spectrum(spec, workers=1, checkpoint_path=str(path), progress=_interrupt_at(3))
+    tables = {"reversed": build_spectrum(spec, workers=1)}
+    monkeypatch.undo()
+    tables.update(resumed=build_spectrum(spec, workers=1, checkpoint_path=str(path)), plain=plain)
+    for name, table in tables.items():
+        table.save_json(str(tmp_path / f"{name}.json"))
+        table.save_flat(str(tmp_path / f"{name}.tsv"))
+    for ext in ("json", "tsv"):
+        plain_bytes = (tmp_path / f"plain.{ext}").read_bytes()
+        for name in ("reversed", "resumed"):
+            assert (tmp_path / f"{name}.{ext}").read_bytes() == plain_bytes
+
+
 @pytest.mark.parametrize("first, then", [(2, 1), (1, 2)])
 def test_resume_with_another_worker_count(tmp_path, first, then):
     spec = EnumerationSpec(3, 2000)

@@ -97,6 +97,13 @@ def test_deep_witness(speeds, point, count):
     assert tight == count
 
 
+def test_deep_witness_scans_each_tuple_once():
+    for speeds in ((1, 2), (1, 2, 3), (2, 3)):
+        with mock.patch.object(loneliness, "_scan_rows", wraps=loneliness._scan_rows) as scan:
+            deep_witness(speeds)
+        assert scan.call_count == 1
+
+
 def test_deep_witness_requires_positive_distance():
     with pytest.raises(CenterReached):
         deep_witness((1, 1))
