@@ -126,31 +126,24 @@ def _run_dist_line(ns) -> int:
 
 
 def _run_dist_plane(tokens: Sequence[str]) -> int:
-    """Manual parser: `dist plane <u ints> -- <v ints> [--budget B]`."""
+    """Manual parser: `dist plane <u ints> -- <v ints>`; d_subtorus2 bounds its work."""
     u: List[int] = []
     v: List[int] = []
-    budget = 12
     current = u
-    it = iter(tokens)
-    for tok in it:
+    for tok in tokens:
         if tok == "--":
             if current is v:
                 raise InvalidInput("only one -- separator is allowed")
             current = v
-        elif tok == "--budget":
-            try:
-                budget = _int(next(it))
-            except StopIteration:
-                raise InvalidInput("--budget needs a value") from None
         elif tok in ("-h", "--help"):
-            print("usage: runnerspec dist plane <u ints> -- <v ints> [--budget B]")
+            print("usage: runnerspec dist plane <u ints> -- <v ints>")
             print("Exact center distance of the plane closure spanned by u and v.")
             return 0
         else:
             current.append(_int(tok))
     if not u or not v:
         raise InvalidInput("usage: dist plane <u ints> -- <v ints>")
-    d = d_subtorus2(tuple(u), tuple(v), entry_budget=budget)
+    d = d_subtorus2(tuple(u), tuple(v))
     print(f"d = {_fmt(d)}")
     return 0
 

@@ -30,7 +30,7 @@ from .core import (
     norm_sq,
     primitive_part,
 )
-from .loneliness import coset_center_distance
+from .loneliness import _coset_candidates, _creases, _require_candidates, coset_center_distance
 
 __all__ = [
     "BudgetExceeded",
@@ -84,7 +84,7 @@ class NotContained(InvalidInput):
 
 
 class BudgetExceeded(InvalidInput):
-    """A coordinate's |u_i| + |v_i| exceeds the configured per-coordinate budget."""
+    """A plane's crease circles need more candidate times than one coset scan may take."""
 
 
 def _ext_gcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -457,7 +457,8 @@ def kronecker_lift(v: Sequence[int], epsilon: RationalLike) -> DensityCertificat
         raise InvalidInput("epsilon must be positive")
     x, _ = shortest_projected_vector(vec)
     plane = saturate(vec, x)
-    dsq = density_radius_sq(vec, plane)
+    # density_radius_sq without its checks: vec is primitive and spans the plane
+    dsq = Fraction(plane.covolume_sq, 4 * norm_sq(vec))
     return DensityCertificate(
         inner_direction=vec,
         outer_plane=plane,
@@ -579,9 +580,7 @@ def dense_sequence(u1: Sequence[int], u2: Sequence[int], j: int) -> IntVector:
     return primitive_part(tuple(a + j * b for a, b in zip(uu, vv)))
 
 
-def d_subtorus2(
-    u: Sequence[int], v: Sequence[int], entry_budget: int = 12
-) -> Fraction:
+def d_subtorus2(u: Sequence[int], v: Sequence[int]) -> Fraction:
     """Exact center distance of the closure of {alpha*u + beta*v mod 1}.
 
     With x_i = alpha*u_i + beta*v_i, F = max_i ||x_i - 1/2|| is affine on
@@ -600,29 +599,24 @@ def d_subtorus2(
     whose scan candidates are the circle's crossings with the other
     crease lines.  So the distance is the least ``coset_center_distance``
     over these circles.  Functionals sharing a direction (a, b) are
-    scanned once, at the lcm of their g.
+    scanned once, at the lcm g of their multipliers, in g *
+    ``_coset_candidates(w)`` candidate times; a plane past
+    ``_COSET_CANDIDATES`` in all raises ``BudgetExceeded`` before any scan.
     """
     uu, vv = _plane_pair(u, v)
-    for i in range(len(uu)):
-        if abs(uu[i]) + abs(vv[i]) > entry_budget:
-            raise BudgetExceeded(
-                f"coordinate {i} has |u_i|+|v_i| = {abs(uu[i]) + abs(vv[i])}"
-                f" > budget {entry_budget}"
-            )
-    creases = [(2 * a, 2 * b) for a, b in zip(uu, vv)]
-    for (ui, vi), (uj, vj) in itertools.combinations(zip(uu, vv), 2):
-        creases += [(ui - uj, vi - vj), (ui + uj, vi + vj)]
     levels = {}
-    for f1, f2 in creases:
+    for f1, f2 in _creases(list(zip(uu, vv))):
         g = gcd(f1, f2)
         if g:
             sign = 1 if (f1, f2) > (0, 0) else -1
             key = (sign * f1 // g, sign * f2 // g)
             levels[key] = lcm(levels.get(key, 1), g)
+    lines = {(a, b): (g, [a * y - b * x for x, y in zip(uu, vv)]) for (a, b), g in levels.items()}
+    work = sum(g * _coset_candidates(w) for g, w in lines.values())
+    _require_candidates(work, f"plane {uu}, {vv}", BudgetExceeded)
     best = HALF
-    for (a, b), g in levels.items():
+    for (a, b), (g, w) in lines.items():
         _, x0, y0 = _ext_gcd(a, b)
-        w = [a * vi - b * ui for ui, vi in zip(uu, vv)]
         c = [x0 * ui + y0 * vi for ui, vi in zip(uu, vv)]
         for k in range(g):
             best = min(best, coset_center_distance(w, [Fraction(k * ci, g) for ci in c]))

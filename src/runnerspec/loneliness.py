@@ -64,9 +64,9 @@ __all__ = [
 # would take over ten minutes.
 _INT64_LIMIT = 1 << 60
 
-# Most candidate times one coset scan may evaluate, at 1.5 to 2 us each
-# for n = 3 and 4: a direction past it would keep the scan running for
-# more than about a minute, so it is refused before anything is scanned.
+# Most candidate times one coset scan, or all of a plane's crease circles,
+# may evaluate, at 1.6 to 3.3 us each for n = 2..5: past it a scan runs for
+# a minute or more, so the direction or plane is refused before any scan.
 _COSET_CANDIDATES = 1 << 25
 
 # Most cells one scan grid may hold.  Every grid the kernel builds, for a
@@ -84,7 +84,7 @@ _SCRATCH = threading.local()
 
 class InvalidSpeeds(InvalidInput):
     """Speeds must be nonzero with gcd 1, and at most 759,250,124 to be scanned;
-    a coset scan takes at most 2**25 candidate times."""
+    a coset scan takes at most 2**25 candidate times, as do a plane's circles."""
 
 
 class InvalidNormal(InvalidInput):
@@ -339,6 +339,26 @@ def d_hyperplane(normal: Sequence[int]) -> Fraction:
     return circle_distance(Fraction(sum(vec), 2)) / sum(abs(c) for c in vec)
 
 
+def _creases(cols: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """2 x_i for every column x_i, then x_i - x_j and x_i + x_j for i < j."""
+    out = [(2 * a, 2 * b) for a, b in cols]
+    for (ai, bi), (aj, bj) in itertools.combinations(cols, 2):
+        out += [(ai - aj, bi - bj), (ai + aj, bi + bj)]
+    return out
+
+
+def _coset_candidates(direction: Sequence[int]) -> int:
+    """Candidate times a coset scan of ``direction`` evaluates, whatever the shift."""
+    return 1 + sum(abs(e) for e, _ in _creases([(v, 0) for v in direction]))
+
+
+def _require_candidates(work: int, what: str, error: type) -> None:
+    """Raise ``error`` before any scan if ``what`` needs more than ``_COSET_CANDIDATES``."""
+    if work > _COSET_CANDIDATES:
+        bound = f"past the coset scan's bound {_COSET_CANDIDATES}"
+        raise error(f"{what} needs {work} candidate times, {bound}")
+
+
 def coset_center_distance(
     direction: Sequence[int],
     shift: Sequence[RationalLike],
@@ -366,18 +386,11 @@ def coset_center_distance(
     pt = torus_point(shift)
     if len(pt) != len(vec) or not vec:
         raise InvalidInput("direction and shift must have the same positive length")
+    _require_candidates(_coset_candidates(vec), f"direction {vec}", InvalidSpeeds)
     den = lcm(*(s.denominator for s in pt))
     num = [s.numerator * (den // s.denominator) for s in pt]
     # Class (e, u) holds the times (u + c*D) / (D*e) for every integer c.
-    classes = [(1, 0)] + [(2 * v, -2 * c) for v, c in zip(vec, num)]
-    for (vi, ci), (vj, cj) in itertools.combinations(zip(vec, num), 2):
-        classes += [(vi - vj, cj - ci), (vi + vj, -ci - cj)]
-    work = sum(abs(e) for e, _ in classes)
-    if work > _COSET_CANDIDATES:
-        raise InvalidSpeeds(
-            f"direction {vec} needs {work} candidate times, past the coset"
-            f" scan's bound {_COSET_CANDIDATES}"
-        )
+    classes = [(1, 0)] + _creases([(v, -c) for v, c in zip(vec, num)])
     bd, bq, bj = 1, 1, 0  # 1/2 at t = 0: no value is larger
     for e, u in classes:
         if e == 0:

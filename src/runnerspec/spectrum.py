@@ -89,6 +89,8 @@ def resolve_workers(workers: Optional[int] = None) -> int:
                 raise InvalidInput(
                     f"{THREADS_ENV_VAR} must be an integer, not {env!r}"
                 ) from None
+            if workers < 1:
+                raise InvalidInput(f"{THREADS_ENV_VAR} must be at least 1, not {env!r}")
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:

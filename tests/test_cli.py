@@ -274,7 +274,11 @@ _TABLE = ("--n", "2", "--max-vol2", "10")
         (("dist", "line", "0", "0"), "zero speed in (0, 0)"),
         (("dist", "plane", "1", "x", "--", "0", "1"), "invalid literal for int() with base 10: 'x'"),
         (("dist", "plane", "1", "0", "--", "2", "0"), "(1, 0) and (2, 0) are linearly dependent"),
-        (("dist", "plane", "13", "0", "1", "--", "0", "1", "1"), "coordinate 0 has |u_i|+|v_i| = 13 > budget 12"),
+        (
+            ("dist", "plane", "11", "-12", "5", "5", "-3", "-7", "10", "--", "-1", "0", "-1", "0", "1", "0", "1"),
+            "plane (11, -12, 5, 5, -3, -7, 10), (-1, 0, -1, 0, 1, 0, 1) needs 158748025"
+            " candidate times, past the coset scan's bound 33554432",
+        ),
         (("lift", "--v", "1", "--eps", "1/5"), "ambient dimension 1 is not supported"),
         (("lift", "--v", "2", "4", "--eps", "1/5"), "(2, 4) is not primitive (gcd 2)"),
         (("lift", "--v", "1", "2", "--eps", "-1"), "epsilon must be positive"),

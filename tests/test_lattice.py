@@ -4,13 +4,16 @@ import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from runnerspec import lattice, loneliness
 from runnerspec.core import UnsupportedDimension, primitive_part
 from runnerspec.lattice import (
     _row_hnf,
@@ -20,6 +23,7 @@ from runnerspec.lattice import (
     DegenerateBasis,
     NotContained,
     PiPower,
+    SaturatedPlane,
     ball_volume,
     basis_length_bound,
     certificate_profile,
@@ -228,6 +232,14 @@ def test_lift_delta_is_quarter_projection():
         assert cert.delta_sq == density_radius_sq(v, cert.outer_plane)
 
 
+def test_lift_does_not_recheck_its_own_plane():
+    # v always lies in saturate(v, x), so the lift skips coords_of.
+    with mock.patch.object(SaturatedPlane, "coords_of", autospec=True) as coords:
+        for v in ((2, 3), (1, 2, 3), (2, 3, 5, 7)):
+            assert kronecker_lift(v, F(1, 3)).delta_sq == shortest_projected_vector(v)[1] / 4
+    coords.assert_not_called()
+
+
 def test_lift_json_shape():
     data = kronecker_lift((2, 3), F(1, 7)).to_json_dict()
     assert data["kind"] == "density-certificate"
@@ -342,11 +354,33 @@ def test_d_subtorus2_symmetric_and_basis_independent():
     assert d_subtorus2((1, 0, 1), (1, 1, 2)) == d_subtorus2((1, 0, 1), (0, 1, 1))
 
 
-def test_d_subtorus2_budget():
-    with pytest.raises(BudgetExceeded):
-        d_subtorus2((13, 0, 1), (0, 1, 1))
-    raised = d_subtorus2((13, 0, 1), (0, 1, 1), entry_budget=14)
-    assert raised == d_hyperplane((1, 13, -13)) == F(1, 54)
+def _no_scan(*args, **kwargs):
+    raise AssertionError("a crease circle was scanned past the bound")
+
+
+def test_d_subtorus2_budget(monkeypatch):
+    # 1,417 candidate times: a large entry alone is no reason to refuse.
+    assert d_subtorus2((13, 0, 1), (0, 1, 1)) == d_hyperplane((1, 13, -13)) == F(1, 54)
+    monkeypatch.setattr(lattice, "coset_center_distance", _no_scan)
+    u, v = (11, -12, 5, 5, -3, -7, 10), (-1, 0, -1, 0, 1, 0, 1)
+    with pytest.raises(BudgetExceeded, match="needs 158748025 candidate times"):
+        d_subtorus2(u, v)
+
+
+def test_d_subtorus2_refuses_a_plane_past_its_candidate_bound(monkeypatch):
+    # (1, 0, 1), (0, 1, 1): the creases give the directions (1, 0), (0, 1)
+    # and (1, 1) with two circles of 11 candidates each, and (1, -1),
+    # (2, 1) and (1, 2) with one circle of 19.
+    u, v = (1, 0, 1), (0, 1, 1)
+    work = 3 * 2 * 11 + 3 * 19
+    monkeypatch.setattr(loneliness, "_COSET_CANDIDATES", work)
+    assert d_subtorus2(u, v) == subtorus2_reference(u, v)
+
+    monkeypatch.setattr(loneliness, "_COSET_CANDIDATES", work - 1)
+    monkeypatch.setattr(lattice, "coset_center_distance", _no_scan)
+    message = f"plane {u}, {v} needs {work} candidate times, past the coset scan's bound {work - 1}"
+    with pytest.raises(BudgetExceeded, match=re.escape(message)):
+        d_subtorus2(u, v)
 
 
 def _seeded_planes(seed, n, entry, count):

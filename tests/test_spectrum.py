@@ -733,3 +733,11 @@ def test_resolve_workers_names_a_bad_environment_value(monkeypatch):
     with pytest.raises(ValueError, match=f"{THREADS_ENV_VAR} must be an integer, not 'abc'"):
         resolve_workers()
     assert resolve_workers(2) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_resolve_workers_names_an_environment_count_below_one(monkeypatch, value):
+    monkeypatch.setenv(THREADS_ENV_VAR, value)
+    with pytest.raises(InvalidInput, match=f"^{THREADS_ENV_VAR} must be at least 1, not '{value}'$"):
+        resolve_workers()
+    assert resolve_workers(2) == 2
