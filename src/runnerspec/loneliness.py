@@ -9,20 +9,24 @@ Both quantities are computed by scanning a finite candidate set of
 rational times: peaks of the individual sawtooth functions sit at odd
 multiples of 1/(2*v_i), and a local maximum of the pointwise minimum
 that is not a peak must be a crossing of a rising branch with a falling
-branch, which forces t*(v_i + v_j) to be an integer.  A dense-grid
-oracle for this candidate argument lives in the test suite.
+branch, which forces t*(v_i + v_j) to be an integer.  For n >= 2 the
+peaks are redundant: a maximum at one is 1/2, so every runner is at 1/2
+and t*(v_a + v_b) is in Z for every pair a < b.  On q = v_a + v_b,
+j v_b = -j v_a (mod q), so runner b's column repeats runner a's and is
+dropped.  A single runner keeps its peak 2 v_1.  A dense-grid oracle on
+the full candidate set lives in the test suite.
 
 One batched kernel does every scan.  It takes an (m, n) block of
-same-length tuples, gives each row its candidate denominators 2 v_i and
-v_i + v_j, and evaluates every time j/q with j <= q/2 (the profile is
-symmetric under j -> q - j) in int64 grids of at most ``_GRID_CELLS``
-cells, sliced over tuples for a block and over j for one huge tuple.
-The tie-break is fixed: a larger value a/q wins, and an equal value
-wins only at a strictly earlier time, so every result carries the
-earliest maximizing time.  Tuples with 2 * max|v|^2 at or above
-``_INT64_LIMIT`` are refused with ``InvalidSpeeds`` before any grid is
-built; the reference scan the kernel is tested against lives in the test
-suite.  Single-tuple queries are blocks with m = 1.
+same-length tuples, gives each row one problem per pair, its n - 1 kept
+speeds on q = v_a + v_b, and evaluates every time j/q with j <= q/2
+(the profile is symmetric under j -> q - j) in int64 grids of at most
+``_GRID_CELLS`` cells, sliced over tuples for a block and over j for
+one huge tuple.  The tie-break is fixed: a larger value a/q wins, and
+an equal value wins only at a strictly earlier time, so every result
+carries the earliest maximizing time.  Tuples with 2 * max|v|^2 at or
+above ``_INT64_LIMIT`` are refused with ``InvalidSpeeds`` before any
+grid is built; the reference scan the kernel is tested against lives in
+the test suite.  Single-tuple queries are blocks with m = 1.
 """
 
 from __future__ import annotations
@@ -133,9 +137,13 @@ def _as_speed_tuple(v: SpeedsLike) -> SpeedTuple:
     return v if isinstance(v, SpeedTuple) else SpeedTuple(v)
 
 
-def _pair_index(n: int) -> Tuple[List[int], List[int]]:
-    """Columns (i, j), i <= j, whose sums v_i + v_j are the candidate denominators."""
-    return tuple(map(list, zip(*itertools.combinations_with_replacement(range(n), 2))))
+def _pair_index(n: int) -> Tuple[List[int], List[int], List[List[int]]]:
+    """The candidate set: pairs a < b, each on q = v_a + v_b with every
+    column but b, as columns a, b, kept; for n = 1, 2 v_1 on column 0."""
+    if n == 1:
+        return [0], [0], [[0]]
+    a, b = (list(c) for c in zip(*itertools.combinations(range(n), 2)))
+    return a, b, [[c for c in range(n) if c != y] for y in b]
 
 
 def _int64_ok(speeds: Sequence[int]) -> bool:
@@ -231,21 +239,21 @@ def _scan_problems(speeds: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, np.nd
 def _scan_int64(rows: np.ndarray) -> np.ndarray:
     """The batched kernel: best (a, q, k) per row of an (m, n) int64 array.
 
-    Each row's candidate denominators 2 v_i and v_i + v_j are sorted
-    ascending, and the row's result is the first of them, in that order,
-    whose value a/q is largest and, among those, whose time k/q is
-    earliest.  Rows are taken in slices whose column-comparison arrays,
-    like the grids, hold at most ``_GRID_CELLS`` cells.
+    Each row gives one problem per pair of ``_pair_index``, its kept
+    columns on q = v_a + v_b, and its result is the pair whose value a/q
+    is largest and, among those, whose time k/q is earliest.  Rows are
+    taken in slices whose column-comparison arrays, like the grids, hold
+    at most ``_GRID_CELLS`` cells.
     """
     m, n = rows.shape
-    i, j = _pair_index(n)
+    i, j, keep = _pair_index(n)
     c = len(i)
     step = max(1, _GRID_CELLS // (c * c))
     out = np.empty((m, 3), dtype=np.int64)
     for s in range(0, m, step):
         part = rows[s : s + step]
-        den = np.sort(part[:, i] + part[:, j], axis=1)
-        a, k = _scan_problems(np.repeat(part, c, axis=0), den.ravel())
+        den = part[:, i] + part[:, j]
+        a, k = _scan_problems(part[:, keep].reshape(-1, len(keep[0])), den.ravel())
         if len(part) == 1:
             # One row: a fold over its columns is far cheaper than the
             # array comparison below.
@@ -308,15 +316,20 @@ def d_subtorus1(v: SpeedsLike) -> Fraction:
 
 
 def maximizing_times(v: SpeedsLike) -> Tuple[Fraction, ...]:
-    """All candidate times attaining the maximum loneliness, ascending."""
+    """All candidate times attaining the maximum loneliness, ascending.
+
+    Each pair's q is scanned once, on its kept columns, if B divides 2q
+    for the maximum A/B in lowest terms: a hit at j/q has (q - dev) B = 2qA.
+    """
     speeds = _as_speed_tuple(v).speeds
     ((bn, bd, _),) = _scan_rows([speeds])
-    arr = np.array([speeds], dtype=np.int64)
-    i, j = _pair_index(len(speeds))
-    cells = max(1, _GRID_CELLS // len(speeds))
+    arr = np.array(speeds, dtype=np.int64)
+    i, j, keep = _pair_index(len(speeds))
+    cells = max(1, _GRID_CELLS // len(keep[0]))
+    pairs = zip((arr[i] + arr[j]).tolist(), keep)
     times = set()
-    for q in np.unique(arr[0, i] + arr[0, j]).tolist():
-        for j0, dev in _grid_slices(arr, np.array([q], dtype=np.int64), q, cells):
+    for q, cols in {q: cols for q, cols in pairs if 2 * q * bn % bd == 0}.items():
+        for j0, dev in _grid_slices(arr[None, cols], np.array([q], dtype=np.int64), q, cells):
             hits = np.flatnonzero((q - dev[0]) * bd == 2 * bn * q) + j0
             times.update(Fraction(int(h), q) for h in hits)
     return tuple(sorted(times))
@@ -348,8 +361,10 @@ def _creases(cols: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
 
 
 def _coset_candidates(direction: Sequence[int]) -> int:
-    """Candidate times a coset scan of ``direction`` evaluates, whatever the shift."""
-    return 1 + sum(abs(e) for e, _ in _creases([(v, 0) for v in direction]))
+    """Candidate times a coset scan of ``direction`` evaluates, whatever the shift:
+    1 + sum |e| over its ``_creases``, which is 1 + 2 sum_k k a_k over the |v_i|
+    sorted ascending (k from 1), as |a - b| + |a + b| = 2 max(|a|, |b|)."""
+    return 1 + 2 * sum(k * a for k, a in enumerate(sorted(map(abs, direction)), 1))
 
 
 def _require_candidates(work: int, what: str, error: type) -> None:

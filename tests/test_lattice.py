@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import time
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -381,6 +382,25 @@ def test_d_subtorus2_refuses_a_plane_past_its_candidate_bound(monkeypatch):
     message = f"plane {u}, {v} needs {work} candidate times, past the coset scan's bound {work - 1}"
     with pytest.raises(BudgetExceeded, match=re.escape(message)):
         d_subtorus2(u, v)
+
+
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_coset_candidates_closed_form_matches_the_crease_sum(w):
+    creases = loneliness._creases([(x, 0) for x in w])
+    assert loneliness._coset_candidates(w) == 1 + sum(abs(e) for e, _ in creases)
+
+
+def test_d_subtorus2_refuses_a_large_plane_at_once(monkeypatch):
+    # n = 60: 555 directions, each counted from its sorted |w_i|.  Summing
+    # every direction's creases instead took about 0.5 s on 2 vCPUs.
+    rng = random.Random(60)
+    u, v = ([rng.randint(-12, 12) for _ in range(60)] for _ in range(2))
+    monkeypatch.setattr(lattice, "coset_center_distance", _no_scan)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="past the coset scan's bound"):
+        d_subtorus2(u, v)
+    assert time.perf_counter() - start < 0.1
 
 
 def _seeded_planes(seed, n, entry, count):

@@ -1,5 +1,6 @@
 """Tests for the maximum-loneliness engine and its companion distances."""
 
+import itertools
 import sys
 import threading
 from fractions import Fraction
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from runnerspec import loneliness
@@ -189,6 +190,71 @@ def test_kernel_keeps_the_earliest_time_across_denominators():
     for got in (singles, _scan_rows(list(_CROSS_TIES))):
         assert [(F(a, q), F(k, q)) for a, q, k in got] == expected
     assert [_reference(v) for v in _CROSS_TIES] == expected
+
+
+# The kernel scans only pair sums v_a + v_b without column b (n >= 2);
+# the reference and the grid oracle keep every peak 2 v_i and every column.
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+@example((1,))
+@example((7,))
+@example((1, 2, 2))
+@example((1, 3))
+@example((1, 3, 5))
+@example(_CROSS_TIES[0])
+@example(_CROSS_TIES[1])
+@example(_CROSS_TIES[2])
+@example(_CROSS_TIES[3])
+@settings(max_examples=40, deadline=None)
+def test_reduced_candidate_set_matches_the_full_one(row):
+    row = tuple(row)
+    expected = grid_ml_witness(row)
+    assert _reference(row) == expected
+    # The reversed row puts other columns first, and the two rows take
+    # the batch path instead of the one-row fold.
+    for a, q, k in _scan_rows([row]) + _scan_rows([row, row[::-1]]):
+        assert (F(a, q), F(k, q)) == expected
+
+
+def test_kernel_scans_pair_sums_without_the_partner_column(monkeypatch):
+    problems = []
+    scan = loneliness._scan_problems
+
+    def spy(speeds, q):
+        problems.extend(zip(speeds.tolist(), q.tolist()))
+        return scan(speeds, q)
+
+    monkeypatch.setattr(loneliness, "_scan_problems", spy)
+    for batch in ([(1, 2, 2), (3, 5, 7), (2, 5, 10)], [(8, 3, 11, 19)], [(2, 3)]):
+        problems.clear()
+        _scan_rows(batch)
+        n = len(batch[0])
+        pairs = list(itertools.combinations(range(n), 2))
+        assert len(problems) == len(batch) * len(pairs)
+        for (speeds, q), (row, (a, b)) in zip(problems, itertools.product(batch, pairs)):
+            assert len(speeds) == n - 1
+            assert q == row[a] + row[b]
+            assert speeds == [v for c, v in enumerate(row) if c != b]
+    problems.clear()
+    _scan_rows([(5,)])
+    assert problems == [([5], 10)]
+
+
+def test_maximizing_times_skips_denominators_that_cannot_hold_the_maximum(monkeypatch):
+    # (1, 2, 3) has maximum 1/4 at 1/4 and 3/4.  Of its pair sums 3, 4
+    # and 5 only 4 has 4 | 2q; it is scanned once, on two columns.  The
+    # kernel's answer is given, so every grid seen is maximizing_times'.
+    scanned = []
+    slices = loneliness._grid_slices
+
+    def spy(speeds, q, width, cells):
+        scanned.append((speeds.tolist(), q.tolist()))
+        return slices(speeds, q, width, cells)
+
+    assert _scan_rows([(1, 2, 3)]) == [(1, 4, 1)]
+    monkeypatch.setattr(loneliness, "_scan_rows", lambda rows: [(1, 4, 1)])
+    monkeypatch.setattr(loneliness, "_grid_slices", spy)
+    assert maximizing_times((1, 2, 3)) == (F(1, 4), F(3, 4))
+    assert scanned == [([[1, 2]], [4])]
 
 
 _KNOWN = ((1,), (1, 2), (2, 3), (1, 2, 3), (3, 4, 5), (8, 3, 11, 19), (1, 2, 2))
