@@ -23,8 +23,9 @@ print(f"n=2: checked {cert.phase_a_checked} orbits,",
       f"density lhs = {float(cert.density_lhs):.3f} (needs > 1)")
 print("certified absent:", cert.passed)
 
-# in the 3-torus the tail bound needs the cutoff 199^2 (about a minute);
-# with a smaller one the certificate honestly refuses
+# in the 3-torus the tail bound needs the cutoff 199^2 (a scan of about
+# 4 s, or about 0.5 s right after this process has built the n = 3 table
+# at a bound of 199^2 or more); with a smaller one it honestly refuses
 cert = certify_absence(Fraction(7, 50), n=3, cutoff_volume_sq=10**4)
 print(f"n=3 @ 10^4: phase A passed = {cert.phase_a_passed},",
       f"density lhs = {float(cert.density_lhs):.3f} -> passed = {cert.passed}")

@@ -84,7 +84,7 @@ class NotContained(InvalidInput):
 
 
 class BudgetExceeded(InvalidInput):
-    """A plane's crease circles need more candidate times than one coset scan may take."""
+    """A query needs more work than its budget: a plane's candidate times, a family's members."""
 
 
 def _ext_gcd(a: int, b: int) -> Tuple[int, int, int]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
 from time import perf_counter
-from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     HALF,
@@ -32,7 +32,7 @@ from .core import (
     format_rational,
     parse_rational,
 )
-from .lattice import DEFAULT_PI_BOUNDS, ball_volume
+from .lattice import DEFAULT_PI_BOUNDS, BudgetExceeded, ball_volume
 from .loneliness import _scan_rows, max_loneliness
 
 __all__ = [
@@ -479,6 +479,18 @@ def _append_block(log: BinaryIO, v1: int, result: _BlockResult, trace: dict) -> 
         raise OSError(exc.errno, exc.strerror, log.name) from None
 
 
+# What the latest build of each n in this process that scanned every block
+# itself saw: its bound, its tuple count and each distance's least squared
+# witness volume.  certify_absence reads it.
+class _Scan(NamedTuple):
+    max_volume_sq: int
+    tuples: int
+    least_volume: Dict[Rational, int]
+
+
+_SCANS: Dict[int, _Scan] = {}
+
+
 def build_spectrum(
     spec: EnumerationSpec,
     workers: Optional[int] = None,
@@ -499,6 +511,10 @@ def build_spectrum(
     spec reads the logged blocks back, checking every digest and block,
     drops a line torn by an interrupted write, and builds only the rest.
     A version-1 checkpoint is refused; delete it and rebuild.
+
+    A build that read no block back from a checkpoint records, for this
+    process, each distance's least squared witness volume and the tuple
+    count, replacing the record of any earlier build of the same n.
     """
     workers = resolve_workers(workers)
     starts = list(_block_starts(spec))
@@ -511,6 +527,7 @@ def build_spectrum(
             log = stack.enter_context(open(checkpoint_path, "ab"))
             if log.tell() > intact:
                 log.truncate(intact)  # a line torn by an interrupted write
+        scanned_all = not done
         args = [(spec.n, spec.max_volume_sq, v1) for v1 in starts if v1 not in done]
         completed = total - len(args)
         workers = min(workers, len(args))
@@ -532,6 +549,10 @@ def build_spectrum(
         parse_rational(d): SpectrumEntry(multiplicity=m, witnesses=tuple(w))
         for d, (m, w) in entries.items()
     }
+    if scanned_all:
+        # Witnesses are sorted by volume, so the first has the least.
+        least = {key: _volume_key(e.witnesses[0])[0] for key, e in table_entries.items()}
+        _SCANS[spec.n] = _Scan(spec.max_volume_sq, sum(m for m, _ in entries.values()), least)
     return SpectrumTable(
         n=spec.n, max_volume_sq=spec.max_volume_sq, entries=table_entries
     )
@@ -603,14 +624,27 @@ class FamilyReport:
     checks: Tuple[FamilyCheck, ...]
 
 
+# Most family members one verify_family_fan_sun call checks.  Member r
+# scans grids of about 8r cells per denominator, so the run grows as
+# r_max squared: 6,000 members took about 8 s on 2 vCPUs, 8,000 12.5 s.
+_FAN_SUN_MEMBERS = 6000
+
+
 def verify_family_fan_sun(r_max: int) -> FamilyReport:
     """Exact identity for the four-speed family (8, 4r+3, 4r+11, 4r+19).
 
     The value (2r+7)/(8r+30) sits strictly below 1/4, so the family
     witnesses that the four-runner bound 1/(n+1) is not always attained.
+    More than ``_FAN_SUN_MEMBERS`` members (r = 0..r_max) raise
+    ``BudgetExceeded`` before any scan.
     """
     if r_max < 0:
         raise InvalidInput("need r_max >= 0")
+    if r_max + 1 > _FAN_SUN_MEMBERS:
+        raise BudgetExceeded(
+            f"r_max {r_max} needs {r_max + 1} family members, "
+            f"past the budget of {_FAN_SUN_MEMBERS}"
+        )
     checks = []
     for r in range(r_max + 1):
         speeds = (8, 4 * r + 3, 4 * r + 11, 4 * r + 19)
@@ -730,6 +764,53 @@ class AbsenceCertificate:
         return self.phase_a_passed and self.phase_b_passed
 
 
+# certify_absence calls its progress callback with each multiple of this
+# many tuples checked.
+_PROGRESS_EVERY = 100000
+
+
+def _progress_to(progress, checked: int, reached: int) -> None:
+    if progress:
+        step = _PROGRESS_EVERY
+        for c in range(checked // step * step + step, reached + 1, step):
+            progress(c)
+
+
+def _phase_a(
+    target: Rational, spec: EnumerationSpec, progress
+) -> Tuple[int, Optional[IntVector]]:
+    """Phase A of ``certify_absence``: the tuples checked and the witness."""
+    cutoff = spec.max_volume_sq
+    scan = _SCANS.get(spec.n)
+    if (
+        scan is not None
+        and scan.max_volume_sq >= cutoff
+        and scan.least_volume.get(target, cutoff + 1) > cutoff
+    ):
+        equal = scan.max_volume_sq == cutoff
+        checked = scan.tuples if equal else sum(1 for _ in enumerate_proper_primitive(spec))
+        _progress_to(progress, 0, checked)
+        return checked, None
+    target_ml = HALF - target
+    checked = 0
+    for v1 in _block_starts(spec):
+        tuples = list(_canonical_block(spec.n, cutoff, v1))
+        hit = next(
+            (
+                i
+                for i, (a, q, _) in enumerate(_scan_rows(tuples))
+                if a * target_ml.denominator == q * target_ml.numerator
+            ),
+            None,
+        )
+        reached = checked + (len(tuples) if hit is None else hit + 1)
+        _progress_to(progress, checked, reached)
+        checked = reached
+        if hit is not None:
+            return checked, tuples[hit]
+    return checked, None
+
+
 def certify_absence(
     target: RationalLike,
     n: int,
@@ -740,10 +821,17 @@ def certify_absence(
 ) -> AbsenceCertificate:
     """Certify that no proper line orbit has center distance ``target``.
 
-    Phase A scans every canonical tuple inside the volume cutoff, one
-    leading-coordinate block per kernel call, and records the first
-    counterexample in enumeration order if any; ``phase_a_checked`` counts
-    the tuples up to and including it.  Phase B covers the tail:
+    Phase A checks every canonical tuple inside the volume cutoff and
+    records the first counterexample in enumeration order if any;
+    ``phase_a_checked`` counts the tuples up to and including it.  It
+    reads a recorded scan when this process has built an n table itself
+    (see ``build_spectrum``) with a bound at least the cutoff, and that
+    build saw no tuple within the cutoff at the target.  Phase A then
+    passes without a scan, counting the tuples from the build when the
+    bounds are equal and by enumeration otherwise.  In every other case
+    it scans, one leading-coordinate block per kernel call, up to the
+    first counterexample, the only way to name it and its position.
+    Phase B covers the tail:
     above the cutoff the orbit is rho-dense in a surrounding plane (tube
     volume comparison squared to stay rational, with the lower rational
     pi bound), and the plane's own distance is either above the target
@@ -760,28 +848,7 @@ def certify_absence(
                 f"no built-in plane spectrum facts for n={n}; "
                 "pass outer_facts explicitly"
             )
-    spec = EnumerationSpec(n=n, max_volume_sq=cutoff_volume_sq)
-    target_ml = HALF - target
-    checked = 0
-    witness = None
-    for v1 in _block_starts(spec):
-        tuples = list(_canonical_block(n, cutoff_volume_sq, v1))
-        hit = next(
-            (
-                i
-                for i, (a, q, _) in enumerate(_scan_rows(tuples))
-                if a * target_ml.denominator == q * target_ml.numerator
-            ),
-            None,
-        )
-        reached = checked + (len(tuples) if hit is None else hit + 1)
-        if progress:
-            for c in range(checked // 100000 * 100000 + 100000, reached + 1, 100000):
-                progress(c)
-        checked = reached
-        if hit is not None:
-            witness = tuples[hit]
-            break
+    checked, witness = _phase_a(target, EnumerationSpec(n, cutoff_volume_sq), progress)
     phase_a_passed = witness is None
 
     rho = target - outer_facts.low_bound - ABSENCE_MARGIN

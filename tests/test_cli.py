@@ -296,6 +296,10 @@ _TABLE = ("--n", "2", "--max-vol2", "10")
         (("report", "mult", *_TABLE, "--threshold", "0"), "threshold must be at least 1"),
         (("verify", "prop81", "--target", "1"), "target 1 is not a distance in [0, 1/2]"),
         (("verify", "prop81", "--target", "-1"), "target -1 is not a distance in [0, 1/2]"),
+        (
+            ("verify", "fan-sun", "--r-max", "100000"),
+            "r_max 100000 needs 100001 family members, past the budget of 6000",
+        ),
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, args, message):

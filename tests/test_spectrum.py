@@ -13,6 +13,7 @@ import pytest
 
 from runnerspec import spectrum
 from runnerspec.core import InvalidInput
+from runnerspec.lattice import BudgetExceeded
 from runnerspec.loneliness import d_subtorus1
 from runnerspec.spectrum import (
     CANONICAL_CLASSES,
@@ -537,6 +538,19 @@ def test_family_values():
         verify_family_fan_sun(-1)
 
 
+def _no_scan(rows):
+    raise AssertionError("scanned")
+
+
+def test_family_refuses_r_max_past_its_budget(monkeypatch):
+    monkeypatch.setattr(spectrum, "_FAN_SUN_MEMBERS", 4)
+    assert len(verify_family_fan_sun(3).checks) == 4
+    monkeypatch.setattr(spectrum, "max_loneliness", _no_scan)
+    message = "r_max 4 needs 5 family members, past the budget of 4"
+    with pytest.raises(BudgetExceeded, match=message):
+        verify_family_fan_sun(4)
+
+
 # --- window verifier ------------------------------------------------------
 
 
@@ -639,12 +653,73 @@ def test_certify_progress_reports_every_hundred_thousand(monkeypatch):
     assert seen == list(range(100_000, cert.phase_a_checked + 1, 100_000))
 
 
+def test_certify_reads_the_scan_of_the_build_before_it(monkeypatch):
+    monkeypatch.setattr(spectrum, "_SCANS", {})
+    build_spectrum(EnumerationSpec(3, 10**4))
+    monkeypatch.setattr(spectrum, "_scan_rows", _no_scan)
+    cert = certify_absence(F(7, 50), 3, 10**4)
+    assert cert.phase_a_passed
+    assert cert.phase_a_checked == 73077
+
+
+def test_certify_with_a_recorded_scan_equals_a_fresh_scan(monkeypatch):
+    # Every field and every progress call agree, whether Phase A reads the
+    # build's scan or scans again: on every key and on values that are none,
+    # at cutoffs below, at and above the build's bound.
+    monkeypatch.setattr(spectrum, "_SCANS", {})
+    monkeypatch.setattr(spectrum, "_PROGRESS_EVERY", 1000)
+    table = build_spectrum(EnumerationSpec(3, 2000), workers=1)
+    recorded = spectrum._SCANS
+    scan_rows = spectrum._scan_rows
+    scans, kernel = [], {}
+
+    def counted(rows):  # the kernel is deterministic: scan each block once
+        scans.append(len(rows))
+        key = tuple(rows)
+        if key not in kernel:
+            kernel[key] = scan_rows(rows)
+        return kernel[key]
+
+    monkeypatch.setattr(spectrum, "_scan_rows", counted)
+    least = [sum(c * c for c in e.witnesses[0]) for e in table.entries.values()]
+    edge = max(v for v in least if v <= 1000)  # a key's least volume, below the bound
+    for cutoff in (edge, 2000, 3000):
+        # 11/64 first occurs at (2, 31, 33), of volume 2054, above the bound.
+        for target in [*table.entries, F(7, 50), F(0), F(1, 2), F(11, 64)]:
+            runs = []
+            for registry in (recorded, {}):
+                monkeypatch.setattr(spectrum, "_SCANS", registry)
+                seen = []
+                scans.clear()
+                cert = certify_absence(target, 3, cutoff, progress=seen.append)
+                runs.append((cert, seen, len(scans)))
+            (cert, seen, read), (fresh, fresh_seen, _) = runs
+            assert cert == fresh
+            assert seen == fresh_seen
+            if cert.phase_a_passed and cutoff <= 2000:
+                assert read == 0
+
+
+def test_a_resumed_build_records_no_scan(tmp_path, monkeypatch):
+    spec = EnumerationSpec(3, 2000)
+    path = tmp_path / "ckpt.jsonl"
+    monkeypatch.setattr(spectrum, "_SCANS", {})
+    build_spectrum(spec, workers=1, checkpoint_path=str(path))
+    assert spectrum._SCANS[3].max_volume_sq == 2000  # a new log: every block scanned
+    spectrum._SCANS.clear()
+    path.write_bytes(path.read_bytes()[:-7])
+    build_spectrum(spec, workers=1, checkpoint_path=str(path))
+    assert spectrum._SCANS == {}
+    scans = []
+    scan_rows = spectrum._scan_rows
+    monkeypatch.setattr(spectrum, "_scan_rows", lambda rows: scans.append(rows) or scan_rows(rows))
+    assert certify_absence(F(7, 50), 3, 2000).phase_a_checked == 6592
+    assert scans
+
+
 @pytest.mark.parametrize("target", [F(3, 5), F(1), F(-1, 10)])
 def test_certify_refuses_a_target_that_is_no_distance(monkeypatch, target):
-    def no_scan(rows):
-        raise AssertionError("scanned")
-
-    monkeypatch.setattr(spectrum, "_scan_rows", no_scan)
+    monkeypatch.setattr(spectrum, "_scan_rows", _no_scan)
     with pytest.raises(InvalidInput, match=r"is not a distance in \[0, 1/2\]"):
         certify_absence(target, 3, 300)
 
