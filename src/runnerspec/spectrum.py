@@ -16,12 +16,15 @@ import contextlib
 import json
 import multiprocessing
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
 from time import perf_counter
 from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .core import (
     HALF,
@@ -288,7 +291,10 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-# A block result maps each distance to (multiplicity, capped witness list).
+# A block result lists, per distance text, its multiplicity and its capped
+# witness list, sorted by (squared volume, tuple).  Rows come ordered by the
+# reduced maximum loneliness (a, q); build_spectrum folds them by text, so
+# their order never reaches the table files.
 _BlockResult = List[Tuple[str, int, List[List[int]]]]
 
 
@@ -299,42 +305,50 @@ def _volume_key(t: Sequence[int]):
 def _spectrum_block(args: Tuple[int, int, int]) -> Tuple[int, _BlockResult, dict]:
     """Scan one leading-coordinate block in one kernel call.
 
-    Tuples are grouped by their reduced maximum loneliness a/q, and one
-    Fraction is built per distinct value.  Returns the block start, its
+    The kernel's (a, q) are reduced in an array, and one lexsort by
+    (a, q, squared volume, tuple) puts each group of equal maximum
+    loneliness a/q together with its least witnesses first.  The distance
+    1/2 - a/q is written from integers.  Returns the block start, its
     result and its trace: tuple count, wall time in seconds and the pid
     of the process.
     """
     start = perf_counter()
     n, max_volume_sq, v1 = args
     tuples = list(_canonical_block(n, max_volume_sq, v1))
-    groups: Dict[Tuple[int, int], List[IntVector]] = {}
-    for t, (a, q, _) in zip(tuples, _scan_rows(tuples)):
-        g = gcd(a, q)
-        groups.setdefault((a // g, q // g), []).append(t)
     out: _BlockResult = []
-    for (a, q), wits in groups.items():
-        best = sorted(wits, key=_volume_key)[:WITNESS_CAP]
-        d = Fraction(q - 2 * a, 2 * q)
-        out.append((format_rational(d), len(wits), [list(w) for w in best]))
+    if tuples:
+        t = np.array(tuples, dtype=np.int64)
+        a, q, _ = np.array(_scan_rows(tuples), dtype=np.int64).T
+        g = np.gcd(a, q)
+        a, q = a // g, q // g
+        # Squares fit int64 past the kernel's check; only their sum may not.
+        vol = (t * t).sum(axis=1, dtype=np.int64 if max_volume_sq < 1 << 63 else object)
+        order = np.lexsort((*t.T[::-1], vol, q, a))
+        a, q, rows = a[order], q[order], t[order].tolist()
+        heads = [0, *(np.flatnonzero((a[1:] != a[:-1]) | (q[1:] != q[:-1])) + 1).tolist()]
+        num, den = q[heads] - 2 * a[heads], 2 * q[heads]
+        g = np.gcd(num, den)
+        for p, r, lo, hi in zip(
+            (num // g).tolist(), (den // g).tolist(), heads, heads[1:] + [len(rows)]
+        ):
+            out.append((f"{p}/{r}" if p else "0", hi - lo, rows[lo : min(hi, lo + WITNESS_CAP)]))
     seconds = round(perf_counter() - start, 6)
     return v1, out, {"tuples": len(tuples), "seconds": seconds, "pid": os.getpid()}
 
 
-def _merge_block(
-    entries: Dict[str, Tuple[int, List[IntVector]]], result: _BlockResult
-) -> None:
-    """Fold one block result into ``entries``, keyed by the distance text.
+# Plain ASCII digits, with no "-0" and no leading zero: such a text is in
+# lowest terms exactly when it has no denominator, or a denominator other
+# than 1 sharing no factor with the numerator.  The digit counts stay far
+# below int()'s conversion limit.
+_RATIONAL_TEXT = re.compile(r"(0|-?[1-9][0-9]{0,99})(?:/([1-9][0-9]{0,99}))?")
 
-    The text of a reduced rational is unique, so no key is parsed here.
-    """
-    for d, mult, wits in result:
-        add = [tuple(w) for w in wits]
-        if d in entries:
-            old_mult, old_wits = entries[d]
-            merged = sorted(old_wits + add, key=_volume_key)[:WITNESS_CAP]
-            entries[d] = (old_mult + mult, merged)
-        else:
-            entries[d] = (mult, add[:WITNESS_CAP])
+
+def _lowest_terms(d: str) -> bool:
+    """``format_rational(parse_rational(d)) == d``, in integers when it can."""
+    m = _RATIONAL_TEXT.fullmatch(d)
+    if m is None:
+        return format_rational(parse_rational(d)) == d
+    return m[2] is None or (m[2] != "1" and gcd(int(m[1]), int(m[2])) == 1)
 
 
 def _check_block(result: _BlockResult, n: int) -> None:
@@ -354,7 +368,7 @@ def _check_block(result: _BlockResult, n: int) -> None:
         if not isinstance(d, str):
             raise InvalidInput(f"entry {i}: distance {d!r} is not a string")
         try:
-            lowest = format_rational(parse_rational(d)) == d
+            lowest = _lowest_terms(d)
         except InvalidInput as exc:
             raise InvalidInput(f"entry {i}: {exc}") from None
         if not lowest:
@@ -499,10 +513,14 @@ def build_spectrum(
 ) -> SpectrumTable:
     """Assemble the distance table over the canonical enumeration.
 
-    Work is split into blocks by the leading coordinate; block results
-    are merged in block order, so the output is identical for any worker
-    count and also across checkpoint-interrupted runs.  ``progress`` is
-    called with (blocks_done, blocks_total) after every block.
+    Work is split into blocks by the leading coordinate.  Each block's
+    rows are ordered by their maximum loneliness (a, q); that order never
+    reaches the files.  The rows are folded by distance text: each key's
+    multiplicities are summed and its witness lists concatenated, and the
+    list is sorted once by (squared volume, tuple) and capped.  The output
+    is thus identical for any worker count and also across
+    checkpoint-interrupted runs.  ``progress`` is called with
+    (blocks_done, blocks_total) after every block.
 
     ``checkpoint_path`` names an append-only log.  Each finished block is
     appended to it as one JSON line (the result, the result's sha256, and
@@ -542,17 +560,23 @@ def build_spectrum(
                 _append_block(log, v1, result, trace)
             if progress:
                 progress(completed, total)
-    entries: Dict[str, Tuple[int, List[IntVector]]] = {}
+    mults: Dict[str, int] = {}
+    wits: Dict[str, List[List[int]]] = {}
     for v1 in starts:
-        _merge_block(entries, done[v1])
+        for d, mult, block_wits in done[v1]:
+            mults[d] = mults.get(d, 0) + mult
+            wits.setdefault(d, []).extend(block_wits)
     table_entries = {
-        parse_rational(d): SpectrumEntry(multiplicity=m, witnesses=tuple(w))
-        for d, (m, w) in entries.items()
+        parse_rational(d): SpectrumEntry(
+            multiplicity=m,
+            witnesses=tuple(map(tuple, sorted(wits[d], key=_volume_key)[:WITNESS_CAP])),
+        )
+        for d, m in mults.items()
     }
     if scanned_all:
         # Witnesses are sorted by volume, so the first has the least.
         least = {key: _volume_key(e.witnesses[0])[0] for key, e in table_entries.items()}
-        _SCANS[spec.n] = _Scan(spec.max_volume_sq, sum(m for m, _ in entries.values()), least)
+        _SCANS[spec.n] = _Scan(spec.max_volume_sq, sum(mults.values()), least)
     return SpectrumTable(
         n=spec.n, max_volume_sq=spec.max_volume_sq, entries=table_entries
     )

@@ -10,9 +10,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from runnerspec import spectrum
-from runnerspec.core import InvalidInput
+from runnerspec.core import InvalidInput, format_rational, parse_rational
 from runnerspec.lattice import BudgetExceeded
 from runnerspec.loneliness import d_subtorus1
 from runnerspec.spectrum import (
@@ -36,7 +38,7 @@ from runnerspec.spectrum import (
     verify_window,
 )
 
-from oracles import mobius_primitive_count
+from oracles import block_reference, mobius_primitive_count
 
 F = Fraction
 
@@ -221,6 +223,124 @@ def test_block_result_order_does_not_reach_the_files(tmp_path, monkeypatch):
         plain_bytes = (tmp_path / f"plain.{ext}").read_bytes()
         for name in ("reversed", "resumed"):
             assert (tmp_path / f"{name}.{ext}").read_bytes() == plain_bytes
+
+
+def _rows(result):
+    return {(d, mult, tuple(map(tuple, wits))) for d, mult, wits in result}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1, 30, 1),
+        (1, 30, 2),  # empty: (2,) is not primitive
+        (2, 8, 2),  # empty: (2, 2) is not primitive
+        (2, 40000, 1),  # many keys
+        (2, 40000, 9),
+        (3, 2000, 1),  # groups of up to 204 tuples, past the witness cap
+        (3, 2000, 6),
+        (4, 400, 1),
+        (4, 400, 3),
+    ],
+)
+def test_block_matches_the_reference_assembly(args):
+    v1, result, trace = spectrum._spectrum_block(args)
+    reference = block_reference(*args)
+    assert v1 == args[2]
+    assert len(result) == len(_rows(result)) == len(reference)
+    assert _rows(result) == _rows(reference)
+    assert trace["tuples"] == sum(mult for _, mult, _ in reference)
+
+
+def test_block_groups_past_the_witness_cap_keep_the_least():
+    _, result, _ = spectrum._spectrum_block((3, 2000, 1))
+    capped = [row for row in result if row[1] > spectrum.WITNESS_CAP]
+    assert capped
+    for _, _, wits in capped:
+        assert len(wits) == spectrum.WITNESS_CAP
+        assert wits == sorted(wits, key=spectrum._volume_key)
+
+
+def test_table_witnesses_are_the_least_of_each_key(table_n3_1e3):
+    tuples = list(enumerate_proper_primitive(EnumerationSpec(3, 10**3)))
+    by_key = {}
+    for t in tuples:
+        by_key.setdefault(d_subtorus1(t), []).append(t)
+    assert set(by_key) == set(table_n3_1e3.entries)
+    for key, entry in table_n3_1e3.entries.items():
+        assert entry.multiplicity == len(by_key[key])
+        assert entry.witnesses == tuple(sorted(by_key[key], key=spectrum._volume_key)[:8])
+
+
+def test_logs_in_the_old_row_order_still_resume(tmp_path, monkeypatch):
+    # Before blocks were assembled in arrays, a block's rows came in order
+    # of first appearance; the reference assembly writes them that way.
+    spec = EnumerationSpec(3, 2000)
+
+    def reference_block(args):
+        return args[2], block_reference(*args), {"tuples": 0, "seconds": 0.0, "pid": 0}
+
+    monkeypatch.setattr(spectrum, "_spectrum_block", reference_block)
+    path = tmp_path / "ckpt.jsonl"
+    with pytest.raises(_Interrupted):
+        build_spectrum(spec, workers=1, checkpoint_path=str(path), progress=_interrupt_at(3))
+    monkeypatch.undo()
+    logged = _log(path)[1:]
+    assert [b["block"] for b in logged] == [1, 2, 3]
+    for b in logged:
+        new = spectrum._spectrum_block((3, 2000, b["block"]))[1]
+        assert _rows(b["result"]) == _rows(new)
+        assert [row[0] for row in b["result"]] != [row[0] for row in new]
+    tables = {"resumed": build_spectrum(spec, workers=1, checkpoint_path=str(path))}
+    tables["plain"] = build_spectrum(spec, workers=1)
+    for name, table in tables.items():
+        table.save_json(str(tmp_path / f"{name}.json"))
+        table.save_flat(str(tmp_path / f"{name}.tsv"))
+    for ext in ("json", "tsv"):
+        assert (tmp_path / f"resumed.{ext}").read_bytes() == (tmp_path / f"plain.{ext}").read_bytes()
+
+
+def _round_trip_verdict(d):
+    """The lowest-terms verdict by parsing and printing, or the error it raises."""
+    try:
+        return format_rational(parse_rational(d)) == d
+    except InvalidInput as exc:
+        return str(exc)
+
+
+def _verdict(d):
+    try:
+        return spectrum._lowest_terms(d)
+    except InvalidInput as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        "0", "-0", "0/1", "-0/3", "0/5", "1/1", "2/4", "01/3", "1/03", "1/6", "-1/3",
+        "3", "-3", "10/3", "9/6", " 1/3", "1/3 ", "1/3\n", "+1/3", "1/-3", "1_0/3",
+        "1.5", "1e3", "1/0", "0/0", "\u0663/7", "1/\u0667", "", "-", "/3", "1/", "1//3",
+        "7" * 150 + "/3", "7" * 5000 + "/3",
+    ],
+)
+def test_lowest_terms_agrees_with_the_round_trip(d):
+    expected = _round_trip_verdict(d)
+    assert _verdict(d) == expected
+    not_lowest = f"entry 0: distance {d!r} is not in lowest terms"
+    message = {True: None, False: not_lowest}.get(expected, f"entry 0: {expected}")
+    try:
+        spectrum._check_block([[d, 1, []]], 2)
+        got = None
+    except InvalidInput as exc:
+        got = str(exc)
+    assert got == message
+
+
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**40), st.booleans())
+def test_lowest_terms_agrees_on_drawn_fractions(p, q, bare):
+    d = str(p) if bare else f"{p}/{q}"
+    assert _verdict(d) == _round_trip_verdict(d)
 
 
 @pytest.mark.parametrize("first, then", [(2, 1), (1, 2)])
