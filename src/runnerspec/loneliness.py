@@ -16,17 +16,19 @@ j v_b = -j v_a (mod q), so runner b's column repeats runner a's and is
 dropped.  A single runner keeps its peak 2 v_1.  A dense-grid oracle on
 the full candidate set lives in the test suite.
 
-One batched kernel does every scan.  It takes an (m, n) block of
-same-length tuples, gives each row one problem per pair, its n - 1 kept
-speeds on q = v_a + v_b, and evaluates every time j/q with j <= q/2
-(the profile is symmetric under j -> q - j) in int64 grids of at most
-``_GRID_CELLS`` cells, sliced over tuples for a block and over j for
-one huge tuple.  The tie-break is fixed: a larger value a/q wins, and
-an equal value wins only at a strictly earlier time, so every result
+One batched kernel, ``_scan_rows``, does every scan.  It takes an (m, n)
+batch of same-length tuples, an int64 array or rows of ints, and returns
+an (m, 3) int64 array of (a, q, k): maximum loneliness a/q, first reached
+at t = k/q.  Each row gives one problem per pair, its n - 1 kept speeds
+on q = v_a + v_b, and every time j/q with j <= q/2 is evaluated (the
+profile is symmetric under j -> q - j) in int64 grids of at most
+``_GRID_CELLS`` cells.  The tie-break is fixed: a larger value a/q wins,
+and an equal value wins only at a strictly earlier time, so every result
 carries the earliest maximizing time.  Tuples with 2 * max|v|^2 at or
 above ``_INT64_LIMIT`` are refused with ``InvalidSpeeds`` before any
-grid is built; the reference scan the kernel is tested against lives in
-the test suite.  Single-tuple queries are blocks with m = 1.
+entry is converted.  A batch of one row, as every single-tuple query is,
+picks its best pair by a fold in Python ints.  The reference scan the
+kernel is tested against lives in the test suite.
 """
 
 from __future__ import annotations
@@ -146,9 +148,17 @@ def _pair_index(n: int) -> Tuple[List[int], List[int], List[List[int]]]:
     return a, b, [[c for c in range(n) if c != y] for y in b]
 
 
-def _int64_ok(speeds: Sequence[int]) -> bool:
-    top = max(abs(s) for s in speeds)
+def _int64_ok(top: int) -> bool:
     return 2 * top * top < _INT64_LIMIT
+
+
+def _require_int64(top: int) -> None:
+    """Raise ``InvalidSpeeds`` unless a speed of size ``top`` fits the kernel."""
+    if not _int64_ok(top):
+        raise InvalidSpeeds(
+            f"speed {top} is too large for the exact scan, which needs "
+            f"2*v^2 < 2^60 (|v| <= {isqrt((_INT64_LIMIT - 1) // 2):,})"
+        )
 
 
 def _deviation_grid(speeds: np.ndarray, q: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -236,67 +246,41 @@ def _scan_problems(speeds: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, np.nd
     return a, k
 
 
-def _scan_int64(rows: np.ndarray) -> np.ndarray:
-    """The batched kernel: best (a, q, k) per row of an (m, n) int64 array.
+def _scan_rows(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> np.ndarray:
+    """Best (a, q, k) per row of an (m, n) batch of speeds, as an (m, 3) array.
 
-    Each row gives one problem per pair of ``_pair_index``, its kept
-    columns on q = v_a + v_b, and its result is the pair whose value a/q
-    is largest and, among those, whose time k/q is earliest.  Rows are
-    taken in slices whose column-comparison arrays, like the grids, hold
-    at most ``_GRID_CELLS`` cells.
+    Signs are ignored.  A fold over the pairs of ``_pair_index`` keeps the
+    first best: a later pair wins only with a larger a/q, or with the same
+    value at a strictly earlier k/q.
     """
-    m, n = rows.shape
-    i, j, keep = _pair_index(n)
-    c = len(i)
-    step = max(1, _GRID_CELLS // (c * c))
-    out = np.empty((m, 3), dtype=np.int64)
-    for s in range(0, m, step):
-        part = rows[s : s + step]
-        den = part[:, i] + part[:, j]
-        a, k = _scan_problems(part[:, keep].reshape(-1, len(keep[0])), den.ravel())
-        if len(part) == 1:
-            # One row: a fold over its columns is far cheaper than the
-            # array comparison below.
-            ba, bq, bk = -1, 1, 0
-            for aa, qq, kk in zip(a.tolist(), den[0].tolist(), k.tolist()):
-                if aa * bq > ba * qq or (aa * bq == ba * qq and kk * bq < bk * qq):
-                    ba, bq, bk = aa, qq, kk
-            out[s] = ba, bq, bk
-            continue
-        a = a.reshape(-1, c)
-        k = k.reshape(-1, c)
-        # beaten[r, x, y]: column y beats column x, by a larger value or
-        # by the same value at an earlier time.
-        left = a[:, :, None] * den[:, None, :]
-        right = left.swapaxes(1, 2)
-        beaten = left < right
-        tie = left == right
-        times = k[:, :, None] * den[:, None, :]
-        tie &= times > times.swapaxes(1, 2)
-        beaten |= tie
-        best = (~beaten.any(axis=2)).argmax(axis=1)
-        r = np.arange(len(part))
-        out[s : s + step] = np.stack([a[r, best], den[r, best], k[r, best]], axis=1)
-    return out
-
-
-def _scan_rows(rows: Sequence[Sequence[int]]) -> List[Tuple[int, int, int]]:
-    """Best (a, q, k) for every tuple of a batch of same-length speeds.
-
-    Row r has maximum loneliness a/q, first attained at t = k/q.  Signs
-    are ignored.  A batch holding a speed past the int64 bound raises
-    ``InvalidSpeeds`` before anything is scanned.
-    """
-    if not rows:
-        return []
-    top = max(max(map(max, rows)), -min(map(min, rows)))
-    if not _int64_ok((top,)):
-        raise InvalidSpeeds(
-            f"speed {top} is too large for the exact scan, which needs "
-            f"2*v^2 < 2^60 (|v| <= {isqrt((_INT64_LIMIT - 1) // 2):,})"
-        )
-    arr = np.abs(np.array(rows, dtype=np.int64))
-    return [tuple(res) for res in _scan_int64(arr).tolist()]
+    if len(rows) == 0:
+        return np.empty((0, 3), dtype=np.int64)
+    # Checked on the raw entries: np.asarray overflows past int64, np.abs wraps -2^63.
+    if isinstance(rows, np.ndarray):
+        lo, hi = int(rows.min()), int(rows.max())
+    else:
+        lo, hi = min(map(min, rows)), max(map(max, rows))
+    _require_int64(max(hi, -lo))
+    rows = np.abs(np.asarray(rows, dtype=np.int64))
+    i, j, keep = _pair_index(rows.shape[1])
+    den = rows[:, i] + rows[:, j]
+    a, k = _scan_problems(rows[:, keep].reshape(-1, len(keep[0])), den.ravel())
+    if len(rows) == 1:
+        # One row: a fold over its pairs in Python ints is far cheaper than
+        # the array steps below.
+        ba, bq, bk = -1, 1, 0
+        for aa, qq, kk in zip(a.tolist(), den[0].tolist(), k.tolist()):
+            if aa * bq > ba * qq or (aa * bq == ba * qq and kk * bq < bk * qq):
+                ba, bq, bk = aa, qq, kk
+        return np.array([(ba, bq, bk)], dtype=np.int64)
+    a, k = a.reshape(den.shape), k.reshape(den.shape)
+    ba, bq, bk = a[:, 0], den[:, 0], k[:, 0]
+    for y in range(1, den.shape[1]):
+        ay, qy, ky = a[:, y], den[:, y], k[:, y]
+        left, right = ay * bq, ba * qy
+        win = (left > right) | ((left == right) & (ky * bq < bk * qy))
+        ba, bq, bk = np.where(win, ay, ba), np.where(win, qy, bq), np.where(win, ky, bk)
+    return np.stack([ba, bq, bk], axis=1)
 
 
 def max_loneliness(v: SpeedsLike) -> LonelinessResult:
@@ -305,7 +289,7 @@ def max_loneliness(v: SpeedsLike) -> LonelinessResult:
     The witness time is the smallest maximizing candidate in [0, 1).
     """
     st = _as_speed_tuple(v)
-    ((a, q, k),) = _scan_rows([st.speeds])
+    a, q, k = _scan_rows([st.speeds])[0].tolist()
     ml = Fraction(a, q)
     return LonelinessResult(ml=ml, witness_time=Fraction(k, q), d_value=HALF - ml)
 
@@ -322,7 +306,7 @@ def maximizing_times(v: SpeedsLike) -> Tuple[Fraction, ...]:
     for the maximum A/B in lowest terms: a hit at j/q has (q - dev) B = 2qA.
     """
     speeds = _as_speed_tuple(v).speeds
-    ((bn, bd, _),) = _scan_rows([speeds])
+    bn, bd, _ = _scan_rows([speeds])[0].tolist()
     arr = np.array(speeds, dtype=np.int64)
     i, j, keep = _pair_index(len(speeds))
     cells = max(1, _GRID_CELLS // len(keep[0]))

@@ -36,7 +36,7 @@ from .core import (
     parse_rational,
 )
 from .lattice import DEFAULT_PI_BOUNDS, BudgetExceeded, ball_volume
-from .loneliness import _scan_rows, max_loneliness
+from .loneliness import _require_int64, _scan_rows, max_loneliness
 
 __all__ = [
     "CorruptCheckpoint",
@@ -135,7 +135,17 @@ def _canonical_block(n: int, max_volume_sq: int, v1: int) -> Iterator[IntVector]
 
 
 def _block_starts(spec: EnumerationSpec) -> range:
+    # A 1-tuple is primitive only at 1, so n = 1 has one block.
+    if spec.n == 1:
+        return range(1, 2)
     return range(1, isqrt(spec.max_volume_sq // spec.n) + 1)
+
+
+def _require_scannable(spec: EnumerationSpec) -> None:
+    """Raise ``InvalidSpeeds`` if the kernel would refuse block 1: for n >= 2 it
+    holds (1, ..., 1, x), x = isqrt(B - (n - 1)), the enumeration's top speed."""
+    if spec.n > 1:
+        _require_int64(isqrt(spec.max_volume_sq - (spec.n - 1)))
 
 
 def enumerate_proper_primitive(spec: EnumerationSpec) -> Iterator[IntVector]:
@@ -318,11 +328,11 @@ def _spectrum_block(args: Tuple[int, int, int]) -> Tuple[int, _BlockResult, dict
     out: _BlockResult = []
     if tuples:
         t = np.array(tuples, dtype=np.int64)
-        a, q, _ = np.array(_scan_rows(tuples), dtype=np.int64).T
+        a, q, _ = _scan_rows(t).T
         g = np.gcd(a, q)
         a, q = a // g, q // g
-        # Squares fit int64 past the kernel's check; only their sum may not.
-        vol = (t * t).sum(axis=1, dtype=np.int64 if max_volume_sq < 1 << 63 else object)
+        # build_spectrum's bound check keeps every squared volume below 2^60.
+        vol = (t * t).sum(axis=1)
         order = np.lexsort((*t.T[::-1], vol, q, a))
         a, q, rows = a[order], q[order], t[order].tolist()
         heads = [0, *(np.flatnonzero((a[1:] != a[:-1]) | (q[1:] != q[:-1])) + 1).tolist()]
@@ -532,8 +542,10 @@ def build_spectrum(
 
     A build that read no block back from a checkpoint records, for this
     process, each distance's least squared witness volume and the tuple
-    count, replacing the record of any earlier build of the same n.
+    count, replacing the record of any earlier build of the same n.  A
+    bound the kernel would refuse raises ``InvalidSpeeds`` before any work.
     """
+    _require_scannable(spec)
     workers = resolve_workers(workers)
     starts = list(_block_starts(spec))
     total = len(starts)
@@ -822,7 +834,7 @@ def _phase_a(
         hit = next(
             (
                 i
-                for i, (a, q, _) in enumerate(_scan_rows(tuples))
+                for i, (a, q, _) in enumerate(_scan_rows(tuples).tolist())
                 if a * target_ml.denominator == q * target_ml.numerator
             ),
             None,
@@ -860,7 +872,8 @@ def certify_absence(
     volume comparison squared to stay rational, with the lower rational
     pi bound), and the plane's own distance is either above the target
     by the supplied facts or so low that rho-density keeps the orbit's
-    distance strictly below the target.
+    distance strictly below the target.  A cutoff the kernel would refuse
+    raises ``InvalidSpeeds`` before either phase.
     """
     target = Fraction(target)
     if not 0 <= target <= HALF:
@@ -872,7 +885,9 @@ def certify_absence(
                 f"no built-in plane spectrum facts for n={n}; "
                 "pass outer_facts explicitly"
             )
-    checked, witness = _phase_a(target, EnumerationSpec(n, cutoff_volume_sq), progress)
+    spec = EnumerationSpec(n, cutoff_volume_sq)
+    _require_scannable(spec)
+    checked, witness = _phase_a(target, spec, progress)
     phase_a_passed = witness is None
 
     rho = target - outer_facts.low_bound - ABSENCE_MARGIN

@@ -75,7 +75,7 @@ def d_finite_cyclic(group: FiniteCyclicSubgroup) -> Fraction:
     kernel's int64 bound raise ``SubgroupTooLarge`` before any scan.
     """
     q = group.order
-    if not _int64_ok((q,)):
+    if not _int64_ok(q):
         raise SubgroupTooLarge(f"order {q} is past the exact scan's bound, 2*q^2 < 2^60")
     nums = [c.numerator * (q // c.denominator) for c in group.generator]
     (a,), _ = _scan_problems(np.array([nums], dtype=np.int64), np.array([q], dtype=np.int64))

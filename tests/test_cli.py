@@ -300,6 +300,11 @@ _TABLE = ("--n", "2", "--max-vol2", "10")
             ("verify", "fan-sun", "--r-max", "100000"),
             "r_max 100000 needs 100001 family members, past the budget of 6000",
         ),
+        (
+            ("ml", "1", "100000000000000000000"),
+            "speed 100000000000000000000 is too large for the exact scan,"
+            " which needs 2*v^2 < 2^60 (|v| <= 759,250,124)",
+        ),
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, args, message):
@@ -309,6 +314,29 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, args, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message.format(dir=tmp_path)}\n"
+
+
+@pytest.mark.parametrize(
+    "args, top",
+    [
+        (("spectrum", "--n", "2", "--max-vol2", "1" + "0" * 20), 9_999_999_999),
+        (("spectrum", "--n", "3", "--max-vol2", "1" + "0" * 18), 999_999_999),
+        (("verify", "prop81", "--cutoff", "1" + "0" * 20), 9_999_999_999),
+    ],
+)
+def test_a_huge_table_bound_is_refused_before_any_work(tmp_path, capsys, args, top):
+    files = ("--out", str(tmp_path / "x.json"), "--checkpoint", str(tmp_path / "x.jsonl"))
+    code, out, err = run(capsys, *args, *(files if args[0] == "spectrum" else ()))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: speed {top} is too large for the exact scan")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_enumerate_n1_prints_its_one_tuple_at_any_bound(capsys):
+    code, out, _ = run(capsys, "enumerate", "--n", "1", "--max-vol2", "1" + "0" * 20)
+    assert code == 0
+    assert out == "1\n"
 
 
 def test_an_internal_value_error_is_not_a_usage_error(monkeypatch):

@@ -19,7 +19,6 @@ from runnerspec.loneliness import (
     InvalidSpeeds,
     SpeedTuple,
     _int64_ok,
-    _scan_int64,
     _scan_rows,
     coset_center_distance,
     d_hyperplane,
@@ -138,9 +137,9 @@ def test_numpy_and_python_scans_agree():
     # three of length 3 as one batch.
     tuples = ((1, 2), (2, 3, 7), (5, 8, 11), (97, 998, 1001))
     for speeds in tuples:
-        ((a, q, k),) = _scan_int64(np.array([speeds], dtype=np.int64)).tolist()
+        ((a, q, k),) = _scan_rows(np.array([speeds], dtype=np.int64)).tolist()
         assert (a, q, k, q) == _scan_best_python(speeds)
-    batch = _scan_int64(np.array(tuples[1:], dtype=np.int64)).tolist()
+    batch = _scan_rows(np.array(tuples[1:], dtype=np.int64)).tolist()
     for speeds, (a, q, k) in zip(tuples[1:], batch):
         assert (a, q, k, q) == _scan_best_python(speeds)
 
@@ -176,7 +175,7 @@ def test_kernel_batch_matches_oracles(n, rows, repeat, cells):
     if repeat:
         batch += batch[:2]
     with mock.patch.object(loneliness, "_GRID_CELLS", cells):
-        got = _scan_rows(batch)
+        got = _scan_rows(batch).tolist()
     for speeds, (a, q, k) in zip(batch, got):
         res = (Fraction(a, q), Fraction(k, q))
         assert res == _reference(speeds)
@@ -186,8 +185,8 @@ def test_kernel_batch_matches_oracles(n, rows, repeat, cells):
 def test_kernel_keeps_the_earliest_time_across_denominators():
     expected = [grid_ml_witness(v) for v in _CROSS_TIES]
     assert expected[0] == (F(1, 3), F(4, 15))
-    singles = [_scan_rows([v])[0] for v in _CROSS_TIES]
-    for got in (singles, _scan_rows(list(_CROSS_TIES))):
+    singles = [_scan_rows([v]).tolist()[0] for v in _CROSS_TIES]
+    for got in (singles, _scan_rows(list(_CROSS_TIES)).tolist()):
         assert [(F(a, q), F(k, q)) for a, q, k in got] == expected
     assert [_reference(v) for v in _CROSS_TIES] == expected
 
@@ -211,7 +210,7 @@ def test_reduced_candidate_set_matches_the_full_one(row):
     assert _reference(row) == expected
     # The reversed row puts other columns first, and the two rows take
     # the batch path instead of the one-row fold.
-    for a, q, k in _scan_rows([row]) + _scan_rows([row, row[::-1]]):
+    for a, q, k in _scan_rows([row]).tolist() + _scan_rows([row, row[::-1]]).tolist():
         assert (F(a, q), F(k, q)) == expected
 
 
@@ -250,8 +249,8 @@ def test_maximizing_times_skips_denominators_that_cannot_hold_the_maximum(monkey
         scanned.append((speeds.tolist(), q.tolist()))
         return slices(speeds, q, width, cells)
 
-    assert _scan_rows([(1, 2, 3)]) == [(1, 4, 1)]
-    monkeypatch.setattr(loneliness, "_scan_rows", lambda rows: [(1, 4, 1)])
+    assert _scan_rows([(1, 2, 3)]).tolist() == [[1, 4, 1]]
+    monkeypatch.setattr(loneliness, "_scan_rows", lambda rows: np.array([(1, 4, 1)]))
     monkeypatch.setattr(loneliness, "_grid_slices", spy)
     assert maximizing_times((1, 2, 3)) == (F(1, 4), F(3, 4))
     assert scanned == [([[1, 2]], [4])]
@@ -286,6 +285,33 @@ def test_speeds_past_the_int64_bound_are_refused(monkeypatch):
             scan()
 
 
+def test_speeds_past_int64_itself_are_refused_before_conversion():
+    # np.asarray would raise OverflowError on 10^20, and np.abs would wrap
+    # -2^63 to itself; the bound is checked on the raw entries first.
+    for scan, top in (
+        (lambda: max_loneliness((1, 10**20)), 10**20),
+        (lambda: maximizing_times((1, 10**20)), 10**20),
+        (lambda: _scan_rows([(1, -(2**63))]), 2**63),
+        (lambda: _scan_rows(np.array([(1, -(2**63))], dtype=np.int64)), 2**63),
+    ):
+        with pytest.raises(InvalidSpeeds, match=f"speed {top} is too large"):
+            scan()
+
+
+def test_an_empty_batch_gives_no_rows():
+    for rows in ([], np.empty((0, 3), dtype=np.int64)):
+        got = _scan_rows(rows)
+        assert got.shape == (0, 3) and got.dtype == np.int64
+
+
+def test_an_array_and_rows_of_ints_give_the_same_results():
+    rows = [(1, -2, 3), (-4, 5, 7), (2, 5, -10), (-3, -3, 4)]
+    got = _scan_rows(rows)
+    assert got.shape == (4, 3) and got.dtype == np.int64
+    assert np.array_equal(_scan_rows(np.array(rows, dtype=np.int64)), got)
+    assert np.array_equal(_scan_rows(np.abs(np.array(rows))), got)
+
+
 @given(
     st.lists(st.integers(1, 40), min_size=1, max_size=4) | st.sampled_from(_CROSS_TIES),
     st.booleans(),
@@ -303,10 +329,10 @@ def test_maximizing_times_matches_the_oracle(row, repeat, cells):
 def test_int64_ok_switches_at_two_max_speed_squared():
     top = isqrt(((1 << 60) - 1) // 2)
     assert 2 * top * top < 1 << 60 <= 2 * (top + 1) * (top + 1)
-    assert _int64_ok((1, top))
-    assert _int64_ok((-top, 3))
-    assert not _int64_ok((1, top + 1))
-    assert not _int64_ok((-(top + 1), 3))
+    assert _int64_ok(top)
+    assert _int64_ok(-top)
+    assert not _int64_ok(top + 1)
+    assert not _int64_ok(-(top + 1))
 
 
 def test_n2_closed_form_identity():

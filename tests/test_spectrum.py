@@ -9,6 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from runnerspec import spectrum
 from runnerspec.core import InvalidInput, format_rational, parse_rational
 from runnerspec.lattice import BudgetExceeded
-from runnerspec.loneliness import d_subtorus1
+from runnerspec.loneliness import InvalidSpeeds, d_subtorus1
 from runnerspec.spectrum import (
     CANONICAL_CLASSES,
     THREADS_ENV_VAR,
@@ -95,6 +96,54 @@ def test_build_smallest_tables():
     }
     t1 = build_spectrum(EnumerationSpec(1, 50))
     assert t1.entries == {F(0): SpectrumEntry(1, ((1,),))}
+
+
+def test_n1_has_one_block_whatever_the_bound(monkeypatch):
+    monkeypatch.setattr(spectrum, "_SCANS", {})
+    for bound in (1, 50, 10**20):
+        spec = EnumerationSpec(1, bound)
+        assert spectrum._block_starts(spec) == range(1, 2)
+        assert list(enumerate_proper_primitive(spec)) == [(1,)]
+        assert build_spectrum(spec).entries == {F(0): SpectrumEntry(1, ((1,),))}
+
+
+def test_an_n1_log_with_blocks_past_1_is_refused(tmp_path):
+    # Logs of n = 1 once listed a block for every v1 <= isqrt(bound), all
+    # past 1 empty; n = 1 now has block 1 alone.
+    spec = EnumerationSpec(1, 50)
+    path = tmp_path / "ckpt.jsonl"
+    build_spectrum(spec, workers=1, checkpoint_path=str(path))
+    line = {"block": 2, "sha256": _sha256([]), "result": [], "tuples": 0, "seconds": 0.0, "pid": 1}
+    with path.open("a") as fh:
+        fh.write(json.dumps(line, separators=(",", ":")) + "\n")
+    with pytest.raises(CorruptCheckpoint, match="line 3 has a malformed block: key 2 is not a block start 1..1"):
+        build_spectrum(spec, workers=1, checkpoint_path=str(path))
+
+
+def test_require_scannable_switches_at_the_kernel_bound():
+    top = 759_250_124
+    for n in (2, 3, 5):
+        spectrum._require_scannable(EnumerationSpec(n, top * top + n - 1))
+        with pytest.raises(InvalidSpeeds, match=f"speed {top + 1} is too large"):
+            spectrum._require_scannable(EnumerationSpec(n, (top + 1) ** 2 + n - 1))
+    spectrum._require_scannable(EnumerationSpec(1, 10**40))
+
+
+def test_a_bound_past_the_kernel_is_refused_before_any_work(tmp_path, monkeypatch):
+    # Block 1 holds (1, ..., 1, x) with x = isqrt(bound - (n - 1)), which the
+    # kernel would refuse; nothing is enumerated, pooled or written first.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was started")
+
+    monkeypatch.setattr(spectrum, "_canonical_block", no_work)
+    monkeypatch.setattr(spectrum.multiprocessing, "Pool", no_work)
+    path = tmp_path / "ckpt.jsonl"
+    for n, bound, x in ((2, 10**20, 9_999_999_999), (3, 10**18, 999_999_999)):
+        with pytest.raises(InvalidSpeeds, match=f"speed {x} is too large"):
+            build_spectrum(EnumerationSpec(n, bound), workers=2, checkpoint_path=str(path))
+    with pytest.raises(InvalidSpeeds, match="speed 9999999999 is too large"):
+        certify_absence(F(7, 50), 3, 10**20)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_build_finds_the_tight_triple():
@@ -764,7 +813,9 @@ def test_certify_phase_a_stops_at_the_first_witness(target):
 def test_certify_progress_reports_every_hundred_thousand(monkeypatch):
     # The scan is stubbed out: every tuple reads ML 1/3 (distance 1/6),
     # never the target, so only the enumeration and the count run.
-    monkeypatch.setattr(spectrum, "_scan_rows", lambda rows: [(1, 3, 1)] * len(rows))
+    monkeypatch.setattr(
+        spectrum, "_scan_rows", lambda rows: np.full((len(rows), 3), (1, 3, 1), dtype=np.int64)
+    )
     facts = OuterSpectrumFacts(values_above=(F(1, 6),), low_bound=F(1, 10))
     seen = []
     cert = certify_absence(F(7, 50), 2, 10**6, outer_facts=facts, progress=seen.append)
