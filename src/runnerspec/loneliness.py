@@ -27,8 +27,8 @@ and an equal value wins only at a strictly earlier time, so every result
 carries the earliest maximizing time.  Tuples with 2 * max|v|^2 at or
 above ``_INT64_LIMIT`` are refused with ``InvalidSpeeds`` before any
 entry is converted.  A batch of one row, as every single-tuple query is,
-picks its best pair by a fold in Python ints.  The reference scan the
-kernel is tested against lives in the test suite.
+picks its best pair by a fold in Python ints, at n <= 3 mostly solved on
+plane lattices.  The reference scan it is tested against is in the tests.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -79,6 +79,11 @@ _COSET_CANDIDATES = 1 << 25
 # block of tuples or for one huge tuple, is sliced to this size, so its
 # scratch memory stays at a few MiB whatever the speeds.
 _GRID_CELLS = 1 << 16
+
+# Most points a single-tuple scan enumerates on one pair's lattice: a pair
+# with a larger box (about 0.5% of random n = 3 pairs; (1, X, 2) holds about
+# q/2 points) is scanned on the grid instead.
+_LATTICE_POINTS = 256
 
 # One scratch array per thread holds every grid the kernel builds.  With
 # a grid allocated and freed per scan, the allocator could hand the freed
@@ -246,6 +251,51 @@ def _scan_problems(speeds: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, np.nd
     return a, k
 
 
+def _lattice_times(u: int, w: int, q: int, radius: Optional[int] = None):
+    """(dev, j) over a box of times j < q holding every j whose deviation
+    max(|2x - q|, |2y - q|) at (x, y) = (j u, j w) mod q is at most ``radius``,
+    by default the best Babai corner's; None past ``_LATTICE_POINTS`` points.
+
+    For gcd(u, w, q) = 1, j <-> (x, y) mod qZ^2 is one to one on the lattice
+    Z(u, w) + qZ^2 of determinant q, whose L-infinity closest point to
+    (q/2, q/2) is the best time.  Basis vectors carry their time as a third
+    entry.  With e1, e2 Lagrange-Gauss reduced and e1 x e2 = q, a point
+    al e1 + be e2 within ``radius`` has |2 be q - e1 x C| <= |e1|_1 radius,
+    C = (q, q), and al is bounded the same way by e2.
+    """
+    g = gcd(u, q)
+    inv = pow(u // g, -1, q // g)
+    e1, e2 = (g, inv * w % q, inv), (0, q // g, q // g * pow(w, -1, g))
+    while True:
+        if e2[0] ** 2 + e2[1] ** 2 < e1[0] ** 2 + e1[1] ** 2:
+            e1, e2 = e2, e1
+        n1 = e1[0] ** 2 + e1[1] ** 2
+        mu = (2 * (e1[0] * e2[0] + e1[1] * e2[1]) + n1) // (2 * n1)
+        if mu == 0:
+            break
+        e2 = (e2[0] - mu * e1[0], e2[1] - mu * e1[1], e2[2] - mu * e1[2])
+    if e1[0] * e2[1] < e1[1] * e2[0]:
+        e2 = tuple(-c for c in e2)
+
+    def dev(al: int, be: int) -> int:
+        x, y = al * e1[0] + be * e2[0], al * e1[1] + be * e2[1]
+        return max(abs(2 * x - q), abs(2 * y - q))
+
+    # (q/2, q/2) = s e1 + t e2 with 2s = C x e2 / q and 2t = e1 x C / q.
+    s2, t2 = e2[1] - e2[0], e1[0] - e1[1]
+    if radius is None:
+        radius = min(dev(s2 // 2 + i, t2 // 2 + k) for i in (0, 1) for k in (0, 1))
+
+    def span(c2: int, e: Tuple[int, ...]) -> range:
+        r = (abs(e[0]) + abs(e[1])) * radius
+        return range(-((r - q * c2) // (2 * q)), (r + q * c2) // (2 * q) + 1)
+
+    als, bes = span(s2, e2), span(t2, e1)
+    if len(als) * len(bes) > _LATTICE_POINTS:
+        return None
+    return [(dev(al, be), (al * e1[2] + be * e2[2]) % q) for al in als for be in bes]
+
+
 def _scan_rows(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> np.ndarray:
     """Best (a, q, k) per row of an (m, n) batch of speeds, as an (m, 3) array.
 
@@ -264,15 +314,29 @@ def _scan_rows(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> np.ndarray:
     rows = np.abs(np.asarray(rows, dtype=np.int64))
     i, j, keep = _pair_index(rows.shape[1])
     den = rows[:, i] + rows[:, j]
-    a, k = _scan_problems(rows[:, keep].reshape(-1, len(keep[0])), den.ravel())
+    problems = rows[:, keep].reshape(-1, len(keep[0]))
     if len(rows) == 1:
         # One row: a fold over its pairs in Python ints is far cheaper than
-        # the array steps below.
+        # the array steps below.  For n <= 3 a pair's one or two kept columns
+        # are solved on its lattice, for the row over its gcd g: (g a', g q', k').
+        row, dens = rows[0].tolist(), den[0].tolist()
+        g, found = gcd(*row), [None] * len(dens)
+        for p, (cols, qq) in enumerate(zip(keep, dens) if len(row) <= 3 else ()):
+            points = _lattice_times(row[cols[0]] // g, row[cols[-1]] // g, qq // g)
+            if points is not None:
+                d, kk = min(points)
+                found[p] = ((qq - g * d) // 2, kk)
+        grid = [p for p, x in enumerate(found) if x is None]
+        if grid:
+            a, k = _scan_problems(problems[grid], den[0, grid])
+            for p, aa, kk in zip(grid, a.tolist(), k.tolist()):
+                found[p] = (aa, kk)
         ba, bq, bk = -1, 1, 0
-        for aa, qq, kk in zip(a.tolist(), den[0].tolist(), k.tolist()):
+        for (aa, kk), qq in zip(found, dens):
             if aa * bq > ba * qq or (aa * bq == ba * qq and kk * bq < bk * qq):
                 ba, bq, bk = aa, qq, kk
         return np.array([(ba, bq, bk)], dtype=np.int64)
+    a, k = _scan_problems(problems, den.ravel())
     a, k = a.reshape(den.shape), k.reshape(den.shape)
     ba, bq, bk = a[:, 0], den[:, 0], k[:, 0]
     for y in range(1, den.shape[1]):
@@ -303,7 +367,8 @@ def maximizing_times(v: SpeedsLike) -> Tuple[Fraction, ...]:
     """All candidate times attaining the maximum loneliness, ascending.
 
     Each pair's q is scanned once, on its kept columns, if B divides 2q
-    for the maximum A/B in lowest terms: a hit at j/q has (q - dev) B = 2qA.
+    for the maximum A/B in lowest terms: a hit at j/q has (q - dev) B = 2qA,
+    so dev = q - 2qA/B.  For n <= 3 the lattice box of that radius is read.
     """
     speeds = _as_speed_tuple(v).speeds
     bn, bd, _ = _scan_rows([speeds])[0].tolist()
@@ -313,9 +378,14 @@ def maximizing_times(v: SpeedsLike) -> Tuple[Fraction, ...]:
     pairs = zip((arr[i] + arr[j]).tolist(), keep)
     times = set()
     for q, cols in {q: cols for q, cols in pairs if 2 * q * bn % bd == 0}.items():
+        hit = q - 2 * q * bn // bd
+        if len(speeds) <= 3:
+            points = _lattice_times(speeds[cols[0]], speeds[cols[-1]], q, hit)
+            if points is not None:
+                times.update(Fraction(t, q) for d, t in points if d == hit)
+                continue
         for j0, dev in _grid_slices(arr[None, cols], np.array([q], dtype=np.int64), q, cells):
-            hits = np.flatnonzero((q - dev[0]) * bd == 2 * bn * q) + j0
-            times.update(Fraction(int(h), q) for h in hits)
+            times.update(Fraction(int(h), q) for h in np.flatnonzero(dev[0] == hit) + j0)
     return tuple(sorted(times))
 
 

@@ -185,16 +185,26 @@ def test_kernel_batch_matches_oracles(n, rows, repeat, cells):
 def test_kernel_keeps_the_earliest_time_across_denominators():
     expected = [grid_ml_witness(v) for v in _CROSS_TIES]
     assert expected[0] == (F(1, 3), F(4, 15))
-    singles = [_scan_rows([v]).tolist()[0] for v in _CROSS_TIES]
-    for got in (singles, _scan_rows(list(_CROSS_TIES)).tolist()):
-        assert [(F(a, q), F(k, q)) for a, q, k in got] == expected
+    # One row is solved on lattices and a batch on grids; the rows b v are
+    # not primitive for b = 3, and reach the same maximum at t / b.
+    for b in (1, 3):
+        rows = [tuple(b * s for s in v) for v in _CROSS_TIES]
+        singles = [_scan_rows([v]).tolist()[0] for v in rows]
+        for got in (singles, _scan_rows(rows).tolist()):
+            assert [(F(a, q), F(k, q)) for a, q, k in got] == [(m, t / b) for m, t in expected]
     assert [_reference(v) for v in _CROSS_TIES] == expected
 
 
 # The kernel scans only pair sums v_a + v_b without column b (n >= 2);
 # the reference and the grid oracle keep every peak 2 v_i and every column.
-@given(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+# One row is solved on its pairs' lattices, two rows on the grid.
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=3)
+    | st.tuples(st.integers(1, 3), _rows).map(lambda nr: nr[1][: nr[0]])
+)
 @example((1,))
+@example((5,))
+@example((4, 6, 1))
 @example((7,))
 @example((1, 2, 2))
 @example((1, 3))
@@ -203,7 +213,7 @@ def test_kernel_keeps_the_earliest_time_across_denominators():
 @example(_CROSS_TIES[1])
 @example(_CROSS_TIES[2])
 @example(_CROSS_TIES[3])
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_reduced_candidate_set_matches_the_full_one(row):
     row = tuple(row)
     expected = grid_ml_witness(row)
@@ -223,7 +233,7 @@ def test_kernel_scans_pair_sums_without_the_partner_column(monkeypatch):
         return scan(speeds, q)
 
     monkeypatch.setattr(loneliness, "_scan_problems", spy)
-    for batch in ([(1, 2, 2), (3, 5, 7), (2, 5, 10)], [(8, 3, 11, 19)], [(2, 3)]):
+    for batch in ([(1, 2, 2), (3, 5, 7), (2, 5, 10)], [(8, 3, 11, 19)], [(2, 3), (3, 2)]):
         problems.clear()
         _scan_rows(batch)
         n = len(batch[0])
@@ -234,14 +244,44 @@ def test_kernel_scans_pair_sums_without_the_partner_column(monkeypatch):
             assert q == row[a] + row[b]
             assert speeds == [v for c, v in enumerate(row) if c != b]
     problems.clear()
-    _scan_rows([(5,)])
-    assert problems == [([5], 10)]
+    _scan_rows([(5,), (1,)])
+    assert problems == [([5], 10), ([1], 2)]
+    # One row of n <= 3 is solved on its pairs' lattices and builds no grid;
+    # one row of n = 4 still does.
+    problems.clear()
+    for row in ((5,), (2, 3), (3, 5, 7), (2, 5, 10)):
+        _scan_rows([row])
+    assert problems == []
+    _scan_rows([(8, 3, 11, 19)])
+    assert len(problems) == 6
 
 
 def test_maximizing_times_skips_denominators_that_cannot_hold_the_maximum(monkeypatch):
     # (1, 2, 3) has maximum 1/4 at 1/4 and 3/4.  Of its pair sums 3, 4
-    # and 5 only 4 has 4 | 2q; it is scanned once, on two columns.  The
-    # kernel's answer is given, so every grid seen is maximizing_times'.
+    # and 5 only 4 has 4 | 2q; it is solved once, on the lattice of its two
+    # columns at the radius q - 2q/4 = 2, and no grid is built.  The
+    # kernel's answer is given, so every lattice seen is maximizing_times'.
+    solved = []
+    lattice = loneliness._lattice_times
+
+    def spy(u, w, q, radius=None):
+        solved.append((u, w, q, radius))
+        return lattice(u, w, q, radius)
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    assert _scan_rows([(1, 2, 3)]).tolist() == [[1, 4, 1]]
+    monkeypatch.setattr(loneliness, "_scan_rows", lambda rows: np.array([(1, 4, 1)]))
+    monkeypatch.setattr(loneliness, "_lattice_times", spy)
+    monkeypatch.setattr(loneliness, "_grid_slices", no_grid)
+    assert maximizing_times((1, 2, 3)) == (F(1, 4), F(3, 4))
+    assert solved == [(1, 2, 4, 2)]
+
+
+def test_maximizing_times_skips_grids_that_cannot_hold_the_maximum(monkeypatch):
+    # (8, 3, 11, 19) has maximum 7/30.  Of its pair sums 11, 19, 27, 14,
+    # 22 and 30 only 30 has 30 | 2q; it is scanned once, on three columns.
     scanned = []
     slices = loneliness._grid_slices
 
@@ -249,11 +289,75 @@ def test_maximizing_times_skips_denominators_that_cannot_hold_the_maximum(monkey
         scanned.append((speeds.tolist(), q.tolist()))
         return slices(speeds, q, width, cells)
 
-    assert _scan_rows([(1, 2, 3)]).tolist() == [[1, 4, 1]]
-    monkeypatch.setattr(loneliness, "_scan_rows", lambda rows: np.array([(1, 4, 1)]))
+    assert _scan_rows([(8, 3, 11, 19)]).tolist() == [[7, 30, 13]]
+    monkeypatch.setattr(loneliness, "_scan_rows", lambda rows: np.array([(7, 30, 13)]))
     monkeypatch.setattr(loneliness, "_grid_slices", spy)
-    assert maximizing_times((1, 2, 3)) == (F(1, 4), F(3, 4))
-    assert scanned == [([[1, 2]], [4])]
+    assert maximizing_times((8, 3, 11, 19)) == (F(13, 30), F(17, 30))
+    assert scanned == [([[8, 3, 11]], [30])]
+
+
+# --- the plane lattice of a pair sum ---------------------------------------
+# One row of n <= 3 is solved on each pair's lattice; two rows go to the
+# grid, which stays the lattice's differential partner.
+
+
+def _one_and_two_rows(row):
+    one = _scan_rows([row]).tolist()[0]
+    two = _scan_rows([row, row]).tolist()
+    assert two == [one, one]
+    return one
+
+
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=3))
+@example([1, 10**6, 2])
+@example([999999, 1000000, 999998])
+@settings(max_examples=150, deadline=None)
+def test_lattice_matches_the_grid_on_large_speeds(row):
+    _one_and_two_rows(tuple(row))
+
+
+def test_skewed_pairs_fall_back_to_the_grid(monkeypatch):
+    # On q = 1 + 10^5 the kept speeds (1, 2) give the basis vector (1, 2),
+    # and on q = 2 + 10^5 the speeds (1, 10^5) give (1, -2): each box holds
+    # about q/2 points, so those pairs are scanned on the grid and the pair
+    # on q = 3 on its lattice.
+    assert loneliness._lattice_times(1, 2, 10**5 + 1) is None
+    assert loneliness._lattice_times(1, 10**5, 10**5 + 2) is None
+    assert loneliness._lattice_times(1, 10**5, 3) is not None
+    problems = []
+    scan = loneliness._scan_problems
+
+    def spy(speeds, q):
+        problems.extend(zip(speeds.tolist(), q.tolist()))
+        return scan(speeds, q)
+
+    monkeypatch.setattr(loneliness, "_scan_problems", spy)
+    for b in (1, 2):
+        problems.clear()
+        row = (b, b * 10**5, 2 * b)
+        _scan_rows([row])
+        assert problems == [([b, 2 * b], b * (10**5 + 1)), ([b, b * 10**5], b * (10**5 + 2))]
+        assert _one_and_two_rows(row) == [b, 3 * b, 1]
+    assert max_loneliness((1, 10**5, 2)).witness_time == F(1, 3)
+
+
+def test_a_lattice_cap_of_zero_sends_every_pair_to_the_grid(monkeypatch):
+    tuples = _KNOWN + _CROSS_TIES + ((97, 998, 1001), (1, 10**5, 2), (4, 6, 1))
+    rows = [(2, 4, 6), (7,), (3, 6)]
+    before = [(max_loneliness(v), maximizing_times(v)) for v in tuples]
+    kernel = [_scan_rows([r]).tolist() for r in rows]
+    grids = []
+    scan = loneliness._scan_problems
+
+    def spy(speeds, q):
+        grids.append(len(q))
+        return scan(speeds, q)
+
+    monkeypatch.setattr(loneliness, "_LATTICE_POINTS", 0)
+    monkeypatch.setattr(loneliness, "_scan_problems", spy)
+    assert [(max_loneliness(v), maximizing_times(v)) for v in tuples] == before
+    assert [_scan_rows([r]).tolist() for r in rows] == kernel
+    assert len(grids) >= len(tuples) + len(rows)
 
 
 _KNOWN = ((1,), (1, 2), (2, 3), (1, 2, 3), (3, 4, 5), (8, 3, 11, 19), (1, 2, 2))
@@ -312,8 +416,11 @@ def test_an_array_and_rows_of_ints_give_the_same_results():
     assert np.array_equal(_scan_rows(np.abs(np.array(rows))), got)
 
 
+# n = 3 rows up to 1000 are solved on lattices of a few points each.
 @given(
-    st.lists(st.integers(1, 40), min_size=1, max_size=4) | st.sampled_from(_CROSS_TIES),
+    st.lists(st.integers(1, 40), min_size=1, max_size=4)
+    | st.lists(st.integers(1, 1000), min_size=3, max_size=3)
+    | st.sampled_from(_CROSS_TIES),
     st.booleans(),
     st.sampled_from((7, 64, 1 << 16)),
 )
@@ -385,7 +492,14 @@ def test_duplicates_do_not_change_ml(speeds):
 def test_concurrent_scans_keep_their_own_grids():
     # Every thread scans in its own scratch array; with one shared array,
     # concurrent queries would overwrite each other's grids.
-    tuples = [(1, 2, 3), (9001, 9011, 9013), (3, 7, 199), (4001, 4003, 4007, 4013)]
+    # n <= 3 tuples are solved on lattices, so the two n = 4 tuples share grids.
+    tuples = [
+        (1, 2, 3),
+        (9001, 9011, 9013),
+        (3, 7, 199),
+        (4001, 4003, 4007, 4013),
+        (5003, 5009, 5011, 5021),
+    ]
     expected = [max_loneliness(t) for t in tuples]
     results = {}
 
