@@ -3,11 +3,12 @@
 A proper line orbit in the n-torus is described by a primitive integer
 speed tuple with no zero entry; up to the symmetries fixing the center
 (coordinate permutations and sign flips) the canonical form is a sorted
-positive tuple.  This module enumerates canonical tuples inside a volume
-ball, assembles the multiset of center distances into a table, and
-provides the verifiers used by the acceptance suite: the n = 2 closed
-form, the four-speed family identity, the reduced-form window test, and
-the two-phase absence certifier.
+positive tuple.  This module enumerates the canonical tuples inside a
+volume ball into int64 arrays, one leading-coordinate block at a time,
+within a tuple budget; folds the blocks' scanned center distances into a
+table in the same arrays; and provides the verifiers used by the
+acceptance suite: the n = 2 closed form, the four-speed family identity,
+the reduced-form window test, and the two-phase absence certifier.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from operator import mul
+from math import ceil, factorial, gcd, isqrt
 from time import perf_counter
 from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -117,21 +117,25 @@ class EnumerationSpec:
             )
 
 
-def _canonical_block(n: int, max_volume_sq: int, v1: int) -> Iterator[IntVector]:
-    """Canonical tuples starting with v1, in lexicographic order."""
+def _block_rows(n: int, max_volume_sq: int, v1: int) -> np.ndarray:
+    """Canonical tuples starting with v1, in lexicographic order, as an (m, n) int64 array.
 
-    def rec(prefix: IntVector, budget: int, g: int) -> Iterator[IntVector]:
-        slots = n - len(prefix)
-        if slots == 0:
-            if g == 1:
-                yield prefix
-            return
-        lo = prefix[-1]
-        hi = isqrt(budget // slots)
-        for x in range(lo, hi + 1):
-            yield from rec(prefix + (x,), budget - x * x, gcd(g, x))
-
-    yield from rec((v1,), max_volume_sq - v1 * v1, v1)
+    Slot by slot, each prefix repeats once per value x of its next slot, from
+    its last entry to isqrt(budget // slots left), and its budget drops by x^2.
+    """
+    rows = np.full((1, 1), v1, dtype=np.int64)
+    # n = 1 takes any bound: its one block, (1,), fills no slot.
+    budget = np.array([max_volume_sq - v1 * v1 if n > 1 else 0], dtype=np.int64)
+    for slots in range(n - 1, 0, -1):
+        room = budget // slots
+        top = np.sqrt(room).astype(np.int64)  # the float root is off by at most one
+        top += ((top + 1) ** 2 <= room).astype(np.int64) - (top * top > room)
+        count = np.maximum(top - rows[:, -1] + 1, 0)
+        prefix = np.repeat(np.arange(len(rows)), count)
+        x = rows[prefix, -1] + np.arange(len(prefix)) - np.repeat(np.cumsum(count) - count, count)
+        rows = np.column_stack((rows[prefix], x))
+        budget = budget[prefix] - x * x
+    return rows[np.gcd.reduce(rows, axis=1) == 1]
 
 
 def _block_starts(spec: EnumerationSpec) -> range:
@@ -148,14 +152,45 @@ def _require_scannable(spec: EnumerationSpec) -> None:
         _require_int64(isqrt(spec.max_volume_sq - (spec.n - 1)))
 
 
+# The most canonical tuples that a table build, absence certificate or
+# enumeration takes on.  It bounds memory, not time: block 1 of the largest
+# admitted n = 6 bound, 3,025, peaks near 1.2 GB in the kernel.
+_TUPLE_BUDGET = 10**7
+
+
+def _require_budget(spec: EnumerationSpec) -> int:
+    """After ``_require_scannable``, return a bound U_n on the canonical tuples
+    of ``spec``, or raise ``BudgetExceeded`` if it is past ``_TUPLE_BUDGET``.
+
+    The cubes [v - 1, v] of the positive tuples fill at most the orthant of
+    the ball of radius sqrt(B), w_n B^(n/2) / 2^n.  A sorted tuple of distinct
+    entries is n! of them, and one with a repeated entry is a sorted
+    (n - 1)-tuple with one entry doubled: U_n = w_n B^(n/2) / (2^n n!) +
+    (n - 1) U_(n-1), from U_1 = sqrt(B).  n = 1 has one tuple.
+    """
+    _require_scannable(spec)
+    B, root = spec.max_volume_sq, isqrt(spec.max_volume_sq - 1) + 1
+    bound = Fraction(root) if spec.n > 1 else 1
+    for k in range(2, spec.n + 1):
+        ball = ball_volume(k).bounds()[1] * B ** (k // 2) * root ** (k % 2)
+        bound = ball / (2**k * factorial(k)) + (k - 1) * bound
+    if ceil(bound) > _TUPLE_BUDGET:
+        raise BudgetExceeded(
+            f"max_volume_sq {B} at n={spec.n} allows up to {ceil(bound)} "
+            f"canonical tuples, past the budget of {_TUPLE_BUDGET}"
+        )
+    return ceil(bound)
+
+
 def enumerate_proper_primitive(spec: EnumerationSpec) -> Iterator[IntVector]:
     """Stream primitive no-zero-entry tuples with squared sum in bound.
 
     One sorted positive representative per permutation/sign class, in
-    lexicographic order.
+    lexicographic order, read from the block arrays; checked at the call.
     """
-    for v1 in _block_starts(spec):
-        yield from _canonical_block(spec.n, spec.max_volume_sq, v1)
+    _require_budget(spec)
+    blocks = (_block_rows(spec.n, spec.max_volume_sq, v1) for v1 in _block_starts(spec))
+    return (tuple(row) for rows in blocks for row in rows.tolist())
 
 
 @dataclass(frozen=True)
@@ -301,49 +336,84 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-# A block result lists, per distance text, its multiplicity and its capped
-# witness list, sorted by (squared volume, tuple).  Rows come ordered by the
-# reduced maximum loneliness (a, q); build_spectrum folds them by text, so
-# their order never reaches the table files.
-_BlockResult = List[Tuple[str, int, List[List[int]]]]
+def _half_minus(p: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """1/2 - p/r in lowest terms: a distance from a maximum loneliness, and back."""
+    g = np.gcd(r - 2 * p, 2 * r)
+    return (r - 2 * p) // g, 2 * r // g
 
 
-def _volume_key(t: Sequence[int]):
-    return (sum(map(mul, t, t)), tuple(t))
+class _Block(NamedTuple):
+    """Block results in int64 arrays: each distinct maximum loneliness a/q in
+    lowest terms, ordered by (a, q), with its multiplicity; at most
+    ``WITNESS_CAP`` witness rows per value with their value index, ordered by
+    (index, squared volume, tuple).  Blocks are folded by value, so the value
+    order reaches only the checkpoint log."""
+
+    a: np.ndarray
+    q: np.ndarray
+    mult: np.ndarray
+    wits: np.ndarray
+    key: np.ndarray
+
+    def groups(self) -> Iterator[Tuple[int, int, int, List[List[int]]]]:
+        """(numerator, denominator, multiplicity, witness rows) of each distance 1/2 - a/q."""
+        rows, (num, den) = self.wits.tolist(), (x.tolist() for x in _half_minus(self.a, self.q))
+        ends = np.cumsum(np.bincount(self.key, minlength=len(self.a))).tolist()
+        return zip(num, den, self.mult.tolist(), (rows[i:j] for i, j in zip([0, *ends], ends)))
+
+    def rows(self) -> list:
+        """The checkpoint log's JSON rows: [distance, multiplicity, witnesses]."""
+        return [[f"{p}/{r}" if r != 1 else str(p), m, w] for p, r, m, w in self.groups()]
+
+    @classmethod
+    def from_rows(cls, rows: list, spec: EnumerationSpec) -> "_Block":
+        """The block of JSON rows that ``_check_block`` passed.  A value past
+        int64, or a distance or witness entry past 4 sqrt(B), is no build's."""
+        top = 4 * isqrt(spec.max_volume_sq)
+        keys = [[int(p), int(r or 1)] for p, _, r in (d.partition("/") for d, _, _ in rows)]
+        try:
+            p, r = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+            wits = np.array([w for *_, ws in rows for w in ws], dtype=np.int64).reshape(-1, spec.n)
+            mult = np.array([m for _, m, _ in rows], dtype=np.int64)
+        except OverflowError:
+            raise InvalidInput("a value is past int64") from None
+        cells = np.concatenate((p, r, wits.ravel()))
+        if not -top <= cells.min(initial=0) <= cells.max(initial=0) <= top:
+            raise InvalidInput(f"a distance or witness entry is past {top}")
+        key = np.repeat(np.arange(len(rows)), [len(ws) for _, _, ws in rows])
+        return cls(*_half_minus(p, r), mult, wits, key)
 
 
-def _spectrum_block(args: Tuple[int, int, int]) -> Tuple[int, _BlockResult, dict]:
-    """Scan one leading-coordinate block in one kernel call.
-
-    The kernel's (a, q) are reduced in an array, and one lexsort by
-    (a, q, squared volume, tuple) puts each group of equal maximum
-    loneliness a/q together with its least witnesses first.  The distance
-    1/2 - a/q is written from integers.  Returns the block start, its
-    result and its trace: tuple count, wall time in seconds and the pid
-    of the process.
-    """
+def _spectrum_block(args: Tuple[int, int, int]) -> Tuple[int, _Block, dict]:
+    """Scan one leading-coordinate block in one kernel call and fold its tuples
+    by reduced maximum loneliness.  Returns the block start, its result and
+    its trace: tuple count, wall time in seconds and the pid of the process."""
     start = perf_counter()
     n, max_volume_sq, v1 = args
-    tuples = list(_canonical_block(n, max_volume_sq, v1))
-    out: _BlockResult = []
-    if tuples:
-        t = np.array(tuples, dtype=np.int64)
-        a, q, _ = _scan_rows(t).T
-        g = np.gcd(a, q)
-        a, q = a // g, q // g
-        # build_spectrum's bound check keeps every squared volume below 2^60.
-        vol = (t * t).sum(axis=1)
-        order = np.lexsort((*t.T[::-1], vol, q, a))
-        a, q, rows = a[order], q[order], t[order].tolist()
-        heads = [0, *(np.flatnonzero((a[1:] != a[:-1]) | (q[1:] != q[:-1])) + 1).tolist()]
-        num, den = q[heads] - 2 * a[heads], 2 * q[heads]
-        g = np.gcd(num, den)
-        for p, r, lo, hi in zip(
-            (num // g).tolist(), (den // g).tolist(), heads, heads[1:] + [len(rows)]
-        ):
-            out.append((f"{p}/{r}" if p else "0", hi - lo, rows[lo : min(hi, lo + WITNESS_CAP)]))
+    t = _block_rows(n, max_volume_sq, v1)
+    a, q, _ = _scan_rows(t).T
+    g = np.gcd(a, q)
+    block = _fold([_Block(a // g, q // g, np.ones(len(t), dtype=np.int64), t, np.arange(len(t)))])
     seconds = round(perf_counter() - start, 6)
-    return v1, out, {"tuples": len(tuples), "seconds": seconds, "pid": os.getpid()}
+    return v1, block, {"tuples": len(t), "seconds": seconds, "pid": os.getpid()}
+
+
+def _fold(blocks: Sequence[_Block]) -> _Block:
+    """Merge block results by value, in any order: ``np.unique`` on one int64
+    key per (a, q) unifies the values, ``np.add.at`` sums their multiplicities,
+    and one lexsort on (value, squared volume, tuple) puts each value's least
+    witnesses first, before the cap."""
+    a, q, mult, wits, key = map(np.concatenate, zip(*blocks))
+    key += np.repeat(np.cumsum([0, *(len(b.a) for b in blocks[:-1])]), [len(b.key) for b in blocks])
+    span = int(q.max(initial=0)) + 1  # 0 < q < span, so a * span + q orders by (a, q)
+    values, value = np.unique(a * span + q, return_inverse=True)
+    total = np.zeros(len(values), dtype=np.int64)
+    np.add.at(total, value, mult)
+    key = value[key]
+    # The tuple budget and from_rows keep every squared volume far below 2^63.
+    rows = np.lexsort((*wits.T[::-1], (wits * wits).sum(axis=1), key))
+    rows = rows[np.arange(len(rows)) - np.searchsorted(key[rows], key[rows]) < WITNESS_CAP]
+    return _Block(values // span, values % span, total, wits[rows], key[rows])
 
 
 # Plain ASCII digits, with no "-0" and no leading zero: such a text is in
@@ -361,7 +431,7 @@ def _lowest_terms(d: str) -> bool:
     return m[2] is None or (m[2] != "1" and gcd(int(m[1]), int(m[2])) == 1)
 
 
-def _check_block(result: _BlockResult, n: int) -> None:
+def _check_block(result: list, n: int) -> None:
     """Raise InvalidInput, naming the entry, unless ``result`` is a block result.
 
     Each distance is written in lowest terms and appears once, so merging
@@ -411,8 +481,8 @@ def _digest(result: object) -> str:
     return hashlib.sha256(json.dumps(result, separators=_COMPACT).encode()).hexdigest()
 
 
-def _read_checkpoint(path: str, data: bytes, spec: EnumerationSpec) -> Dict[int, _BlockResult]:
-    """The blocks of the log ``data``, less a torn line after the last newline."""
+def _read_checkpoint(path: str, data: bytes, spec: EnumerationSpec) -> Dict[int, _Block]:
+    """The blocks of the log ``data`` as arrays, less a torn last line."""
     head, newline, body = data.partition(b"\n")
     try:
         header = json.loads(head)
@@ -441,7 +511,7 @@ def _read_checkpoint(path: str, data: bytes, spec: EnumerationSpec) -> Dict[int,
             f"not {(spec.n, spec.max_volume_sq, True)}"
         )
     starts = _block_starts(spec)
-    blocks: Dict[int, _BlockResult] = {}
+    blocks: Dict[int, _Block] = {}
     for number, line in enumerate(body.split(b"\n")[:-1], start=2):
         where = f"checkpoint {path} line {number}"
         try:
@@ -460,15 +530,16 @@ def _read_checkpoint(path: str, data: bytes, spec: EnumerationSpec) -> Dict[int,
             if type(v1) is not int or v1 not in starts:
                 raise InvalidInput(f"key {v1!r} is not a block start 1..{len(starts)}")
             _check_block(result, spec.n)
+            block = _Block.from_rows(result, spec)
         except InvalidInput as exc:
             raise CorruptCheckpoint(f"{where} has a malformed block: {exc}") from None
         if v1 in blocks:
             raise CorruptCheckpoint(f"{where} repeats block {v1}")
-        blocks[v1] = result
+        blocks[v1] = block
     return blocks
 
 
-def _load_checkpoint(path: str, spec: EnumerationSpec) -> Tuple[Dict[int, _BlockResult], int]:
+def _load_checkpoint(path: str, spec: EnumerationSpec) -> Tuple[Dict[int, _Block], int]:
     """The blocks logged at ``path``, and the log's length up to its last newline.
 
     A missing log is created, holding its header alone.  A log that fails
@@ -492,8 +563,9 @@ def _load_checkpoint(path: str, spec: EnumerationSpec) -> Tuple[Dict[int, _Block
     return _read_checkpoint(path, data, spec), data.rfind(b"\n") + 1
 
 
-def _append_block(log: BinaryIO, v1: int, result: _BlockResult, trace: dict) -> None:
+def _append_block(log: BinaryIO, v1: int, block: _Block, trace: dict) -> None:
     """Append one block line to ``log`` and fsync it; an OSError names the log."""
+    result = block.rows()
     line = {"block": v1, "sha256": _digest(result), "result": result, **trace}
     try:
         log.write((json.dumps(line, separators=_COMPACT) + "\n").encode())
@@ -523,12 +595,11 @@ def build_spectrum(
 ) -> SpectrumTable:
     """Assemble the distance table over the canonical enumeration.
 
-    Work is split into blocks by the leading coordinate.  Each block's
-    rows are ordered by their maximum loneliness (a, q); that order never
-    reaches the files.  The rows are folded by distance text: each key's
-    multiplicities are summed and its witness lists concatenated, and the
-    list is sorted once by (squared volume, tuple) and capped.  The output
-    is thus identical for any worker count and also across
+    Work is split into blocks by the leading coordinate.  Each block is
+    enumerated into an int64 array, scanned in one kernel call and folded
+    by maximum loneliness into arrays (see ``_Block``), and the blocks are
+    folded the same way; a ``Fraction`` is made once per distance.  The
+    output is thus identical for any worker count and also across
     checkpoint-interrupted runs.  ``progress`` is called with
     (blocks_done, blocks_total) after every block.
 
@@ -543,14 +614,15 @@ def build_spectrum(
     A build that read no block back from a checkpoint records, for this
     process, each distance's least squared witness volume and the tuple
     count, replacing the record of any earlier build of the same n.  A
-    bound the kernel would refuse raises ``InvalidSpeeds`` before any work.
+    bound the kernel would refuse raises ``InvalidSpeeds``, and one past
+    the tuple budget ``BudgetExceeded``, before any work.
     """
-    _require_scannable(spec)
+    _require_budget(spec)
     workers = resolve_workers(workers)
     starts = list(_block_starts(spec))
     total = len(starts)
     with contextlib.ExitStack() as stack:
-        done: Dict[int, _BlockResult] = {}
+        done: Dict[int, _Block] = {}
         log = None
         if checkpoint_path:
             done, intact = _load_checkpoint(checkpoint_path, spec)
@@ -565,33 +637,22 @@ def build_spectrum(
         if workers > 1:
             pool = stack.enter_context(multiprocessing.Pool(workers))
             results = pool.imap_unordered(_spectrum_block, args)
-        for v1, result, trace in results:
-            done[v1] = result
+        for v1, block, trace in results:
+            done[v1] = block
             completed += 1
             if log is not None:
-                _append_block(log, v1, result, trace)
+                _append_block(log, v1, block, trace)
             if progress:
                 progress(completed, total)
-    mults: Dict[str, int] = {}
-    wits: Dict[str, List[List[int]]] = {}
-    for v1 in starts:
-        for d, mult, block_wits in done[v1]:
-            mults[d] = mults.get(d, 0) + mult
-            wits.setdefault(d, []).extend(block_wits)
-    table_entries = {
-        parse_rational(d): SpectrumEntry(
-            multiplicity=m,
-            witnesses=tuple(map(tuple, sorted(wits[d], key=_volume_key)[:WITNESS_CAP])),
-        )
-        for d, m in mults.items()
+    table = _fold([done[v1] for v1 in starts])
+    entries = {
+        Fraction(p, r): SpectrumEntry(multiplicity=m, witnesses=tuple(map(tuple, w)))
+        for p, r, m, w in table.groups()
     }
-    if scanned_all:
-        # Witnesses are sorted by volume, so the first has the least.
-        least = {key: _volume_key(e.witnesses[0])[0] for key, e in table_entries.items()}
-        _SCANS[spec.n] = _Scan(spec.max_volume_sq, sum(mults.values()), least)
-    return SpectrumTable(
-        n=spec.n, max_volume_sq=spec.max_volume_sq, entries=table_entries
-    )
+    if scanned_all:  # each distance's witnesses come least volume first
+        least = (table.wits[np.diff(table.key, prepend=-1) != 0] ** 2).sum(axis=1).tolist()
+        _SCANS[spec.n] = _Scan(spec.max_volume_sq, int(table.mult.sum()), dict(zip(entries, least)))
+    return SpectrumTable(n=spec.n, max_volume_sq=spec.max_volume_sq, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -817,33 +878,29 @@ def _phase_a(
 ) -> Tuple[int, Optional[IntVector]]:
     """Phase A of ``certify_absence``: the tuples checked and the witness."""
     cutoff = spec.max_volume_sq
+    blocks = (_block_rows(spec.n, cutoff, v1) for v1 in _block_starts(spec))
     scan = _SCANS.get(spec.n)
     if (
         scan is not None
         and scan.max_volume_sq >= cutoff
         and scan.least_volume.get(target, cutoff + 1) > cutoff
     ):
-        equal = scan.max_volume_sq == cutoff
-        checked = scan.tuples if equal else sum(1 for _ in enumerate_proper_primitive(spec))
+        checked = scan.tuples if scan.max_volume_sq == cutoff else sum(map(len, blocks))
         _progress_to(progress, 0, checked)
         return checked, None
-    target_ml = HALF - target
+    # A hit's reduced (a, q) is the target's reduced ML, if that fits int64.
+    ml = HALF - target
+    p, r = (ml.numerator, ml.denominator) if ml.denominator < 2**63 else (-1, -1)
     checked = 0
-    for v1 in _block_starts(spec):
-        tuples = list(_canonical_block(spec.n, cutoff, v1))
-        hit = next(
-            (
-                i
-                for i, (a, q, _) in enumerate(_scan_rows(tuples).tolist())
-                if a * target_ml.denominator == q * target_ml.numerator
-            ),
-            None,
-        )
-        reached = checked + (len(tuples) if hit is None else hit + 1)
+    for t in blocks:
+        a, q, _ = _scan_rows(t).T
+        g = np.gcd(a, q)
+        hits = np.flatnonzero((a // g == p) & (q // g == r))
+        reached = checked + (int(hits[0]) + 1 if len(hits) else len(t))
         _progress_to(progress, checked, reached)
         checked = reached
-        if hit is not None:
-            return checked, tuples[hit]
+        if len(hits):
+            return checked, tuple(t[hits[0]].tolist())
     return checked, None
 
 
@@ -864,7 +921,7 @@ def certify_absence(
     (see ``build_spectrum``) with a bound at least the cutoff, and that
     build saw no tuple within the cutoff at the target.  Phase A then
     passes without a scan, counting the tuples from the build when the
-    bounds are equal and by enumeration otherwise.  In every other case
+    bounds are equal and by the lengths of the enumerated blocks otherwise.  In every other case
     it scans, one leading-coordinate block per kernel call, up to the
     first counterexample, the only way to name it and its position.
     Phase B covers the tail:
@@ -873,7 +930,8 @@ def certify_absence(
     pi bound), and the plane's own distance is either above the target
     by the supplied facts or so low that rho-density keeps the orbit's
     distance strictly below the target.  A cutoff the kernel would refuse
-    raises ``InvalidSpeeds`` before either phase.
+    raises ``InvalidSpeeds``, and one past the tuple budget
+    ``BudgetExceeded``, before either phase.
     """
     target = Fraction(target)
     if not 0 <= target <= HALF:
@@ -886,7 +944,7 @@ def certify_absence(
                 "pass outer_facts explicitly"
             )
     spec = EnumerationSpec(n, cutoff_volume_sq)
-    _require_scannable(spec)
+    _require_budget(spec)
     checked, witness = _phase_a(target, spec, progress)
     phase_a_passed = witness is None
 

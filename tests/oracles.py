@@ -413,23 +413,31 @@ def _volume_key(t: Sequence[int]):
     return (sum(x * x for x in t), tuple(t))
 
 
+def canonical_block(n: int, max_volume_sq: int, v1: int) -> List[Tuple[int, ...]]:
+    """Canonical tuples (sorted, positive, primitive, squared sum in bound,
+    first entry v1) in lexicographic order, by filtering every sorted tuple
+    of entries up to sqrt(max_volume_sq - v1^2)."""
+    hi = isqrt(max(max_volume_sq - v1 * v1, 0))
+    return [
+        t
+        for t in ((v1, *rest) for rest in itertools.combinations_with_replacement(range(v1, hi + 1), n - 1))
+        if sum(x * x for x in t) <= max_volume_sq and gcd(*t) == 1
+    ]
+
+
 def block_reference(n: int, max_volume_sq: int, v1: int) -> List[Tuple[str, int, List[List[int]]]]:
     """One leading-coordinate block's result, assembled the plain way.
 
-    Canonical tuples (sorted, positive, primitive, squared sum in bound,
-    first entry v1) are listed in lexicographic order, each is scanned by
-    the arbitrary-precision reference, and the tuples are grouped in a
-    dict by their maximum loneliness: one Fraction per distinct value,
-    rows in order of first appearance, each group's witnesses sorted by
-    (squared volume, tuple) and capped at 8.
+    The block's canonical tuples (``canonical_block``) are each scanned by
+    the arbitrary-precision reference, and grouped in a dict by their
+    maximum loneliness: one Fraction per distinct value, rows in order of
+    first appearance, each group's witnesses sorted by (squared volume,
+    tuple) and capped at 8.
     """
-    hi = isqrt(max(max_volume_sq - v1 * v1, 0))
     groups: Dict[Fraction, List[Tuple[int, ...]]] = {}
-    for rest in itertools.combinations_with_replacement(range(v1, hi + 1), n - 1):
-        t = (v1, *rest)
-        if sum(x * x for x in t) <= max_volume_sq and gcd(*t) == 1:
-            a, q, _, _ = _scan_best_python(t)
-            groups.setdefault(Fraction(a, q), []).append(t)
+    for t in canonical_block(n, max_volume_sq, v1):
+        a, q, _, _ = _scan_best_python(t)
+        groups.setdefault(Fraction(a, q), []).append(t)
     out = []
     for ml, wits in groups.items():
         best = sorted(wits, key=_volume_key)[:8]

@@ -333,6 +333,21 @@ def test_a_huge_table_bound_is_refused_before_any_work(tmp_path, capsys, args, t
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["spectrum", "enumerate", "prop81"])
+def test_a_table_bound_past_the_tuple_budget_is_refused(tmp_path, capsys, command):
+    args = {
+        "spectrum": ("spectrum", "--n", "3", "--max-vol2", "10000000000000", "--out", str(tmp_path / "x.json")),
+        "enumerate": ("enumerate", "--n", "3", "--max-vol2", "10000000000000"),
+        "prop81": ("verify", "prop81", "--cutoff", "10000000000000"),
+    }[command]
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: max_volume_sq 10000000000000 at n=3 allows up to ")
+    assert err.endswith(" canonical tuples, past the budget of 10000000\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_enumerate_n1_prints_its_one_tuple_at_any_bound(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "1", "--max-vol2", "1" + "0" * 20)
     assert code == 0

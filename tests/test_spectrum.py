@@ -7,11 +7,11 @@ import re
 import stat
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from runnerspec import spectrum
@@ -39,7 +39,7 @@ from runnerspec.spectrum import (
     verify_window,
 )
 
-from oracles import block_reference, mobius_primitive_count
+from oracles import _volume_key, block_reference, canonical_block, count_sorted_tuples, mobius_primitive_count
 
 F = Fraction
 
@@ -107,6 +107,82 @@ def test_n1_has_one_block_whatever_the_bound(monkeypatch):
         assert build_spectrum(spec).entries == {F(0): SpectrumEntry(1, ((1,),))}
 
 
+def _bounds(n):
+    """Bounds from n up to a size the plain enumeration takes quickly,
+    with perfect squares and squares less one drawn often."""
+    top = {1: 5000, 2: 5000, 3: 3000, 4: 800, 5: 300, 6: 150}[n]
+    root = st.integers(isqrt(n) + 1, isqrt(top))
+    return st.one_of(
+        st.integers(n, top),
+        root.map(lambda r: r * r),
+        root.map(lambda r: r * r - 1),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), _bounds(n))))
+def test_block_arrays_match_the_plain_enumeration(case):
+    n, bound = case
+    spec = EnumerationSpec(n, bound)
+    total = 0
+    for v1 in spectrum._block_starts(spec):
+        rows = spectrum._block_rows(n, bound, v1)
+        assert rows.dtype == np.int64 and rows.shape[1] == n
+        assert [tuple(t) for t in rows.tolist()] == canonical_block(n, bound, v1)
+        total += len(rows)
+    assert total == mobius_primitive_count(n, bound)
+    assert spectrum._require_budget(spec) >= (total if n == 1 else count_sorted_tuples(n, bound))
+
+
+def _refuses_without_work(tmp_path, monkeypatch, call):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was started")
+
+    for name in ("_block_rows", "_scan_rows", "_load_checkpoint"):
+        monkeypatch.setattr(spectrum, name, no_work)
+    monkeypatch.setattr(spectrum.multiprocessing, "Pool", no_work)
+    with pytest.raises(BudgetExceeded) as info:
+        call(str(tmp_path / "ckpt.jsonl"))
+    assert list(tmp_path.iterdir()) == []
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda path: build_spectrum(EnumerationSpec(3, 10**13), workers=2, checkpoint_path=path),
+        lambda path: certify_absence(F(7, 50), 3, 10**13),
+        lambda path: enumerate_proper_primitive(EnumerationSpec(3, 10**13)),
+    ],
+)
+def test_a_bound_past_the_tuple_budget_is_refused_before_any_work(tmp_path, monkeypatch, call):
+    budget = spectrum._TUPLE_BUDGET
+    monkeypatch.setattr(spectrum, "_TUPLE_BUDGET", 10**30)
+    bound = spectrum._require_budget(EnumerationSpec(3, 10**13))
+    monkeypatch.undo()
+    assert bound > budget == spectrum._TUPLE_BUDGET
+    message = _refuses_without_work(tmp_path, monkeypatch, call)
+    assert message == (
+        f"max_volume_sq 10000000000000 at n=3 allows up to {bound} canonical tuples, "
+        f"past the budget of {spectrum._TUPLE_BUDGET}"
+    )
+
+
+def test_the_tuple_budget_admits_its_own_bound(tmp_path, monkeypatch):
+    spec = EnumerationSpec(3, 2000)
+    monkeypatch.setattr(spectrum, "_TUPLE_BUDGET", spectrum._require_budget(spec))
+    assert build_spectrum(spec, workers=1).total_multiplicity() == mobius_primitive_count(3, 2000)
+    assert len(list(enumerate_proper_primitive(spec))) == mobius_primitive_count(3, 2000)
+    monkeypatch.setattr(spectrum, "_TUPLE_BUDGET", spectrum._require_budget(spec) - 1)
+    _refuses_without_work(tmp_path, monkeypatch, lambda path: build_spectrum(spec, checkpoint_path=path))
+
+
+def test_the_tuple_budget_admits_the_largest_bounds_in_use():
+    for n, bound in ((2, 10**6), (3, 4 * 10**4), (3, 2 * 10**5), (4, 2 * 10**4), (6, 3000)):
+        spectrum._require_budget(EnumerationSpec(n, bound))
+    spectrum._require_budget(EnumerationSpec(1, 10**40))
+
+
 def test_an_n1_log_with_blocks_past_1_is_refused(tmp_path):
     # Logs of n = 1 once listed a block for every v1 <= isqrt(bound), all
     # past 1 empty; n = 1 now has block 1 alone.
@@ -135,7 +211,7 @@ def test_a_bound_past_the_kernel_is_refused_before_any_work(tmp_path, monkeypatc
     def no_work(*args, **kwargs):
         raise AssertionError("work was started")
 
-    monkeypatch.setattr(spectrum, "_canonical_block", no_work)
+    monkeypatch.setattr(spectrum, "_block_rows", no_work)
     monkeypatch.setattr(spectrum.multiprocessing, "Pool", no_work)
     path = tmp_path / "ckpt.jsonl"
     for n, bound, x in ((2, 10**20, 9_999_999_999), (3, 10**18, 999_999_999)):
@@ -241,7 +317,7 @@ def test_checkpoint_resume(tmp_path):
     assert [b["block"] for b in blocks] == [1, 2, 3]
     for b in blocks:
         assert b["sha256"] == _sha256(b["result"])
-        assert b["tuples"] == len(list(spectrum._canonical_block(3, 300, b["block"])))
+        assert b["tuples"] == len(canonical_block(3, 300, b["block"]))
         assert b["pid"] == os.getpid()
         assert isinstance(b["seconds"], float) and b["seconds"] >= 0
     resumed = build_spectrum(spec, workers=1, checkpoint_path=str(path))
@@ -255,8 +331,13 @@ def test_block_result_order_does_not_reach_the_files(tmp_path, monkeypatch):
     scan_block = spectrum._spectrum_block
 
     def reversed_block(args):
-        v1, result, trace = scan_block(args)
-        return v1, result[::-1], trace
+        # The same block with its distances in reverse order.
+        v1, b, trace = scan_block(args)
+        last = len(b.a) - 1
+        rows = np.argsort(last - b.key, kind="stable")
+        flipped = spectrum._Block(b.a[::-1], b.q[::-1], b.mult[::-1], b.wits[rows], (last - b.key)[rows])
+        assert flipped.rows() == b.rows()[::-1]
+        return v1, flipped, trace
 
     monkeypatch.setattr(spectrum, "_spectrum_block", reversed_block)
     path = tmp_path / "ckpt.jsonl"
@@ -293,21 +374,23 @@ def _rows(result):
     ],
 )
 def test_block_matches_the_reference_assembly(args):
-    v1, result, trace = spectrum._spectrum_block(args)
+    v1, block, trace = spectrum._spectrum_block(args)
+    result = block.rows()
     reference = block_reference(*args)
     assert v1 == args[2]
     assert len(result) == len(_rows(result)) == len(reference)
     assert _rows(result) == _rows(reference)
     assert trace["tuples"] == sum(mult for _, mult, _ in reference)
+    assert block.key.tolist() == sorted(block.key.tolist())
 
 
 def test_block_groups_past_the_witness_cap_keep_the_least():
-    _, result, _ = spectrum._spectrum_block((3, 2000, 1))
-    capped = [row for row in result if row[1] > spectrum.WITNESS_CAP]
+    _, block, _ = spectrum._spectrum_block((3, 2000, 1))
+    capped = [row for row in block.rows() if row[1] > spectrum.WITNESS_CAP]
     assert capped
     for _, _, wits in capped:
         assert len(wits) == spectrum.WITNESS_CAP
-        assert wits == sorted(wits, key=spectrum._volume_key)
+        assert wits == sorted(wits, key=_volume_key)
 
 
 def test_table_witnesses_are_the_least_of_each_key(table_n3_1e3):
@@ -318,7 +401,7 @@ def test_table_witnesses_are_the_least_of_each_key(table_n3_1e3):
     assert set(by_key) == set(table_n3_1e3.entries)
     for key, entry in table_n3_1e3.entries.items():
         assert entry.multiplicity == len(by_key[key])
-        assert entry.witnesses == tuple(sorted(by_key[key], key=spectrum._volume_key)[:8])
+        assert entry.witnesses == tuple(sorted(by_key[key], key=_volume_key)[:8])
 
 
 def test_logs_in_the_old_row_order_still_resume(tmp_path, monkeypatch):
@@ -327,7 +410,8 @@ def test_logs_in_the_old_row_order_still_resume(tmp_path, monkeypatch):
     spec = EnumerationSpec(3, 2000)
 
     def reference_block(args):
-        return args[2], block_reference(*args), {"tuples": 0, "seconds": 0.0, "pid": 0}
+        block = spectrum._Block.from_rows(block_reference(*args), spec)
+        return args[2], block, {"tuples": 0, "seconds": 0.0, "pid": 0}
 
     monkeypatch.setattr(spectrum, "_spectrum_block", reference_block)
     path = tmp_path / "ckpt.jsonl"
@@ -337,7 +421,8 @@ def test_logs_in_the_old_row_order_still_resume(tmp_path, monkeypatch):
     logged = _log(path)[1:]
     assert [b["block"] for b in logged] == [1, 2, 3]
     for b in logged:
-        new = spectrum._spectrum_block((3, 2000, b["block"]))[1]
+        new = spectrum._spectrum_block((3, 2000, b["block"]))[1].rows()
+        assert b["result"] == [list(row) for row in block_reference(3, 2000, b["block"])]
         assert _rows(b["result"]) == _rows(new)
         assert [row[0] for row in b["result"]] != [row[0] for row in new]
     tables = {"resumed": build_spectrum(spec, workers=1, checkpoint_path=str(path))}
@@ -493,6 +578,8 @@ def _set(row, column, value):
             lambda text: _edit_result(text, 1, lambda r: r.append(["1/6", 1, [[1, 2, 3]]])),
             "distance 1/6 appears twice",
         ),
+        (lambda text: _edit_result(text, 1, _set(1, 1, 10**20)), "a value is past int64"),
+        (lambda text: _edit_result(text, 1, _set(1, 2, [[1, 1, 21]])), "witness entry is past 20"),
         (lambda text: _edit(text, 3, lambda e: e.update(block="02")), "key '02' is not a block start"),
         (lambda text: _edit(text, 2, lambda e: e.update(block=" 2")), "key ' 2' is not a block start"),
         (lambda text: _edit(text, 1, lambda e: e.update(block=0)), "key 0 is not a block start"),
@@ -810,6 +897,15 @@ def test_certify_phase_a_stops_at_the_first_witness(target):
     assert position < block
 
 
+def test_certify_a_target_past_int64_has_no_hit(monkeypatch):
+    # The reduced maximum loneliness of the target has a denominator past
+    # int64, which no scanned (a, q) can equal.
+    monkeypatch.setattr(spectrum, "_SCANS", {})
+    cert = certify_absence(F(1, 6) - F(1, 2**64), 3, 300)
+    assert cert.phase_a_passed
+    assert cert.phase_a_checked == mobius_primitive_count(3, 300)
+
+
 def test_certify_progress_reports_every_hundred_thousand(monkeypatch):
     # The scan is stubbed out: every tuple reads ML 1/3 (distance 1/6),
     # never the target, so only the enumeration and the count run.
@@ -846,7 +942,7 @@ def test_certify_with_a_recorded_scan_equals_a_fresh_scan(monkeypatch):
 
     def counted(rows):  # the kernel is deterministic: scan each block once
         scans.append(len(rows))
-        key = tuple(rows)
+        key = tuple(map(tuple, np.asarray(rows).tolist()))
         if key not in kernel:
             kernel[key] = scan_rows(rows)
         return kernel[key]
