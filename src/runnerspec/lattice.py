@@ -1,10 +1,11 @@
 """Exact lattice geometry for plane subtori and density certificates.
 
-Everything runs over Python ints and fractions: one unimodular row
-reduction gives Hermite forms for canonical bases, integer kernels and
-the split of Z^n along a line; shortest vectors come from greedy Gram
-reduction plus a certified box enumeration, and plane center distances
-are minima of the integer coset scan over the plane's crease circles.
+Lattice work runs over Python ints, with ``Fraction``s only for exact
+solves, coset shifts and answers: one unimodular row reduction gives
+Hermite forms for canonical bases, integer kernels and the split of Z^n
+along a line; shortest vectors come from greedy reduction of an integer
+Gram plus a certified box enumeration, and plane center distances are
+minima of the integer coset scan over the plane's crease circles.
 The named constants at the bottom are carried symbolically as rational
 multiples of integer powers of pi, with rigorous rational enclosures.
 """
@@ -268,48 +269,20 @@ def saturate(u: Sequence[int], v: Sequence[int]) -> SaturatedPlane:
     return SaturatedPlane(hnf[0], hnf[1])
 
 
-def _nearest_int(x: Fraction) -> int:
-    return math.floor(x + HALF)
-
-
-def _inverse_diag(G: Sequence[Sequence[Fraction]]) -> List[Fraction]:
-    r = len(G)
-    if r == 1:
-        return [1 / G[0][0]]
-    if r == 2:
-        det = G[0][0] * G[1][1] - G[0][1] * G[1][0]
-        return [G[1][1] / det, G[0][0] / det]
-    a, b, c = G[0]
-    d, e, f = G[1]
-    g, h, i = G[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return [
-        (e * i - f * h) / det,
-        (a * i - c * g) / det,
-        (a * e - b * d) / det,
-    ]
-
-
-def _floor_sqrt(x: Fraction) -> int:
-    if x < 0:
-        return 0
-    p, q = x.numerator, x.denominator
-    return math.isqrt(p * q) // q
-
-
-def _shortest_on_gram(
-    G_in: Sequence[Sequence[Fraction]],
-) -> Tuple[Fraction, Tuple[int, ...]]:
-    """Exact shortest nonzero vector for a positive definite rational Gram.
+def _shortest_on_gram(G_in: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ...]]:
+    """Exact shortest nonzero vector for a positive definite integer Gram.
 
     Greedy pairwise size reduction (strict decreases only, so it always
     terminates), then a box enumeration whose bounds come from the
-    Cauchy-Schwarz inequality against the dual basis; the result is the
-    true minimum regardless of how good the reduction was.
+    Cauchy-Schwarz inequality against the dual basis: |c_i| is at most
+    sqrt(bound * adj(G)_ii / det G), read off the adjugate diagonal of
+    the rank <= 3 Gram.  The result is the true minimum regardless of
+    how good the reduction was.  Every comparison is invariant under
+    scaling G, so a Gram scaled to integers gives the same coefficients.
     Returns (norm_sq, coefficients over the input generators).
     """
     r = len(G_in)
-    G = [[Fraction(x) for x in row] for row in G_in]
+    G = [list(row) for row in G_in]
     C = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     for _ in range(512):
         changed = False
@@ -321,7 +294,7 @@ def _shortest_on_gram(
             for j in range(r):
                 if i == j:
                     continue
-                mu = _nearest_int(G[i][j] / G[j][j])
+                mu = (2 * G[i][j] + G[j][j]) // (2 * G[j][j])  # nearest to G_ij / G_jj
                 if mu == 0:
                     continue
                 gii = G[i][i] - 2 * mu * G[i][j] + mu * mu * G[j][j]
@@ -336,16 +309,23 @@ def _shortest_on_gram(
                 changed = True
         if not changed:
             break
+    if r == 1:
+        adj, det = [1], G[0][0]
+    elif r == 2:
+        adj, det = [G[1][1], G[0][0]], G[0][0] * G[1][1] - G[0][1] ** 2
+    else:
+        (a, b, c), (_, e, f), (_, _, i) = G
+        adj = [e * i - f * f, a * i - c * c, a * e - b * b]
+        det = a * adj[0] - b * (b * i - c * f) + c * (b * f - c * e)
     bound = min(G[i][i] for i in range(r))
-    inv_diag = _inverse_diag(G)
-    box = [_floor_sqrt(bound * inv_diag[i]) for i in range(r)]
-    best: Optional[Fraction] = None
+    box = [math.isqrt(bound * a // det) for a in adj]
+    best: Optional[int] = None
     best_c: Tuple[int, ...] = ()
     for coeffs in itertools.product(*(range(-b, b + 1) for b in box)):
         first = next((c for c in coeffs if c != 0), None)
         if first is None or first < 0:
             continue
-        q = Fraction(0)
+        q = 0
         for i in range(r):
             q += coeffs[i] * coeffs[i] * G[i][i]
             for j in range(i + 1, r):
@@ -363,9 +343,10 @@ def shortest_projected_vector(v: Sequence[int]) -> Tuple[IntVector, Fraction]:
     The projections of Z^n onto the hyperplane orthogonal to v form a
     rank n-1 lattice; a basis with known integer preimages is built from
     a splitting Z^n = Z*c + kernel, and the shortest vector is found
-    exactly on its rational Gram matrix.  Returns (x, p_sq) with p_sq the
-    squared length of the projection; x is a deterministic representative
-    (reduced along v, lexicographically smallest of the sign pair).
+    exactly on its Gram matrix, scaled by N^2 = |v|^4 to integers.
+    Returns (x, p_sq) with p_sq the squared length of the projection; x
+    is a deterministic representative (reduced along v, lexicographically
+    smallest of the sign pair).
     """
     vec = _int_vector(v)
     n = len(vec)
@@ -394,17 +375,17 @@ def shortest_projected_vector(v: Sequence[int]) -> Tuple[IntVector, Fraction]:
     hnf, T, _ = _row_hnf(stack)
     assert len(hnf) == r0
     preimages = _matmul(T, kernel + [c_vec])
+    # the Gram of the projections is HKH / N^2; the scale goes at the return
     HKH = _matmul(_matmul(hnf, K), list(zip(*hnf)))
-    G = [[Fraction(g, N * N) for g in row] for row in HKH]
-    p_sq, coeffs = _shortest_on_gram(G)
+    scaled, coeffs = _shortest_on_gram(HKH)
     x = _matmul([coeffs], preimages)[0]
-    m = _nearest_int(Fraction(dot(x, vec), N))
+    m = (2 * dot(x, vec) + N) // (2 * N)  # nearest to x.v / N
     x = tuple(xi - m * vi for xi, vi in zip(x, vec))
     neg = tuple(-c for c in x)
     if neg < x:
         x = neg
-    assert Fraction(N * norm_sq(x) - dot(x, vec) ** 2, N) == p_sq
-    return x, p_sq
+    assert (N * norm_sq(x) - dot(x, vec) ** 2) * N == scaled
+    return x, Fraction(scaled, N * N)
 
 
 @dataclass(frozen=True)
@@ -469,12 +450,6 @@ def kronecker_lift(v: Sequence[int], epsilon: RationalLike) -> DensityCertificat
     )
 
 
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    g = gcd(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
-    return Fraction(g, den)
-
-
 PROFILE_GRID = 8
 
 
@@ -497,37 +472,31 @@ def certificate_profile(cert: DensityCertificate) -> CertificateProfile:
     the distance from a sample to the family of orbit lines is a circle
     distance of its normal coordinate.  The farthest point (normal
     coordinate at half the spacing) is included explicitly, which makes
-    the tightness check exact rather than approximate.
+    the tightness check exact rather than approximate.  The normal is
+    scaled by |v|^2 to integers, so each sample's distance is one residue
+    mod ``PROFILE_GRID`` * g, and the scale cancels in each field's one
+    ``Fraction``.
     """
     plane = cert.outer_plane
     vec = cert.inner_direction
     b1, b2 = plane.basis_u, plane.basis_v
-    vv = norm_sq(vec)
     z = b1 if _independent2(b1, vec) else b2
-    w = tuple(
-        Fraction(zi) - Fraction(dot(z, vec), vv) * vi for zi, vi in zip(z, vec)
-    )
-    wp_sq = norm_sq(w)
+    # the in-plane normal z - (z.v / v.v) v, scaled by v.v to integers
+    w = tuple(norm_sq(vec) * zi - dot(z, vec) * vi for zi, vi in zip(z, vec))
     c1, c2 = dot(b1, w), dot(b2, w)
-    g = _fraction_gcd(c1, c2)
-    spacing_ok = (g * g) / (4 * wp_sq) == cert.delta_sq
-    max_sq = Fraction(0)
-    count = 0
-    for i in range(PROFILE_GRID):
-        for j in range(PROFILE_GRID):
-            c = (i * c1 + j * c2) / PROFILE_GRID
-            r = c % g
-            dist = min(r, g - r)
-            sq = dist * dist / wp_sq
-            if sq > max_sq:
-                max_sq = sq
-            count += 1
-    tight_sq = (g / 2) * (g / 2) / wp_sq
+    g = gcd(c1, c2)
+    period = PROFILE_GRID * g
+    residues = (
+        (i * c1 + j * c2) % period for i in range(PROFILE_GRID) for j in range(PROFILE_GRID)
+    )
+    far = max(min(r, period - r) for r in residues)
+    w_sq = norm_sq(w)
+    tight_sq = Fraction(g * g, 4 * w_sq)
     return CertificateProfile(
-        spacing_identity_ok=spacing_ok,
-        max_sample_sq=max_sq,
+        spacing_identity_ok=tight_sq == cert.delta_sq,
+        max_sample_sq=Fraction(far * far, PROFILE_GRID * PROFILE_GRID * w_sq),
         tight_sample_sq=tight_sq,
-        samples=count,
+        samples=PROFILE_GRID * PROFILE_GRID,
     )
 
 

@@ -368,7 +368,9 @@ def maximizing_times(v: SpeedsLike) -> Tuple[Fraction, ...]:
 
     Each pair's q is scanned once, on its kept columns, if B divides 2q
     for the maximum A/B in lowest terms: a hit at j/q has (q - dev) B = 2qA,
-    so dev = q - 2qA/B.  For n <= 3 the lattice box of that radius is read.
+    so dev = q - 2qA/B.  For n <= 3 the lattice box of that radius is read;
+    otherwise the grid covers j <= q/2 and each hit j adds q - j too, as
+    dev(j) = dev(q - j).
     """
     speeds = _as_speed_tuple(v).speeds
     bn, bd, _ = _scan_rows([speeds])[0].tolist()
@@ -384,8 +386,10 @@ def maximizing_times(v: SpeedsLike) -> Tuple[Fraction, ...]:
             if points is not None:
                 times.update(Fraction(t, q) for d, t in points if d == hit)
                 continue
-        for j0, dev in _grid_slices(arr[None, cols], np.array([q], dtype=np.int64), q, cells):
-            times.update(Fraction(int(h), q) for h in np.flatnonzero(dev[0] == hit) + j0)
+        q_arr = np.array([q], dtype=np.int64)
+        for j0, dev in _grid_slices(arr[None, cols], q_arr, q // 2 + 1, cells):
+            for h in (np.flatnonzero(dev[0] == hit) + j0).tolist():
+                times.update((Fraction(h, q), Fraction(-h % q, q)))
     return tuple(sorted(times))
 
 

@@ -1,6 +1,7 @@
 """Tests for exact plane lattices, lifts, slices, and named constants."""
 
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -186,6 +187,22 @@ def test_shortest_projected_matches_brute_force():
         assert F(n * sum(a * a for a in x) - d * d, n) == p_sq
 
 
+# (n, entry bound): the bounds keep each oracle call to a few ms, and
+# n = 4, whose Gram is the one of rank 3, is drawn three times in five
+@given(
+    st.sampled_from([(2, 20), (3, 8), (4, 5), (4, 5), (4, 5)])
+    .flatmap(lambda nb: st.lists(st.integers(-nb[1], nb[1]), min_size=nb[0], max_size=nb[0]))
+    .filter(lambda v: gcd(*v) == 1)
+)
+@settings(max_examples=100, deadline=None)
+def test_shortest_projected_matches_the_oracle(v):
+    x, p_sq = shortest_projected_vector(v)
+    assert p_sq == brute_shortest_projected(v)
+    n = sum(c * c for c in v)
+    d = sum(a * b for a, b in zip(x, v))
+    assert F(n * sum(a * a for a in x) - d * d, n) == p_sq
+
+
 def test_shortest_projected_unsupported_dimensions():
     with pytest.raises(UnsupportedDimension):
         shortest_projected_vector((1,))
@@ -279,6 +296,25 @@ def test_certificate_profile_is_tight():
         assert prof.max_sample_sq <= cert.delta_sq
         assert prof.tight_sample_sq == cert.delta_sq
         assert abs(float(prof.tight_sample_sq) - float(cert.delta_sq)) <= 1e-9
+
+
+def test_lift_outputs_are_frozen():
+    # 300 seeded primitive v (n = 2..4, entries in [-200, 200]): the digest
+    # pins the tie choice among equal projections and the exact values
+    rng = random.Random(20231)
+    lines = []
+    while len(lines) < 300:
+        v = tuple(rng.randint(-200, 200) for _ in range(rng.randint(2, 4)))
+        if gcd(*v) != 1:
+            continue
+        cert = kronecker_lift(v, F(1, rng.randint(2, 40)))
+        prof = certificate_profile(cert)
+        lines.append(
+            f"{v} {shortest_projected_vector(v)} {cert.to_json_dict()} "
+            f"{prof.spacing_identity_ok} {prof.max_sample_sq} {prof.tight_sample_sq} {prof.samples}\n"
+        )
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "998c8f3bf69fd7f1455a69d009da53d80774ff6a2d88b373a5124f41b7e758e0"
 
 
 # --- slices and dense sequences -------------------------------------------
