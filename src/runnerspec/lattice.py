@@ -428,16 +428,16 @@ def density_radius_sq(v: Sequence[int], plane: SaturatedPlane) -> Fraction:
 def kronecker_lift(v: Sequence[int], epsilon: RationalLike) -> DensityCertificate:
     """Lift a line to the best plane through it and certify orbit density.
 
-    The plane is spanned by v and the integer vector with the shortest
-    orthogonal component; ``guaranteed`` records whether the certified
-    squared radius is at most epsilon squared.
+    The plane Zv + Zx is saturated: v is primitive, and x, the integer vector
+    with the shortest orthogonal component, is primitive modulo Zv.
+    ``guaranteed`` records whether the certified radius is at most epsilon.
     """
     vec = _int_vector(v)
     eps = Fraction(epsilon)
     if eps <= 0:
         raise InvalidInput("epsilon must be positive")
     x, _ = shortest_projected_vector(vec)
-    plane = saturate(vec, x)
+    plane = SaturatedPlane(*_row_hnf([vec, x])[0])
     # density_radius_sq without its checks: vec is primitive and spans the plane
     dsq = Fraction(plane.covolume_sq, 4 * norm_sq(vec))
     return DensityCertificate(

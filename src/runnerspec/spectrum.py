@@ -18,6 +18,7 @@ import json
 import multiprocessing
 import os
 import re
+import stat
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, gcd, isqrt
@@ -305,24 +306,38 @@ def _approx(x: Rational) -> str:
     return f"{float(x):.12g}"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Replace ``path`` by ``text`` in one rename; an OSError names ``path``.
+def _fsync_if_holding(path: str, data: bytes) -> bool:
+    """Fsync ``path`` if it is a regular file holding exactly ``data``; the
+    open follows no symlink and waits on no FIFO, and an OSError is False."""
+    with contextlib.suppress(OSError):
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode) and os.read(fd, len(data) + 1) == data:
+                os.fsync(fd)
+                return True
+        finally:
+            os.close(fd)
+    return False
 
-    The file is created with mode 0o666 less the umask, like ``open``.
-    It is fsynced before the rename and its directory after it, so the
-    new contents survive a crash once this returns.
-    """
+
+def _atomic_write(path: str, text: str) -> None:
+    """Make ``path`` hold ``text``, fsynced with its directory; an OSError
+    names ``path``. A regular file already holding these bytes is kept, as a
+    rename over it frees its blocks, slow under ``discard``; otherwise a new
+    file, mode 0o666 less the umask, is fsynced and renamed over it."""
+    data = text.encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        name = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
-        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        tmp = name
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        if not _fsync_if_holding(path, data):
+            name = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+            fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            tmp = name
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
         dir_fd = os.open(directory, os.O_RDONLY)
         try:
             os.fsync(dir_fd)

@@ -83,13 +83,14 @@ def test_c02_n2_table_matches_closed_form(table_n2_1e6):
 
 
 @pytest.mark.slow
-def test_c03_absence_certificate_7_50():
+def test_c03_absence_certificate_7_50(table_n3_4e4):
     """No proper line orbit in n=3 has center distance 7/50.
 
-    Phase A scans every canonical triple with squared volume <= 199^2
+    Phase A covers every canonical triple with squared volume <= 199^2
     and must come back empty-handed (count cross-checked against the
-    Moebius oracle); Phase B closes the tail with the rational pi lower
-    bound 3.14159.
+    Moebius oracle); it reads the scan of the session's n=3 build at
+    4*10^4 >= 199^2, which a fresh scan equals (see test_spectrum).
+    Phase B closes the tail with the rational pi lower bound 3.14159.
     """
     assert DEFAULT_PI_BOUNDS[0] == F(314159, 100000)
     cert = certify_absence(F(7, 50), 3, 199**2)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import stat
 from dataclasses import replace
 from fractions import Fraction
@@ -728,14 +729,56 @@ def test_saved_files_are_fsynced(tmp_path, monkeypatch):
     blocks = len(spectrum._block_starts(spec))
     # The header is written atomically, then each block is appended.
     assert synced.count(os.stat(tmp_path / "ckpt.jsonl").st_ino) == 1 + blocks
-    synced.clear()
-    table.save_json(str(tmp_path / "table.json"))
-    table.save_flat(str(tmp_path / "table.tsv"))
     directory = os.stat(tmp_path).st_ino
-    assert synced == [
-        os.stat(tmp_path / "table.json").st_ino, directory,
-        os.stat(tmp_path / "table.tsv").st_ino, directory,
-    ]
+    inodes = []
+    # The second pair of saves finds the same bytes in place: it keeps both
+    # files, leaves no temporary file, and fsyncs each file and then the directory.
+    for _ in range(2):
+        synced.clear()
+        table.save_json(str(tmp_path / "table.json"))
+        table.save_flat(str(tmp_path / "table.tsv"))
+        json_ino = os.stat(tmp_path / "table.json").st_ino
+        flat_ino = os.stat(tmp_path / "table.tsv").st_ino
+        assert synced == [json_ino, directory, flat_ino, directory]
+        inodes.append((json_ino, flat_ino))
+    assert inodes[0] == inodes[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.jsonl", "table.json", "table.tsv"]
+
+
+@pytest.mark.parametrize("occupant", ["one other byte", "symlink to the same bytes", "fifo"])
+def test_a_save_replaces_a_target_that_is_not_the_same_file(tmp_path, occupant):
+    table = build_spectrum(EnumerationSpec(2, 50))
+    table.save_json(str(tmp_path / "expected.json"))
+    expected = (tmp_path / "expected.json").read_bytes()
+    path = tmp_path / "table.json"
+    if occupant == "one other byte":
+        path.write_bytes(bytes([expected[0] ^ 1]) + expected[1:])
+    elif occupant == "symlink to the same bytes":
+        path.symlink_to(tmp_path / "expected.json")
+    else:
+        os.mkfifo(path)
+    before = os.lstat(path).st_ino
+    # Opening a FIFO for reading waits for a writer; the alarm turns a hang into a failure.
+    handler = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the save blocked on the target"))
+    signal.alarm(10)
+    try:
+        table.save_json(str(path))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert stat.S_ISREG(os.lstat(path).st_mode)
+    assert os.lstat(path).st_ino != before
+    assert path.read_bytes() == expected
+    assert (tmp_path / "expected.json").read_bytes() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.json", "table.json"]
+
+
+def test_a_save_over_a_directory_names_the_path(tmp_path):
+    path = tmp_path / "table.json"
+    path.mkdir()
+    with pytest.raises(OSError, match=re.escape(str(path))):
+        build_spectrum(EnumerationSpec(2, 50)).save_json(str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["table.json"]
 
 
 def test_flat_export(tmp_path):
