@@ -22,7 +22,11 @@ an (m, 3) int64 array of (a, q, k): maximum loneliness a/q, first reached
 at t = k/q.  Each row gives one problem per pair, its n - 1 kept speeds
 on q = v_a + v_b, and every time j/q with j <= q/2 is evaluated (the
 profile is symmetric under j -> q - j) in int64 grids of at most
-``_GRID_CELLS`` cells.  The tie-break is fixed: a larger value a/q wins,
+``_GRID_CELLS`` cells.  In a batch of n >= 3, each kept speed is first
+reduced mod q, folded to min(v, q - v) and sorted, which leaves
+|2jv mod 2q - q| unchanged at every j; problems that then repeat, as
+across the permutations of a row or rows equal mod a pair sum, are
+scanned once.  The tie-break is fixed: a larger value a/q wins,
 and an equal value wins only at a strictly earlier time, so every result
 carries the earliest maximizing time.  Tuples with 2 * max|v|^2 at or
 above ``_INT64_LIMIT`` are refused with ``InvalidSpeeds`` before any
@@ -301,7 +305,10 @@ def _scan_rows(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> np.ndarray:
 
     Signs are ignored.  A fold over the pairs of ``_pair_index`` keeps the
     first best: a later pair wins only with a larger a/q, or with the same
-    value at a strictly earlier k/q.
+    value at a strictly earlier k/q.  Rows of n >= 3 merge problems on one
+    int64 key per row and pair: q, then the reduced speeds, in base
+    max(q) // 2 + 1.  A batch whose keys could pass 2^63 is scanned unmerged,
+    as is n <= 2, where a sorted row is its own problem.
     """
     if len(rows) == 0:
         return np.empty((0, 3), dtype=np.int64)
@@ -314,7 +321,7 @@ def _scan_rows(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> np.ndarray:
     rows = np.abs(np.asarray(rows, dtype=np.int64))
     i, j, keep = _pair_index(rows.shape[1])
     den = rows[:, i] + rows[:, j]
-    problems = rows[:, keep].reshape(-1, len(keep[0]))
+    c = len(keep[0])
     if len(rows) == 1:
         # One row: a fold over its pairs in Python ints is far cheaper than
         # the array steps below.  For n <= 3 a pair's one or two kept columns
@@ -328,7 +335,7 @@ def _scan_rows(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> np.ndarray:
                 found[p] = ((qq - g * d) // 2, kk)
         grid = [p for p, x in enumerate(found) if x is None]
         if grid:
-            a, k = _scan_problems(problems[grid], den[0, grid])
+            a, k = _scan_problems(rows[0][keep][grid], den[0, grid])
             for p, aa, kk in zip(grid, a.tolist(), k.tolist()):
                 found[p] = (aa, kk)
         ba, bq, bk = -1, 1, 0
@@ -336,8 +343,24 @@ def _scan_rows(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> np.ndarray:
             if aa * bq > ba * qq or (aa * bq == ba * qq and kk * bq < bk * qq):
                 ba, bq, bk = aa, qq, kk
         return np.array([(ba, bq, bk)], dtype=np.int64)
-    a, k = _scan_problems(problems, den.ravel())
-    a, k = a.reshape(den.shape), k.reshape(den.shape)
+    top = int(den.max())
+    radix = top // 2 + 1
+    if c > 1 and (top + 1) * radix**c <= 1 << 63:
+        # Key: q, then each kept speed mod q folded to min(v, q - v), sorted.
+        keys = den.T.copy()
+        for key, cols, q in zip(keys, keep, den.T):
+            s = rows[:, cols] % q[:, None]
+            for col in np.sort(np.minimum(s, q[:, None] - s), axis=1).T:
+                key *= radix
+                key += col
+        keys, inverse = np.unique(keys, return_inverse=True)
+        speeds = np.empty((len(keys), c), dtype=np.int64)
+        for x in range(c - 1, -1, -1):
+            keys, speeds[:, x] = np.divmod(keys, radix)
+        a, k = (x[inverse].reshape(den.T.shape).T for x in _scan_problems(speeds, keys))
+    else:
+        a, k = _scan_problems(rows[:, keep].reshape(-1, c), den.ravel())
+        a, k = a.reshape(den.shape), k.reshape(den.shape)
     ba, bq, bk = a[:, 0], den[:, 0], k[:, 0]
     for y in range(1, den.shape[1]):
         ay, qy, ky = a[:, y], den[:, y], k[:, y]

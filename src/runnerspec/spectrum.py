@@ -155,7 +155,7 @@ def _require_scannable(spec: EnumerationSpec) -> None:
 
 # The most canonical tuples that a table build, absence certificate or
 # enumeration takes on.  It bounds memory, not time: block 1 of the largest
-# admitted n = 6 bound, 3,025, peaks near 1.2 GB in the kernel.
+# admitted n = 6 bound, 3,025 (801,386 tuples), peaks near 870 MiB.
 _TUPLE_BUDGET = 10**7
 
 
@@ -616,7 +616,10 @@ def build_spectrum(
     folded the same way; a ``Fraction`` is made once per distance.  The
     output is thus identical for any worker count and also across
     checkpoint-interrupted runs.  ``progress`` is called with
-    (blocks_done, blocks_total) after every block.
+    (blocks_done, blocks_total) after every block.  A pool is sent the
+    blocks left, largest first, in runs of ceil(blocks / (4 workers)), so
+    blocks, and with them log lines and ``progress`` calls, arrive a unit
+    at a time, and an interrupted pooled build redoes the units in flight.
 
     ``checkpoint_path`` names an append-only log.  Each finished block is
     appended to it as one JSON line (the result, the result's sha256, and
@@ -651,7 +654,9 @@ def build_spectrum(
         results = map(_spectrum_block, args)
         if workers > 1:
             pool = stack.enter_context(multiprocessing.Pool(workers))
-            results = pool.imap_unordered(_spectrum_block, args)
+            # A task per block costs more in round trips than small blocks take.
+            chunk = -(-len(args) // (4 * workers))
+            results = pool.imap_unordered(_spectrum_block, args, chunksize=chunk)
         for v1, block, trace in results:
             done[v1] = block
             completed += 1

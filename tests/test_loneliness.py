@@ -1,5 +1,6 @@
 """Tests for the maximum-loneliness engine and its companion distances."""
 
+import contextlib
 import itertools
 import sys
 import threading
@@ -224,36 +225,106 @@ def test_reduced_candidate_set_matches_the_full_one(row):
         assert (F(a, q), F(k, q)) == expected
 
 
-def test_kernel_scans_pair_sums_without_the_partner_column(monkeypatch):
+def _reduced(row, a, b):
+    """Pair (a, b) of ``row`` as a batch of n >= 3 scans it: each kept speed
+    mod q = v_a + v_b, folded to min(v, q - v) and sorted."""
+    q = abs(row[a]) + abs(row[b])
+    return tuple(sorted(min(v % q, -v % q) for c, v in enumerate(row) if c != b)), q
+
+
+@contextlib.contextmanager
+def _sent_problems():
+    """The (speeds, q) problems ``_scan_problems`` receives, in order."""
     problems = []
     scan = loneliness._scan_problems
 
     def spy(speeds, q):
-        problems.extend(zip(speeds.tolist(), q.tolist()))
+        problems.extend(zip(map(tuple, speeds.tolist()), q.tolist()))
         return scan(speeds, q)
 
-    monkeypatch.setattr(loneliness, "_scan_problems", spy)
-    for batch in ([(1, 2, 2), (3, 5, 7), (2, 5, 10)], [(8, 3, 11, 19)], [(2, 3), (3, 2)]):
-        problems.clear()
+    with mock.patch.object(loneliness, "_scan_problems", spy):
+        yield problems
+
+
+def _pairs(batch):
+    return [(row, a, b) for row in batch for a, b in itertools.combinations(range(len(row)), 2)]
+
+
+def test_kernel_scans_pair_sums_without_the_partner_column():
+    # A problem is a pair's kept speeds, column b dropped, on q = v_a + v_b.
+    # One row, or rows of n <= 2, send every one in order; rows of n >= 3
+    # send each distinct reduced problem once.
+    for batch in ([(1, 2, 2), (3, 5, 7), (2, 5, 10)], [(8, 3, 11, 19)], [(2, 3), (3, 2)], [(5,), (1,)]):
+        with _sent_problems() as problems:
+            _scan_rows(batch)
+        assert all(len(speeds) == max(1, len(batch[0]) - 1) for speeds, _ in problems)
+        if len(batch) == 1 or len(batch[0]) <= 2:
+            kept = [(tuple(v for c, v in enumerate(row) if c != b), row[a] + row[b])
+                    for row, a, b in _pairs(batch)]
+            assert problems == (kept if len(batch[0]) > 1 else [((5,), 10), ((1,), 2)])
+        else:
+            assert sorted(problems) == sorted({_reduced(*p) for p in _pairs(batch)})
+    # Permuted rows, and a column moved by a pair sum, repeat problems.
+    batch = [(1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 2, 6)]
+    with _sent_problems() as problems:
         _scan_rows(batch)
-        n = len(batch[0])
-        pairs = list(itertools.combinations(range(n), 2))
-        assert len(problems) == len(batch) * len(pairs)
-        for (speeds, q), (row, (a, b)) in zip(problems, itertools.product(batch, pairs)):
-            assert len(speeds) == n - 1
-            assert q == row[a] + row[b]
-            assert speeds == [v for c, v in enumerate(row) if c != b]
-    problems.clear()
-    _scan_rows([(5,), (1,)])
-    assert problems == [([5], 10), ([1], 2)]
+    assert len(problems) < len(_pairs(batch))
     # One row of n <= 3 is solved on its pairs' lattices and builds no grid;
     # one row of n = 4 still does.
-    problems.clear()
-    for row in ((5,), (2, 3), (3, 5, 7), (2, 5, 10)):
-        _scan_rows([row])
-    assert problems == []
-    _scan_rows([(8, 3, 11, 19)])
+    with _sent_problems() as problems:
+        for row in ((5,), (2, 3), (3, 5, 7), (2, 5, 10)):
+            _scan_rows([row])
+        assert problems == []
+        _scan_rows([(8, 3, 11, 19)])
     assert len(problems) == 6
+
+
+def _repeating_batch(row, t):
+    """``row``, and ``row`` with each column past the first two moved by
+    +-t (v_1 + v_2), each also reversed and rotated: the pair (1, 2)
+    repeats its reduced problem across rows, and every pair across the
+    permutations of one row."""
+    moved = [row]
+    for x in range(2, len(row)):
+        for step in (t, -t):
+            r = list(row)
+            r[x] += step * (row[0] + row[1])
+            if r[x]:
+                moved.append(tuple(r))
+    return moved + [r[::-1] for r in moved] + [r[1:] + r[:1] for r in moved]
+
+
+def _check_merged_batch(batch, merges):
+    with _sent_problems() as problems:
+        got = _scan_rows(batch).tolist()
+    if merges:
+        assert len(problems) == len({_reduced(*p) for p in _pairs(batch)}) < len(_pairs(batch))
+    else:
+        assert len(problems) == len(_pairs(batch))
+    assert got == [_scan_rows([r]).tolist()[0] for r in batch]
+    for r, (a, q, k) in zip(batch, got):
+        assert (F(a, q), F(k, q)) == _reference(r)
+
+
+# A batch of n >= 3 scans each distinct reduced problem once, when its key,
+# q radix^(n-1) + the sorted speeds in base radix = max q // 2 + 1, fits
+# int64.  Row by row it must equal the one-row scans and the reference.
+@given(
+    st.lists(st.integers(1, 6), min_size=3, max_size=6),
+    st.integers(1, 2),
+)
+@settings(max_examples=25, deadline=None)
+def test_a_batch_that_merges_problems_matches_the_oracle(row, t):
+    _check_merged_batch(_repeating_batch(tuple(row), t), merges=True)
+
+
+def test_a_batch_merges_problems_only_while_its_keys_fit_int64():
+    # For n = 6 the key passes 2^63 once a pair sum passes about 2,580; one
+    # row with such a sum sends the whole batch down the unmerged path.
+    for row, merges in (((1, 2, 3, 5, 1250, 1280), True), ((1, 2, 3, 5, 1300, 1340), False)):
+        top = row[-1] + row[-2]
+        assert ((top + 1) * (top // 2 + 1) ** 5 <= 1 << 63) == merges
+        _check_merged_batch(_repeating_batch(row, 1)[:4], merges)
 
 
 def test_maximizing_times_skips_denominators_that_cannot_hold_the_maximum(monkeypatch):

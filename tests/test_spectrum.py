@@ -237,7 +237,7 @@ def test_build_deterministic_across_workers():
 
 
 def test_pool_never_has_more_workers_than_blocks_left(tmp_path, monkeypatch):
-    pools = []
+    pools, units = [], []
 
     class RecordingPool:
         def __init__(self, workers):
@@ -249,7 +249,8 @@ def test_pool_never_has_more_workers_than_blocks_left(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap_unordered(self, func, args):
+        def imap_unordered(self, func, args, chunksize):
+            units.append((pools[-1], -(-len(args) // chunksize)))
             return map(func, args)
 
     monkeypatch.setattr(spectrum.multiprocessing, "Pool", RecordingPool)
@@ -263,6 +264,13 @@ def test_pool_never_has_more_workers_than_blocks_left(tmp_path, monkeypatch):
     assert build_spectrum(spec, workers=64, checkpoint_path=str(path)) == base
     assert build_spectrum(EnumerationSpec(2, 7), workers=64).max_key == F(1, 6)
     assert pools == [2]
+    # A pooled build sends its blocks in at most 4 units per worker.
+    spec = EnumerationSpec(3, 2000)  # 25 blocks
+    base = build_spectrum(spec, workers=1)
+    for workers in (2, 3):
+        assert build_spectrum(spec, workers=workers) == base
+    assert pools == [2, 2, 3]
+    assert all(1 < sent <= 4 * workers for workers, sent in units)
 
 
 def test_totals_match_mobius_oracle(table_n3_1e3, table_n3_1e4):
@@ -488,6 +496,26 @@ def test_resume_with_another_worker_count(tmp_path, first, then):
     assert len(blocks) == len({b["block"] for b in blocks}) == 3
     resumed = build_spectrum(spec, workers=then, checkpoint_path=str(path))
     _assert_same_bytes(tmp_path, resumed, build_spectrum(spec, workers=1))
+
+
+def test_an_interrupted_pooled_build_resumes_block_by_block(tmp_path):
+    # Blocks reach the parent in units, so the first progress call comes
+    # when the first unit is done; a unit still in flight is scanned again.
+    spec = EnumerationSpec(3, 2000)
+    plain = build_spectrum(spec, workers=1, checkpoint_path=str(tmp_path / "one.jsonl"))
+    digests = {b["block"]: b["sha256"] for b in _log(tmp_path / "one.jsonl")[1:]}
+    interrupted = tmp_path / "two.jsonl"
+    with pytest.raises(_Interrupted):
+        build_spectrum(spec, workers=2, checkpoint_path=str(interrupted), progress=_interrupt_at(1))
+    assert len(_log(interrupted)) == 2
+    for workers in (1, 2):
+        path = tmp_path / f"resumed{workers}.jsonl"
+        path.write_bytes(interrupted.read_bytes())
+        resumed = build_spectrum(spec, workers=workers, checkpoint_path=str(path))
+        _assert_same_bytes(tmp_path, resumed, plain)
+        blocks = _log(path)[1:]
+        assert sorted(b["block"] for b in blocks) == list(spectrum._block_starts(spec))
+        assert {b["block"]: b["sha256"] for b in blocks} == digests
 
 
 def test_checkpoint_log_is_append_only(tmp_path):
