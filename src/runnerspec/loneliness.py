@@ -22,11 +22,12 @@ an (m, 3) int64 array of (a, q, k): maximum loneliness a/q, first reached
 at t = k/q.  Each row gives one problem per pair, its n - 1 kept speeds
 on q = v_a + v_b, and every time j/q with j <= q/2 is evaluated (the
 profile is symmetric under j -> q - j) in int64 grids of at most
-``_GRID_CELLS`` cells.  In a batch of n >= 3, each kept speed is first
-reduced mod q, folded to min(v, q - v) and sorted, which leaves
-|2jv mod 2q - q| unchanged at every j; problems that then repeat, as
-across the permutations of a row or rows equal mod a pair sum, are
-scanned once.  The tie-break is fixed: a larger value a/q wins,
+``_GRID_CELLS`` cells.  ``_deviation_grid`` builds every grid, over a
+range of j, and ``_scan_problems`` keeps each problem's first minimum.  In
+a batch of n >= 3, each kept speed is first reduced mod q, folded to
+min(v, q - v) and sorted, which leaves |2jv mod 2q - q| unchanged at
+every j; problems that then repeat, as across the permutations of a row
+or rows equal mod a pair sum, are scanned once.  The tie-break is fixed: a larger value a/q wins,
 and an equal value wins only at a strictly earlier time, so every result
 carries the earliest maximizing time.  Tuples with 2 * max|v|^2 at or
 above ``_INT64_LIMIT`` are refused with ``InvalidSpeeds`` before any
@@ -170,59 +171,28 @@ def _require_int64(top: int) -> None:
         )
 
 
-def _deviation_grid(speeds: np.ndarray, q: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """max_i |(2 j v_i mod 2q) - q| for every problem row and every j.
+def _deviation_grid(speeds: np.ndarray, q: np.ndarray, j0: int, j1: int) -> np.ndarray:
+    """max_i |(2 j v_i mod 2q) - q| for every problem row and every j0 <= j < j1.
 
     This is q - 2 q min_i ||j v_i / q||, so its first minimum over j is
     the first maximum of the loneliness profile on the denominator q.
-    ``speeds`` is (r, n), ``q`` is (r,) and ``j`` is (w,); the one scratch
-    array is (n, r, w), a view of this thread's scratch, updated in place.
+    ``speeds`` is (r, n) and ``q`` is (r,); the one scratch array is
+    (n, r, j1 - j0), a view of this thread's scratch, updated in place.
     The result is a view of it too, valid until the next call.
     """
-    n, r, w = speeds.shape[1], len(q), len(j)
+    n, r, w = speeds.shape[1], len(q), j1 - j0
     scratch = getattr(_SCRATCH, "grid", None)
     if scratch is None or len(scratch) < n * r * w:
         scratch = _SCRATCH.grid = np.empty(max(n * r * w, _GRID_CELLS), dtype=np.int64)
     x = scratch[: n * r * w].reshape(n, r, w)
     qc = q[:, None]
-    np.multiply((2 * speeds.T)[:, :, None], j, out=x)
+    np.multiply((2 * speeds.T)[:, :, None], np.arange(j0, j1, dtype=np.int64), out=x)
     x %= 2 * qc
     x -= qc
     np.abs(x, out=x)
     for row in x[1:]:
         np.maximum(x[0], row, out=x[0])
     return x[0]
-
-
-def _grid_slices(speeds: np.ndarray, q: np.ndarray, width: int, cells: int):
-    """Yield (j0, grid) for the deviation over j < width, in ascending slices.
-
-    Each grid covers j0 <= j < j0 + its width and holds at most ``cells``
-    (row, j) cells; it is only valid until the next one is yielded.
-    """
-    step = max(1, cells // len(q))
-    for j0 in range(0, width, step):
-        yield j0, _deviation_grid(speeds, q, np.arange(j0, min(width, j0 + step), dtype=np.int64))
-
-
-def _first_minima(speeds: np.ndarray, q: np.ndarray, width: int, cells: int):
-    """First minimum (dev, k) of the deviation over j < width, per row.
-
-    A later slice wins only when strictly smaller, so the earliest
-    minimum survives.
-    """
-    rows = np.arange(len(q))
-    best_dev = best_k = None
-    for j0, dev in _grid_slices(speeds, q, width, cells):
-        kk = dev.argmin(axis=1)
-        dd = dev[rows, kk]
-        if best_dev is None:
-            best_dev, best_k = dd, kk
-        else:
-            better = dd < best_dev
-            best_dev = np.where(better, dd, best_dev)
-            best_k = np.where(better, kk + j0, best_k)
-    return best_dev, best_k
 
 
 def _scan_problems(speeds: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -234,7 +204,10 @@ def _scan_problems(speeds: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, np.nd
     Problems are sorted by q and cut into runs that share one grid width
     and hold at most ``_GRID_CELLS`` (speed, problem, j) cells; a problem
     whose q is below the width only repeats its period there, which never
-    moves its first maximum, so no mask is needed.
+    moves its first maximum, so no mask is needed.  A run of two or more
+    problems is cut to fit one grid; only a run of one problem wider than a
+    grid is scanned in ascending slices of j, where a later slice's minimum
+    wins only when strictly smaller, so the earliest one survives.
     """
     p = len(q)
     cells = max(1, _GRID_CELLS // speeds.shape[1])
@@ -247,10 +220,17 @@ def _scan_problems(speeds: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, np.nd
         e = min(p, s + max(1, cells // widths[s]))
         while e - s > 1 and (e - s) * widths[e - 1] > cells:
             e = s + max(1, cells // widths[e - 1])
-        idx = order[s:e]
-        qq = q[idx]
-        dev, k[idx] = _first_minima(speeds[idx], qq, widths[e - 1], cells)
-        a[idx] = (qq - dev) // 2
+        idx, width, step = order[s:e], widths[e - 1], max(1, cells // (e - s))
+        sp, qq = speeds[idx], q[idx]
+        dev = _deviation_grid(sp, qq, 0, min(width, step))
+        kk = dev.argmin(axis=1)
+        best = dev[np.arange(e - s), kk]
+        for j0 in range(step, width, step):
+            dev = _deviation_grid(sp, qq, j0, min(width, j0 + step))[0]
+            j = int(dev.argmin())
+            if dev[j] < best[0]:
+                best[0], kk[0] = dev[j], j0 + j
+        a[idx], k[idx] = (qq - best) // 2, kk
         s = e
     return a, k
 
@@ -399,7 +379,7 @@ def maximizing_times(v: SpeedsLike) -> Tuple[Fraction, ...]:
     bn, bd, _ = _scan_rows([speeds])[0].tolist()
     arr = np.array(speeds, dtype=np.int64)
     i, j, keep = _pair_index(len(speeds))
-    cells = max(1, _GRID_CELLS // len(keep[0]))
+    step = max(1, _GRID_CELLS // len(keep[0]))
     pairs = zip((arr[i] + arr[j]).tolist(), keep)
     times = set()
     for q, cols in {q: cols for q, cols in pairs if 2 * q * bn % bd == 0}.items():
@@ -409,8 +389,9 @@ def maximizing_times(v: SpeedsLike) -> Tuple[Fraction, ...]:
             if points is not None:
                 times.update(Fraction(t, q) for d, t in points if d == hit)
                 continue
-        q_arr = np.array([q], dtype=np.int64)
-        for j0, dev in _grid_slices(arr[None, cols], q_arr, q // 2 + 1, cells):
+        width, q_arr = q // 2 + 1, np.array([q], dtype=np.int64)
+        for j0 in range(0, width, step):
+            dev = _deviation_grid(arr[None, cols], q_arr, j0, min(width, j0 + step))
             for h in (np.flatnonzero(dev[0] == hit) + j0).tolist():
                 times.update((Fraction(h, q), Fraction(-h % q, q)))
     return tuple(sorted(times))

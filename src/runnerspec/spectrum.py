@@ -37,7 +37,7 @@ from .core import (
     parse_rational,
 )
 from .lattice import DEFAULT_PI_BOUNDS, BudgetExceeded, ball_volume
-from .loneliness import _require_int64, _scan_rows, max_loneliness
+from .loneliness import _scan_rows, max_loneliness
 
 __all__ = [
     "CorruptCheckpoint",
@@ -146,13 +146,6 @@ def _block_starts(spec: EnumerationSpec) -> range:
     return range(1, isqrt(spec.max_volume_sq // spec.n) + 1)
 
 
-def _require_scannable(spec: EnumerationSpec) -> None:
-    """Raise ``InvalidSpeeds`` if the kernel would refuse block 1: for n >= 2 it
-    holds (1, ..., 1, x), x = isqrt(B - (n - 1)), the enumeration's top speed."""
-    if spec.n > 1:
-        _require_int64(isqrt(spec.max_volume_sq - (spec.n - 1)))
-
-
 # The most canonical tuples that a table build, absence certificate or
 # enumeration takes on.  It bounds memory, not time: block 1 of the largest
 # admitted n = 6 bound, 3,025 (801,386 tuples), peaks near 870 MiB.
@@ -160,25 +153,30 @@ _TUPLE_BUDGET = 10**7
 
 
 def _require_budget(spec: EnumerationSpec) -> int:
-    """After ``_require_scannable``, return a bound U_n on the canonical tuples
-    of ``spec``, or raise ``BudgetExceeded`` if it is past ``_TUPLE_BUDGET``.
+    """Return a bound U_n on the canonical tuples of ``spec``, or raise
+    ``BudgetExceeded`` if it is past ``_TUPLE_BUDGET``.
 
     The cubes [v - 1, v] of the positive tuples fill at most the orthant of
     the ball of radius sqrt(B), w_n B^(n/2) / 2^n.  A sorted tuple of distinct
     entries is n! of them, and one with a repeated entry is a sorted
     (n - 1)-tuple with one entry doubled: U_n = w_n B^(n/2) / (2^n n!) +
-    (n - 1) U_(n-1), from U_1 = sqrt(B).  n = 1 has one tuple.
+    (n - 1) U_(n-1), from U_1 = sqrt(B).  n = 1 has one tuple.  As U_k >=
+    U_(k-1), the recursion stops once the bound is past the budget, so every
+    n >= 12 is refused at once (U_n >= (n - 1)! > 10^7).  An admitted n >= 2
+    has pi B / 8 < U_2 <= 10^7, so its top speed is at most 5,044, far
+    inside the kernel's int64 bound.
     """
-    _require_scannable(spec)
     B, root = spec.max_volume_sq, isqrt(spec.max_volume_sq - 1) + 1
     bound = Fraction(root) if spec.n > 1 else 1
     for k in range(2, spec.n + 1):
+        if bound > _TUPLE_BUDGET:
+            break
         ball = ball_volume(k).bounds()[1] * B ** (k // 2) * root ** (k % 2)
         bound = ball / (2**k * factorial(k)) + (k - 1) * bound
     if ceil(bound) > _TUPLE_BUDGET:
         raise BudgetExceeded(
-            f"max_volume_sq {B} at n={spec.n} allows up to {ceil(bound)} "
-            f"canonical tuples, past the budget of {_TUPLE_BUDGET}"
+            f"max_volume_sq at n={spec.n} allows more than {_TUPLE_BUDGET} "
+            "canonical tuples, the tuple budget"
         )
     return ceil(bound)
 
@@ -632,8 +630,7 @@ def build_spectrum(
     A build that read no block back from a checkpoint records, for this
     process, each distance's least squared witness volume and the tuple
     count, replacing the record of any earlier build of the same n.  A
-    bound the kernel would refuse raises ``InvalidSpeeds``, and one past
-    the tuple budget ``BudgetExceeded``, before any work.
+    bound past the tuple budget raises ``BudgetExceeded`` before any work.
     """
     _require_budget(spec)
     workers = resolve_workers(workers)
@@ -949,9 +946,8 @@ def certify_absence(
     volume comparison squared to stay rational, with the lower rational
     pi bound), and the plane's own distance is either above the target
     by the supplied facts or so low that rho-density keeps the orbit's
-    distance strictly below the target.  A cutoff the kernel would refuse
-    raises ``InvalidSpeeds``, and one past the tuple budget
-    ``BudgetExceeded``, before either phase.
+    distance strictly below the target.  A cutoff past the tuple budget
+    raises ``BudgetExceeded`` before either phase.
     """
     target = Fraction(target)
     if not 0 <= target <= HALF:

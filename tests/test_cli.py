@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -325,11 +326,14 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, args, message):
     ],
 )
 def test_a_huge_table_bound_is_refused_before_any_work(tmp_path, capsys, args, top):
+    # The bound's top speed is past the kernel's; the tuple budget refuses it first.
+    assert top > 759_250_124
     files = ("--out", str(tmp_path / "x.json"), "--checkpoint", str(tmp_path / "x.jsonl"))
     code, out, err = run(capsys, *args, *(files if args[0] == "spectrum" else ()))
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: speed {top} is too large for the exact scan")
+    assert err.startswith("error: max_volume_sq at n=")
+    assert err.endswith(" canonical tuples, the tuple budget\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -343,8 +347,22 @@ def test_a_table_bound_past_the_tuple_budget_is_refused(tmp_path, capsys, comman
     code, out, err = run(capsys, *args)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: max_volume_sq 10000000000000 at n=3 allows up to ")
-    assert err.endswith(" canonical tuples, past the budget of 10000000\n")
+    assert err == "error: max_volume_sq at n=3 allows more than 10000000 canonical tuples, the tuple budget\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "enumerate"])
+def test_a_budget_refusal_at_large_n_is_quick(tmp_path, capsys, command):
+    # The tuple bound stops growing its recursion once past the budget, so
+    # n = 3000 is refused at once, without formatting a number of thousands of digits.
+    files = ("--out", str(tmp_path / "x.json"), "--checkpoint", str(tmp_path / "x.jsonl"))
+    args = (command, "--n", "3000", "--max-vol2", "3000", *(files if command == "spectrum" else ()))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *args)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_volume_sq at n=3000 allows more than 10000000 canonical tuples, the tuple budget\n"
     assert list(tmp_path.iterdir()) == []
 
 

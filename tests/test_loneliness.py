@@ -345,7 +345,7 @@ def test_maximizing_times_skips_denominators_that_cannot_hold_the_maximum(monkey
     assert _scan_rows([(1, 2, 3)]).tolist() == [[1, 4, 1]]
     monkeypatch.setattr(loneliness, "_scan_rows", lambda rows: np.array([(1, 4, 1)]))
     monkeypatch.setattr(loneliness, "_lattice_times", spy)
-    monkeypatch.setattr(loneliness, "_grid_slices", no_grid)
+    monkeypatch.setattr(loneliness, "_deviation_grid", no_grid)
     assert maximizing_times((1, 2, 3)) == (F(1, 4), F(3, 4))
     assert solved == [(1, 2, 4, 2)]
 
@@ -354,17 +354,35 @@ def test_maximizing_times_skips_grids_that_cannot_hold_the_maximum(monkeypatch):
     # (8, 3, 11, 19) has maximum 7/30.  Of its pair sums 11, 19, 27, 14,
     # 22 and 30 only 30 has 30 | 2q; it is scanned once, on three columns.
     scanned = []
-    slices = loneliness._grid_slices
+    grid = loneliness._deviation_grid
 
-    def spy(speeds, q, width, cells):
+    def spy(speeds, q, j0, j1):
         scanned.append((speeds.tolist(), q.tolist()))
-        return slices(speeds, q, width, cells)
+        return grid(speeds, q, j0, j1)
 
     assert _scan_rows([(8, 3, 11, 19)]).tolist() == [[7, 30, 13]]
     monkeypatch.setattr(loneliness, "_scan_rows", lambda rows: np.array([(7, 30, 13)]))
-    monkeypatch.setattr(loneliness, "_grid_slices", spy)
+    monkeypatch.setattr(loneliness, "_deviation_grid", spy)
     assert maximizing_times((8, 3, 11, 19)) == (F(13, 30), F(17, 30))
     assert scanned == [([[8, 3, 11]], [30])]
+
+
+def test_a_tie_across_slices_keeps_the_earlier_time(monkeypatch):
+    # With 7 cells, the two columns of (1, 2) on q = 8 leave 3 times per
+    # slice: j = 0..2, then 3..4.  The deviation is 8, 6, 4, 4, 8, so the
+    # minimum 4 is reached first at j = 2 and again at j = 3, in the next slice.
+    monkeypatch.setattr(loneliness, "_GRID_CELLS", 7)
+    spans = []
+    grid = loneliness._deviation_grid
+
+    def spy(speeds, q, j0, j1):
+        spans.append((j0, j1))
+        return grid(speeds, q, j0, j1)
+
+    monkeypatch.setattr(loneliness, "_deviation_grid", spy)
+    a, k = loneliness._scan_problems(np.array([[1, 2]]), np.array([8]))
+    assert spans == [(0, 3), (3, 5)]
+    assert (a.tolist(), k.tolist()) == ([2], [2])
 
 
 # --- the plane lattice of a pair sum ---------------------------------------

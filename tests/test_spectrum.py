@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from runnerspec import spectrum
 from runnerspec.core import InvalidInput, format_rational, parse_rational
 from runnerspec.lattice import BudgetExceeded
-from runnerspec.loneliness import InvalidSpeeds, d_subtorus1
+from runnerspec.loneliness import d_subtorus1
 from runnerspec.spectrum import (
     CANONICAL_CLASSES,
     THREADS_ENV_VAR,
@@ -164,8 +164,8 @@ def test_a_bound_past_the_tuple_budget_is_refused_before_any_work(tmp_path, monk
     assert bound > budget == spectrum._TUPLE_BUDGET
     message = _refuses_without_work(tmp_path, monkeypatch, call)
     assert message == (
-        f"max_volume_sq 10000000000000 at n=3 allows up to {bound} canonical tuples, "
-        f"past the budget of {spectrum._TUPLE_BUDGET}"
+        f"max_volume_sq at n=3 allows more than {spectrum._TUPLE_BUDGET} canonical tuples, "
+        "the tuple budget"
     )
 
 
@@ -197,30 +197,20 @@ def test_an_n1_log_with_blocks_past_1_is_refused(tmp_path):
         build_spectrum(spec, workers=1, checkpoint_path=str(path))
 
 
-def test_require_scannable_switches_at_the_kernel_bound():
-    top = 759_250_124
-    for n in (2, 3, 5):
-        spectrum._require_scannable(EnumerationSpec(n, top * top + n - 1))
-        with pytest.raises(InvalidSpeeds, match=f"speed {top + 1} is too large"):
-            spectrum._require_scannable(EnumerationSpec(n, (top + 1) ** 2 + n - 1))
-    spectrum._require_scannable(EnumerationSpec(1, 10**40))
-
-
 def test_a_bound_past_the_kernel_is_refused_before_any_work(tmp_path, monkeypatch):
-    # Block 1 holds (1, ..., 1, x) with x = isqrt(bound - (n - 1)), which the
-    # kernel would refuse; nothing is enumerated, pooled or written first.
-    def no_work(*args, **kwargs):
-        raise AssertionError("work was started")
-
-    monkeypatch.setattr(spectrum, "_block_rows", no_work)
-    monkeypatch.setattr(spectrum.multiprocessing, "Pool", no_work)
-    path = tmp_path / "ckpt.jsonl"
-    for n, bound, x in ((2, 10**20, 9_999_999_999), (3, 10**18, 999_999_999)):
-        with pytest.raises(InvalidSpeeds, match=f"speed {x} is too large"):
-            build_spectrum(EnumerationSpec(n, bound), workers=2, checkpoint_path=str(path))
-    with pytest.raises(InvalidSpeeds, match="speed 9999999999 is too large"):
-        certify_absence(F(7, 50), 3, 10**20)
-    assert list(tmp_path.iterdir()) == []
+    # Block 1 holds (1, ..., 1, x) with x = isqrt(bound - (n - 1)), past the
+    # kernel's speed bound 759,250,124 from the least bound of each n below;
+    # the tuple budget refuses such a bound long before, and nothing is
+    # enumerated, pooled or written first.
+    edges = [(n, 759_250_125**2 + n - 1) for n in (2, 3, 5)]
+    for n, bound in [(2, 10**20), (3, 10**18), *edges]:
+        message = _refuses_without_work(
+            tmp_path,
+            monkeypatch,
+            lambda path: build_spectrum(EnumerationSpec(n, bound), workers=2, checkpoint_path=path),
+        )
+        assert message.startswith(f"max_volume_sq at n={n} ")
+    _refuses_without_work(tmp_path, monkeypatch, lambda path: certify_absence(F(7, 50), 3, 10**20))
 
 
 def test_build_finds_the_tight_triple():
