@@ -14,6 +14,7 @@ the reduced-form window test, and the two-phase absence certifier.
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import multiprocessing
 import os
@@ -21,6 +22,7 @@ import re
 import stat
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import ceil, factorial, gcd, isqrt
 from time import perf_counter
 from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -264,7 +266,8 @@ class SpectrumTable:
                     raise InvalidInput(f"entry {i} has no {exc.args[0]!r} field") from None
                 except TypeError:
                     raise InvalidInput(f"entry {i} is not an object") from None
-            _check_block(rows, n)
+            if _block_cells(rows, n) is None:
+                _check_block(rows, n)
         except InvalidInput as exc:
             raise TableMismatch(f"table has a malformed value: {exc}") from None
         entries = {
@@ -380,20 +383,28 @@ class _Block(NamedTuple):
 
     @classmethod
     def from_rows(cls, rows: list, spec: EnumerationSpec) -> "_Block":
-        """The block of JSON rows that ``_check_block`` passed.  A value past
-        int64, or a distance or witness entry past 4 sqrt(B), is no build's."""
+        """The block of JSON rows ``rows``, checked in one array pass
+        (``_block_cells``); rows that it doubts are walked by ``_check_block``,
+        which names the entry at fault.  A value past int64, or a distance or
+        witness entry past 4 sqrt(B), is no build's."""
+        parsed = _block_cells(rows, spec.n)
+        if parsed is None:
+            _check_block(rows, spec.n)
+            keys = [int(x or 1) for d, _, _ in rows for x in d.partition("/")[::2]]
+            groups = [ws for *_, ws in rows]
+            parsed = keys, [m for _, m, _ in rows], groups, [c for ws in groups for w in ws for c in w]
+        keys, mults, groups, cells = parsed
         top = 4 * isqrt(spec.max_volume_sq)
-        keys = [[int(p), int(r or 1)] for p, _, r in (d.partition("/") for d, _, _ in rows)]
         try:
             p, r = np.array(keys, dtype=np.int64).reshape(-1, 2).T
-            wits = np.array([w for *_, ws in rows for w in ws], dtype=np.int64).reshape(-1, spec.n)
-            mult = np.array([m for _, m, _ in rows], dtype=np.int64)
+            wits = np.array(cells, dtype=np.int64).reshape(-1, spec.n)
+            mult = np.array(mults, dtype=np.int64)
         except OverflowError:
             raise InvalidInput("a value is past int64") from None
-        cells = np.concatenate((p, r, wits.ravel()))
-        if not -top <= cells.min(initial=0) <= cells.max(initial=0) <= top:
+        values = np.concatenate((p, r, wits.ravel()))
+        if not -top <= values.min(initial=0) <= values.max(initial=0) <= top:
             raise InvalidInput(f"a distance or witness entry is past {top}")
-        key = np.repeat(np.arange(len(rows)), [len(ws) for _, _, ws in rows])
+        key = np.repeat(np.arange(len(rows)), list(map(len, groups)))
         return cls(*_half_minus(p, r), mult, wits, key)
 
 
@@ -478,6 +489,47 @@ def _check_block(result: list, n: int) -> None:
                 raise InvalidInput(f"entry {i}: witness {w!r} is not a list of {n} integers")
 
 
+# Distances that the array pass reads, each followed by a comma: p/r with
+# r >= 2 (so not in lowest terms only if gcd(p, r) > 1), or "0", rewritten
+# 0/1.  At most 18 digits each, so every term fits int64.
+_FRACTIONS = re.compile(r"(?:(?:-?[1-9][0-9]{0,17}/(?:[2-9]|[1-9][0-9]{1,17})|0/1),)*")
+
+
+def _block_cells(rows: list, n: int) -> Optional[tuple]:
+    """``_check_block`` in one array pass: C-speed type and length checks,
+    one regex over the joined distances and ``np.gcd`` for lowest terms.
+    Returns the distances' numerators and denominators (interleaved, int64),
+    the multiplicities, the witness lists and the flat witness cells of a
+    result that passes, or None where the pass doubts it: a fault, a
+    distance that it does not read, or a subclass of list, tuple, str or int.
+    """
+    if type(rows) is not list or set(map(type, rows)) - {list, tuple} or set(map(len, rows)) - {3}:
+        return None
+    ds, mults, groups = zip(*rows) if rows else ((), (), ())
+    if set(map(type, ds)) - {str} or set(map(type, mults)) - {int} or set(map(type, groups)) - {list}:
+        return None
+    distinct = set(ds)
+    # "0" is read as 0/1 below, so a distance written 0/1 is doubted.
+    if len(distinct) < len(ds) or "0/1" in distinct or min(mults, default=1) < 1:
+        return None
+    wits = list(chain.from_iterable(groups))
+    if set(map(type, wits)) - {list} or set(map(len, wits)) - {n}:
+        return None
+    cells = list(chain.from_iterable(wits))
+    if set(map(type, cells)) - {int}:
+        return None
+    text = f",{','.join(ds)},".replace(",0,", ",0/1,")[1:] if ds else ""
+    if not _FRACTIONS.fullmatch(text):
+        return None
+    terms = text.replace("/", ",").split(",")[:-1]
+    if len(terms) != 2 * len(ds):  # a distance holding a comma
+        return None
+    keys = np.array(terms, dtype=np.int64)
+    if (np.gcd(keys[::2], keys[1::2]) != 1).any():
+        return None
+    return keys, mults, groups, cells
+
+
 # A checkpoint (format version 2) is an append-only log of JSON lines: a
 # header {"version", "n", "max_volume_sq", "canonical_only"}, then one line
 # per finished block, {"block", "sha256", "result", "tuples", "seconds",
@@ -485,17 +537,58 @@ def _check_block(result: list, n: int) -> None:
 # fields trace the run and are not read back.
 _COMPACT = (",", ":")
 
+# A block line as the writer opens it: block start, digest, then the result.
+_LINE_HEAD = re.compile(rb'\{"block":([1-9][0-9]{0,17}),"sha256":"([0-9a-f]{64})","result":')
 
-def _digest(result: object) -> str:
+# A JSON text made of these bytes alone is its own compact re-serialisation:
+# it has no space, escape, float, object, literal or minus sign (so no "-0").
+_PLAIN_JSON = b'[],0123456789"/'
+
+
+def _digest(text: bytes) -> str:
+    """The sha256 of the compact JSON ``text`` of a block result."""
     # Imported here: hashlib costs about 5 ms at import, and only
     # checkpointed builds need it.
     import hashlib
 
-    return hashlib.sha256(json.dumps(result, separators=_COMPACT).encode()).hexdigest()
+    return hashlib.sha256(text).hexdigest()
+
+
+def _parse_line(line: bytes) -> Tuple[object, Optional[bytes]]:
+    """``json.loads(line)``, and the line's own "result" bytes when they are
+    the result's compact JSON, else None.
+
+    An ASCII line that opens as the writer's does is decoded in two parts,
+    the result (where the decoder reports its end) and the fields after it;
+    any other line, or one that does not decode this way, is read whole by
+    ``json.loads``, which raises its usual errors.
+    """
+    head = _LINE_HEAD.match(line)
+    if head is not None and line.isascii():
+        text = line.decode("ascii")
+        with contextlib.suppress(ValueError):
+            result, end = json.JSONDecoder().raw_decode(text, head.end())
+            tail = text[end:]
+            trace = {} if tail == "}" else json.loads("{" + tail[1:]) if tail.startswith(',"') else None
+            if isinstance(trace, dict) and not {"block", "sha256", "result"} & trace.keys():
+                raw = line[head.end() : end]
+                entry = {"block": int(head[1]), "sha256": head[2].decode(), "result": result, **trace}
+                return entry, None if raw.translate(None, _PLAIN_JSON) else raw
+    return json.loads(line), None
 
 
 def _read_checkpoint(path: str, data: bytes, spec: EnumerationSpec) -> Dict[int, _Block]:
-    """The blocks of the log ``data`` as arrays, less a torn last line."""
+    """The blocks of the log ``data`` as arrays, less a torn last line.
+
+    The header's "version", "n" and "max_volume_sq" must be plain integers
+    and its "canonical_only" true.  A line's digest is taken from the line's
+    own "result" bytes when they are exactly the result's compact JSON, as
+    the writer makes them; any other line's result is serialised again to
+    be digested, so a digest of other text, such as a re-spaced result or
+    one holding "-0", does not match.  Each block is checked and made into
+    arrays in one pass (``_Block.from_rows``).  The cyclic garbage collector
+    is off while the lines are read, and its state is restored after.
+    """
     head, newline, body = data.partition(b"\n")
     try:
         header = json.loads(head)
@@ -506,6 +599,15 @@ def _read_checkpoint(path: str, data: bytes, spec: EnumerationSpec) -> Dict[int,
     for key in ("version", "n", "max_volume_sq", "canonical_only"):
         if key not in header:
             raise CorruptCheckpoint(f"checkpoint {path} header has no {key!r} field")
+    for key in ("version", "n", "max_volume_sq"):
+        if type(header[key]) is not int:
+            raise CorruptCheckpoint(
+                f"checkpoint {path} header field {key!r} is {header[key]!r}, not an integer"
+            )
+    if header["canonical_only"] is not True:
+        raise CorruptCheckpoint(
+            f"checkpoint {path} header field 'canonical_only' is {header['canonical_only']!r}, not true"
+        )
     if header["version"] == 1:
         raise CorruptCheckpoint(
             f"checkpoint {path} is in format version 1, which is no longer read; "
@@ -525,30 +627,37 @@ def _read_checkpoint(path: str, data: bytes, spec: EnumerationSpec) -> Dict[int,
         )
     starts = _block_starts(spec)
     blocks: Dict[int, _Block] = {}
-    for number, line in enumerate(body.split(b"\n")[:-1], start=2):
-        where = f"checkpoint {path} line {number}"
-        try:
-            entry = json.loads(line)
-        except ValueError as exc:
-            raise CorruptCheckpoint(f"{where} is not valid JSON: {exc}") from None
-        if not isinstance(entry, dict):
-            raise CorruptCheckpoint(f"{where} is not a JSON object")
-        for key in ("block", "sha256", "result"):
-            if key not in entry:
-                raise CorruptCheckpoint(f"{where} has no {key!r} field")
-        v1, result = entry["block"], entry["result"]
-        if entry["sha256"] != _digest(result):
-            raise CorruptCheckpoint(f"{where}: sha256 does not match the result")
-        try:
-            if type(v1) is not int or v1 not in starts:
-                raise InvalidInput(f"key {v1!r} is not a block start 1..{len(starts)}")
-            _check_block(result, spec.n)
-            block = _Block.from_rows(result, spec)
-        except InvalidInput as exc:
-            raise CorruptCheckpoint(f"{where} has a malformed block: {exc}") from None
-        if v1 in blocks:
-            raise CorruptCheckpoint(f"{where} repeats block {v1}")
-        blocks[v1] = block
+    collecting = gc.isenabled()
+    gc.disable()  # parsed lines are many small lists, each freed once its arrays are built
+    try:
+        for number, line in enumerate(body.split(b"\n")[:-1], start=2):
+            where = f"checkpoint {path} line {number}"
+            try:
+                entry, raw = _parse_line(line)
+            except ValueError as exc:
+                raise CorruptCheckpoint(f"{where} is not valid JSON: {exc}") from None
+            if not isinstance(entry, dict):
+                raise CorruptCheckpoint(f"{where} is not a JSON object")
+            for key in ("block", "sha256", "result"):
+                if key not in entry:
+                    raise CorruptCheckpoint(f"{where} has no {key!r} field")
+            v1, result = entry["block"], entry["result"]
+            if raw is None:
+                raw = json.dumps(result, separators=_COMPACT).encode()
+            if entry["sha256"] != _digest(raw):
+                raise CorruptCheckpoint(f"{where}: sha256 does not match the result")
+            try:
+                if type(v1) is not int or v1 not in starts:
+                    raise InvalidInput(f"key {v1!r} is not a block start 1..{len(starts)}")
+                block = _Block.from_rows(result, spec)
+            except InvalidInput as exc:
+                raise CorruptCheckpoint(f"{where} has a malformed block: {exc}") from None
+            if v1 in blocks:
+                raise CorruptCheckpoint(f"{where} repeats block {v1}")
+            blocks[v1] = block
+    finally:
+        if collecting:
+            gc.enable()
     return blocks
 
 
@@ -577,11 +686,16 @@ def _load_checkpoint(path: str, spec: EnumerationSpec) -> Tuple[Dict[int, _Block
 
 
 def _append_block(log: BinaryIO, v1: int, block: _Block, trace: dict) -> None:
-    """Append one block line to ``log`` and fsync it; an OSError names the log."""
-    result = block.rows()
-    line = {"block": v1, "sha256": _digest(result), "result": result, **trace}
+    """Append one block line to ``log`` and fsync it; an OSError names the log.
+
+    The result is serialised once: its compact JSON is digested and spliced
+    into the line, which is then what ``json.dumps`` would make of it all.
+    """
+    result = json.dumps(block.rows(), separators=_COMPACT)
+    fields = {"block": v1, "sha256": _digest(result.encode()), "result": 0, **trace}
+    line = json.dumps(fields, separators=_COMPACT).replace('"result":0', '"result":' + result, 1)
     try:
-        log.write((json.dumps(line, separators=_COMPACT) + "\n").encode())
+        log.write((line + "\n").encode())
         log.flush()
         os.fsync(log.fileno())
     except OSError as exc:
@@ -620,12 +734,13 @@ def build_spectrum(
     at a time, and an interrupted pooled build redoes the units in flight.
 
     ``checkpoint_path`` names an append-only log.  Each finished block is
-    appended to it as one JSON line (the result, the result's sha256, and
-    the block's tuple count, wall time and worker pid), flushed and
-    fsynced before ``progress`` is called.  A later call with the same
-    spec reads the logged blocks back, checking every digest and block,
-    drops a line torn by an interrupted write, and builds only the rest.
-    A version-1 checkpoint is refused; delete it and rebuild.
+    appended to it as one JSON line (the result, the sha256 of the result's
+    compact JSON, serialised once for both, and the block's tuple count,
+    wall time and worker pid), flushed and fsynced before ``progress`` is
+    called.  A later call with the same spec reads the logged blocks back
+    (see ``_read_checkpoint``), checking the header, every digest and every
+    block, drops a line torn by an interrupted write, and builds only the
+    rest.  A version-1 checkpoint is refused; delete it and rebuild.
 
     A build that read no block back from a checkpoint records, for this
     process, each distance's least squared witness volume and the tuple

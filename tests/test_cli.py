@@ -209,6 +209,31 @@ def test_spectrum_rejects_a_corrupt_checkpoint(tmp_path, capsys, damage, message
 
 
 @pytest.mark.parametrize(
+    "header",
+    [
+        {"version": 2.0, "n": 3.0, "max_volume_sq": 30.0, "canonical_only": 1},
+        {"version": True, "n": 3, "max_volume_sq": 30, "canonical_only": True},
+    ],
+    ids=["floats", "version-true"],
+)
+def test_spectrum_refuses_a_header_field_of_the_wrong_type(tmp_path, capsys, header):
+    ckpt = tmp_path / "ckpt.json"
+    args = _spectrum_args(tmp_path, "--threads", "1", "--checkpoint", str(ckpt))
+    assert run(capsys, *args)[0] == 0
+    lines = ckpt.read_text().split("\n")
+    # Block 1 alone, so a build that took the header would append to the log.
+    bad = "\n".join([json.dumps(header, separators=(",", ":")), lines[1], ""])
+    ckpt.write_text(bad)
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(
+        f"error: checkpoint {ckpt} header field 'version' is {header['version']!r}, not an integer"
+    )
+    assert ckpt.read_text() == bad
+
+
+@pytest.mark.parametrize(
     "args, target",
     [
         (("spectrum", "--n", "2", "--max-vol2", "10", "--out", "{file}/t.json"), "{file}/t.json"),

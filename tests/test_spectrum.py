@@ -1,5 +1,6 @@
 """Tests for enumeration, spectrum assembly, verifiers, and reports."""
 
+import gc
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import stat
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -581,47 +583,47 @@ def _set(row, column, value):
     return lambda result: result[row].__setitem__(column, value)
 
 
-@pytest.mark.parametrize(
-    "damage, message",
-    [
-        (lambda text: _line(text, 1, lambda s: s[: len(s) // 2]), "is not valid JSON"),
-        (lambda text: _line(text, 0, lambda s: "[]"), "is not a JSON object"),
-        (lambda text: _edit(text, 1, lambda e: e.pop("result")), "has no 'result' field"),
-        (lambda text: _edit(text, 0, lambda e: e.update(version=7)), "unsupported version 7"),
-        (lambda text: _edit(text, 1, lambda e: e.update(block="x")), "malformed block"),
-        (lambda text: _edit_result(text, 1, lambda r: r.insert(0, [])), "malformed block"),
-        (lambda text: _edit_result(text, 1, _set(1, 1, "many")), "malformed block"),
-        (lambda text: _edit_result(text, 1, _set(1, 2, [[1, 1]])), "malformed block"),
-        (lambda text: _edit_result(text, 1, _set(1, 0, "2/20")), "'2/20' is not in lowest terms"),
-        (
-            lambda text: _edit_result(text, 1, lambda r: r.append(["1/6", 1, [[1, 2, 3]]])),
-            "distance 1/6 appears twice",
+_CORRUPTIONS = [
+    (lambda text: _line(text, 1, lambda s: s[: len(s) // 2]), "is not valid JSON"),
+    (lambda text: _line(text, 0, lambda s: "[]"), "is not a JSON object"),
+    (lambda text: _edit(text, 1, lambda e: e.pop("result")), "has no 'result' field"),
+    (lambda text: _edit(text, 0, lambda e: e.update(version=7)), "unsupported version 7"),
+    (lambda text: _edit(text, 1, lambda e: e.update(block="x")), "malformed block"),
+    (lambda text: _edit_result(text, 1, lambda r: r.insert(0, [])), "malformed block"),
+    (lambda text: _edit_result(text, 1, _set(1, 1, "many")), "malformed block"),
+    (lambda text: _edit_result(text, 1, _set(1, 2, [[1, 1]])), "malformed block"),
+    (lambda text: _edit_result(text, 1, _set(1, 0, "2/20")), "'2/20' is not in lowest terms"),
+    (
+        lambda text: _edit_result(text, 1, lambda r: r.append(["1/6", 1, [[1, 2, 3]]])),
+        "distance 1/6 appears twice",
+    ),
+    (lambda text: _edit_result(text, 1, _set(1, 1, 10**20)), "a value is past int64"),
+    (lambda text: _edit_result(text, 1, _set(1, 2, [[1, 1, 21]])), "witness entry is past 20"),
+    (lambda text: _edit(text, 3, lambda e: e.update(block="02")), "key '02' is not a block start"),
+    (lambda text: _edit(text, 2, lambda e: e.update(block=" 2")), "key ' 2' is not a block start"),
+    (lambda text: _edit(text, 1, lambda e: e.update(block=0)), "key 0 is not a block start"),
+    (lambda text: _edit(text, 3, lambda e: e.update(block=99)), "key 99 is not a block start"),
+    (
+        lambda text: _edit(text, 0, lambda e: e.pop("canonical_only")),
+        "header has no 'canonical_only' field",
+    ),
+    (
+        lambda text: _edit(text, 2, lambda e: e.update(sha256=e["sha256"][::-1])),
+        "line 3: sha256 does not match",
+    ),
+    (lambda text: text + text.split("\n")[1] + "\n", "line 5 repeats block 1"),
+    (lambda text: text[:20], "header is not valid JSON"),
+    (lambda text: text.split("\n")[0], "header line is torn"),
+    (
+        lambda text: json.dumps(
+            {"version": 1, "n": 3, "max_volume_sq": 30, "canonical_only": True, "blocks": {}}
         ),
-        (lambda text: _edit_result(text, 1, _set(1, 1, 10**20)), "a value is past int64"),
-        (lambda text: _edit_result(text, 1, _set(1, 2, [[1, 1, 21]])), "witness entry is past 20"),
-        (lambda text: _edit(text, 3, lambda e: e.update(block="02")), "key '02' is not a block start"),
-        (lambda text: _edit(text, 2, lambda e: e.update(block=" 2")), "key ' 2' is not a block start"),
-        (lambda text: _edit(text, 1, lambda e: e.update(block=0)), "key 0 is not a block start"),
-        (lambda text: _edit(text, 3, lambda e: e.update(block=99)), "key 99 is not a block start"),
-        (
-            lambda text: _edit(text, 0, lambda e: e.pop("canonical_only")),
-            "header has no 'canonical_only' field",
-        ),
-        (
-            lambda text: _edit(text, 2, lambda e: e.update(sha256=e["sha256"][::-1])),
-            "line 3: sha256 does not match",
-        ),
-        (lambda text: text + text.split("\n")[1] + "\n", "line 5 repeats block 1"),
-        (lambda text: text[:20], "header is not valid JSON"),
-        (lambda text: text.split("\n")[0], "header line is torn"),
-        (
-            lambda text: json.dumps(
-                {"version": 1, "n": 3, "max_volume_sq": 30, "canonical_only": True, "blocks": {}}
-            ),
-            "format version 1, which is no longer read; delete it and rebuild",
-        ),
-    ],
-)
+        "format version 1, which is no longer read; delete it and rebuild",
+    ),
+]
+
+
+@pytest.mark.parametrize("damage, message", _CORRUPTIONS)
 def test_corrupt_checkpoint_names_the_file(tmp_path, damage, message):
     spec = EnumerationSpec(3, 30)
     path = tmp_path / "ckpt.jsonl"
@@ -634,6 +636,283 @@ def test_corrupt_checkpoint_names_the_file(tmp_path, damage, message):
         build_spectrum(spec, workers=1, checkpoint_path=str(path))
     assert str(path) in str(info.value)
     assert path.read_text() == bad
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (
+            {"version": 2.0, "n": 3.0, "max_volume_sq": 30.0, "canonical_only": 1},
+            "header field 'version' is 2.0, not an integer",
+        ),
+        (
+            {"version": True, "n": 3, "max_volume_sq": 30, "canonical_only": True},
+            "header field 'version' is True, not an integer",
+        ),
+        (
+            {"version": 2, "n": 3.0, "max_volume_sq": 30, "canonical_only": True},
+            "header field 'n' is 3.0, not an integer",
+        ),
+        (
+            {"version": 2, "n": 3, "max_volume_sq": "30", "canonical_only": True},
+            "header field 'max_volume_sq' is '30', not an integer",
+        ),
+        (
+            {"version": 2, "n": 3, "max_volume_sq": 30, "canonical_only": 1},
+            "header field 'canonical_only' is 1, not true",
+        ),
+        (
+            {"version": 2, "n": 3, "max_volume_sq": 30, "canonical_only": False},
+            "header field 'canonical_only' is False, not true",
+        ),
+    ],
+)
+def test_a_header_field_of_the_wrong_type_is_refused(tmp_path, header, message):
+    # The log holds block 1 alone, so a build that took the header would append.
+    spec = EnumerationSpec(3, 30)
+    path = tmp_path / "ckpt.jsonl"
+    with pytest.raises(_Interrupted):
+        build_spectrum(spec, workers=1, checkpoint_path=str(path), progress=_interrupt_at(1))
+    text = path.read_text()
+    bad = json.dumps(header, separators=(",", ":")) + text[text.index("\n") :]
+    path.write_text(bad)
+    with pytest.raises(CorruptCheckpoint) as info:
+        build_spectrum(spec, workers=1, checkpoint_path=str(path))
+    assert str(info.value) == f"checkpoint {path} {message}"
+    assert path.read_text() == bad
+
+
+# A block line's trace fields, which vary from run to run.
+_TRACE = re.compile(rb',"tuples":[0-9]+,"seconds":[0-9.e-]+,"pid":[0-9]+}\n')
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [EnumerationSpec(1, 10), EnumerationSpec(2, 2000), EnumerationSpec(3, 2000),
+     EnumerationSpec(4, 400), EnumerationSpec(5, 300)],
+    ids=lambda spec: f"n{spec.n}",
+)
+def test_log_lines_are_the_compact_json_of_their_fields(tmp_path, spec):
+    logged = {}
+    for workers in (1, 2, 3):
+        path = tmp_path / f"ckpt{workers}.jsonl"
+        build_spectrum(spec, workers=workers, checkpoint_path=str(path))
+        lines = path.read_bytes().split(b"\n")[1:-1]
+        assert len(lines) == len(spectrum._block_starts(spec))
+        for line in lines:
+            entry = json.loads(line)
+            assert line.decode() == json.dumps(entry, separators=(",", ":"))
+            assert entry["sha256"] == _sha256(entry["result"])
+            assert spectrum._block_cells(entry["result"], spec.n) is not None
+        logged[workers] = sorted(_TRACE.sub(b"}", line + b"\n") for line in lines)
+    assert logged[1] == logged[2] == logged[3]
+
+
+def test_the_n3_log_is_frozen(tmp_path):
+    path = tmp_path / "ckpt.jsonl"
+    build_spectrum(EnumerationSpec(3, 2000), workers=1, checkpoint_path=str(path))
+    untraced = _TRACE.sub(b"}\n", path.read_bytes())
+    assert untraced.count(b"\n") == 26 and b'"tuples"' not in untraced
+    digest = "2177d5ad33d86de81253ef84d4644fd1b3757bb8779903c171f250a6c63678d0"
+    assert hashlib.sha256(untraced).hexdigest() == digest
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_log_read_restores_the_garbage_collector(tmp_path, monkeypatch, collecting):
+    spec = EnumerationSpec(3, 30)
+    path = tmp_path / "ckpt.jsonl"
+    build_spectrum(spec, workers=1, checkpoint_path=str(path))
+    text = path.read_text()
+    during = []
+    from_rows = spectrum._Block.from_rows
+
+    def spy(rows, spec):
+        during.append(gc.isenabled())
+        return from_rows(rows, spec)
+
+    monkeypatch.setattr(spectrum._Block, "from_rows", spy)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        build_spectrum(spec, workers=1, checkpoint_path=str(path))
+        assert gc.isenabled() == collecting
+        for i, (damage, message) in enumerate(_CORRUPTIONS):
+            bad = tmp_path / f"bad{i}.jsonl"
+            bad.write_text(damage(text))
+            with pytest.raises(CorruptCheckpoint, match=message):
+                build_spectrum(spec, workers=1, checkpoint_path=str(bad))
+            assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during and not any(during)
+
+
+def test_a_digest_of_other_text_than_the_compact_result_does_not_match(tmp_path):
+    spec = EnumerationSpec(3, 30)
+    path = tmp_path / "ckpt.jsonl"
+    full = build_spectrum(spec, workers=1, checkpoint_path=str(path))
+    text = path.read_text()
+    result = json.loads(text.split("\n")[1])["result"]
+    compact, spaced = json.dumps(result, separators=(",", ":")), json.dumps(result)
+    signed = compact.replace("[[1,1,4]]", "[[-0,1,4]]")
+    assert "[[1, 1, 4]]" in spaced and signed != compact
+
+    def logged(result, digested):
+        """The log with block 1's result written as ``result``, digesting ``digested``."""
+        sha = hashlib.sha256(digested.encode()).hexdigest()
+        line = f'{{"block":1,"sha256":"{sha}","result":{result},"tuples":1,"seconds":0.0,"pid":1}}'
+        return _line(text, 1, lambda _: line)
+
+    for i, result in enumerate((spaced, signed)):
+        bad = tmp_path / f"bad{i}.jsonl"
+        bad.write_text(logged(result, digested=result))
+        with pytest.raises(CorruptCheckpoint, match="line 2: sha256 does not match the result"):
+            build_spectrum(spec, workers=1, checkpoint_path=str(bad))
+        assert bad.read_text() == logged(result, digested=result)
+    # A re-spaced result is still read when its digest is the compact text's.
+    path.write_text(logged(spaced, digested=compact))
+    _assert_same_bytes(tmp_path, build_spectrum(spec, workers=1, checkpoint_path=str(path)), full)
+
+
+_LINE = (
+    '{"block":2,"sha256":"' + "0" * 64 + '","result":[["0",2,[[1,1,1]]],["1/10",1,[[1,1,4]]]],'
+    '"tuples":3,"seconds":0.5,"pid":7}'
+)
+
+
+# The line above as the writer makes it, and variants of it for the reader.
+_LINE_VARIANTS = [
+    _LINE,
+    _LINE.replace(',"tuples":3,"seconds":0.5,"pid":7}', "}"),
+    _LINE.replace('"pid":7}', '"pid":7,"result":[]}'),
+    _LINE.replace('"pid":7}', '"pid":7,"block":3}'),
+    _LINE.replace('"pid":7}', '"pid":7,"sha256":"x"}'),
+    _LINE.replace('"pid":7}', '"pid":7,}'),
+    _LINE.replace('"pid":7}', '"pid":7} '),
+    _LINE.replace('"pid":7}', '"pid":7}\r'),
+    _LINE.replace('"pid":7}', '"pid":7}{}'),
+    _LINE.replace(']]]],"tuples"', ']]]] ,"tuples"'),
+    _LINE.replace(']]]],"tuples"', ']]]],}'),
+    _LINE.replace(']]]],"tuples"', ']]]]}'),
+    _LINE.replace(']]]],"tuples"', ']]]'),
+    _LINE.replace("[[1,1,4]]", "[[1, 1, 4]]"),
+    _LINE.replace("[[1,1,4]]", "[[-0,1,4]]"),
+    _LINE.replace("[[1,1,4]]", "[[1.0,1,4]]"),
+    _LINE.replace("[[1,1,4]]", "[[1e0,1,4]]"),
+    _LINE.replace('"1/10"', '"\\u0031/10"'),
+    _LINE.replace('"1/10"', '"1/10\u00e9"'),
+    _LINE.replace('"1/10"', '"1/\\n10"'),
+    _LINE.replace('"0"', '"a"'),
+    _LINE.replace(",2,", ",true,"),
+    _LINE.replace('"block":2', '"block":02'),
+    _LINE.replace('"block":2', '"block":0'),
+    _LINE.replace('"block":2', '"block": 2'),
+    _LINE.replace('"block":2', '"block":' + "9" * 19),
+    _LINE.replace('"' + "0" * 64, '"' + "A" * 64),
+    _LINE.replace('"result":[', '"result": ['),
+    _LINE.replace('"result":[[', '"result":{"a":[').replace("]]]],", "]]]},"),
+    _LINE.replace('"result":[[', '"result":"[['),
+]
+
+
+@pytest.mark.parametrize("line", _LINE_VARIANTS, ids=[f"variant{i}" for i in range(len(_LINE_VARIANTS))])
+def test_a_log_line_is_read_as_json_reads_it(line):
+    data = line.encode()
+    try:
+        expected = json.loads(data)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            spectrum._parse_line(data)
+        return
+    entry, raw = spectrum._parse_line(data)
+    assert entry == expected and list(entry) == list(expected)
+    compact = json.dumps(expected["result"], separators=(",", ":")).encode()
+    assert raw is None or raw == compact
+    if line in _LINE_VARIANTS[:2]:
+        assert raw == compact
+
+
+def _block_result(v1):
+    """A fresh copy of block v1's result at n = 3, bound 2000 (entries up to 176)."""
+    return json.loads(json.dumps(spectrum._spectrum_block((3, 2000, v1))[1].rows()))
+
+
+_ODD_CELLS = [True, False, 1.0, "1", None, 2**63, -(2**63) - 1, 177, -177, 0, -1]
+_ODD_DISTANCES = [
+    "2/4", "3/1", "0/5", "-0", "0/1", "0", "1/0", "-1/3", " 1/3", "1/3,1/4", "1/3,0,1/4",
+    "9223372036854775808/3", "1/9223372036854775807", "177/178", True, 0.5, None, 1,
+]
+
+
+@st.composite
+def _damaged_blocks(draw):
+    """A block result of n = 3 at bound 2000, or an empty one, with up to
+    three faults, and an n (sometimes the wrong one) to read it at."""
+    v1 = draw(st.sampled_from([0, 1, 2, 19, 25]))
+    rows = _block_result(v1) if v1 else []
+    for _ in range(draw(st.integers(0, 3))):
+        if not isinstance(rows, list) or not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        kind = draw(st.sampled_from(["distance", "mult", "cell", "ragged", "repeat", "witnesses", "row", "result"]))
+        if kind == "row" or not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], list) and row[2]):
+            rows[i] = draw(st.sampled_from([None, [], "row", ("1/5", 1, []), ["1/5", 1], ["1/5", 1, [], 0]]))
+            continue
+        wit = row[2][draw(st.integers(0, len(row[2]) - 1))]
+        if kind == "distance":
+            row[0] = draw(st.sampled_from(_ODD_DISTANCES))
+        elif kind == "mult":
+            row[1] = draw(st.sampled_from(_ODD_CELLS))
+        elif kind == "cell" and isinstance(wit, list):
+            wit[draw(st.integers(0, len(wit) - 1))] = draw(st.sampled_from(_ODD_CELLS))
+        elif kind == "ragged" and isinstance(wit, list):
+            wit.append(1) if draw(st.booleans()) else wit.pop()
+        elif kind == "repeat":
+            row[0] = rows[draw(st.integers(0, len(rows) - 1))][0]
+        elif kind == "witnesses":
+            row[2] = draw(st.sampled_from([None, "[]", {}, [(1, 2, 3)], [[1, 2, 3], None]]))
+        elif kind == "result":
+            rows = draw(st.sampled_from([None, {}, "rows", tuple(rows)]))
+    return rows, draw(st.sampled_from([3, 3, 3, 2, 4]))
+
+
+def _outcomes(rows, n):
+    """What ``_Block.from_rows``, a checkpoint line holding ``rows`` and a
+    table file holding them make of them: arrays, a table, or a message."""
+    spec = EnumerationSpec(n, 2000)
+    outcomes = []
+    try:
+        outcomes.append([x.tolist() for x in spectrum._Block.from_rows(rows, spec)])
+    except InvalidInput as exc:
+        outcomes.append(str(exc))
+    header = {"version": 2, "n": n, "max_volume_sq": 2000, "canonical_only": True}
+    line = {"block": 1, "sha256": _sha256(rows), "result": rows, "tuples": 1, "seconds": 0.0, "pid": 1}
+    data = "\n".join(json.dumps(x, separators=(",", ":")) for x in (header, line)) + "\n"
+    try:
+        blocks = spectrum._read_checkpoint("ckpt.jsonl", data.encode(), spec)
+        outcomes.append({v1: [x.tolist() for x in b] for v1, b in blocks.items()})
+    except CorruptCheckpoint as exc:
+        outcomes.append(str(exc))
+    fields = ("d", "mult", "witnesses")
+    entries = rows
+    if isinstance(rows, list):
+        entries = [dict(zip(fields, r)) if isinstance(r, list) and len(r) == 3 else r for r in rows]
+    data = {"version": 1, "n": n, "k": 1, "max_volume_sq": 2000, "canonicalization": CANONICAL_CLASSES}
+    try:
+        outcomes.append(SpectrumTable.from_json_dict({**data, "entries": entries}))
+    except TableMismatch as exc:
+        outcomes.append(str(exc))
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_damaged_blocks())
+def test_the_array_pass_agrees_with_the_per_entry_walk(case):
+    rows, n = case
+    fast = _outcomes(rows, n)
+    with mock.patch.object(spectrum, "_block_cells", lambda rows, n: None):
+        assert _outcomes(rows, n) == fast
 
 
 def test_json_round_trip(tmp_path):
