@@ -236,10 +236,50 @@ class SpectrumTable:
         }
 
     def save_json(self, path: str) -> None:
-        _atomic_write(path, json.dumps(self.to_json_dict(), indent=2) + "\n")
+        """Write ``json.dumps(self.to_json_dict(), indent=2)`` and a newline.
+
+        ``indent`` sends ``json.dumps`` to its pure-Python encoder, so a
+        table of ``Fraction`` keys and plain ``int`` fields, multiplicities
+        and cells, every witness of length n, is written from text instead:
+        one witness template for its n, one ``%`` per entry and one join.
+        Any other table, or a number past ``str``'s digit limit, goes
+        through ``json.dumps``.
+        """
+        keys = self.keys_descending()
+        entries = [self.entries[key] for key in keys]
+        wits = list(chain.from_iterable(e.witnesses for e in entries))
+        ints = [self.n, self.max_volume_sq, *(e.multiplicity for e in entries), *chain.from_iterable(wits)]
+        text = None
+        if not (set(map(type, keys)) - {Fraction} or set(map(type, ints)) - {int} or set(map(len, wits)) - {self.n}):
+            wit = _json_list(["%d"] * self.n, 8)
+            forms = [
+                '{\n      "d": "%s",\n      "mult": %d,\n      "witnesses": ' + _json_list([wit] * count, 6) + "\n    }"
+                for count in range(max((len(e.witnesses) for e in entries), default=0) + 1)
+            ]
+            with contextlib.suppress(ValueError):  # a number past the digit limit
+                body = [
+                    forms[len(e.witnesses)] % (str(key), e.multiplicity, *chain.from_iterable(e.witnesses))
+                    for key, e in zip(keys, entries)
+                ]
+                text = (
+                    f'{{\n  "version": {TABLE_FORMAT_VERSION},\n  "n": {self.n},\n  "k": 1,\n'
+                    f'  "max_volume_sq": {self.max_volume_sq},\n'
+                    f'  "canonicalization": {json.dumps(CANONICAL_CLASSES)},\n'
+                    f'  "entries": {_json_list(body, 2)}\n}}'
+                )
+        if text is None:
+            text = json.dumps(self.to_json_dict(), indent=2)
+        _atomic_write(path, text + "\n")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SpectrumTable":
+        """The table that ``data``, a table file's JSON object, holds.
+
+        Its entries are held to a checkpoint block's rules: one array pass
+        (``_block_cells``), or, where the pass doubts them, a walk that names
+        the fault.  Keys are made as ``Fraction(p, r)`` from the int64 terms
+        that the array pass read, and parsed from their text after a walk.
+        """
         if not isinstance(data, dict):
             raise TableMismatch("table is not a JSON object")
         if data.get("version") != TABLE_FORMAT_VERSION:
@@ -266,15 +306,19 @@ class SpectrumTable:
                     raise InvalidInput(f"entry {i} has no {exc.args[0]!r} field") from None
                 except TypeError:
                     raise InvalidInput(f"entry {i} is not an object") from None
-            if _block_cells(rows, n) is None:
+            passed = _block_cells(rows, n)
+            if passed is None:
                 _check_block(rows, n)
         except InvalidInput as exc:
             raise TableMismatch(f"table has a malformed value: {exc}") from None
+        if passed is None:
+            keys = [parse_rational(d) for d, _, _ in rows]
+        else:
+            terms = iter(passed[0].tolist())
+            keys = [Fraction(p, r) for p, r in zip(terms, terms)]
         entries = {
-            parse_rational(d): SpectrumEntry(
-                multiplicity=mult, witnesses=tuple(tuple(w) for w in wits)
-            )
-            for d, mult, wits in rows
+            key: SpectrumEntry(multiplicity=mult, witnesses=tuple(map(tuple, wits)))
+            for key, (_, mult, wits) in zip(keys, rows)
         }
         if not entries:
             raise TableMismatch("table has no entries")
@@ -295,16 +339,38 @@ class SpectrumTable:
             raise TableMismatch(f"{path}: {exc}") from None
 
     def save_flat(self, path: str) -> None:
+        """Write a TSV line per key, descending: d and ml = 1/2 - d as
+        ``format_rational`` writes them and as ``%.12g`` of their floats,
+        then the multiplicity.  It works in the key's terms p/r: ml is
+        (r - 2p)/(2r) reduced by one gcd, and each float is the int division
+        ``p / r`` that ``float`` of a ``Fraction`` does."""
         lines = ["d\td_approx\tml\tml_approx\tmultiplicity"]
         for key in self.keys_descending():
-            ml = HALF - key
-            cells = (format_rational(key), _approx(key), format_rational(ml), _approx(ml))
-            lines.append("\t".join(cells) + f"\t{self.entries[key].multiplicity}")
+            p, r = key.numerator, key.denominator
+            g = gcd(r - 2 * p, 2 * r)
+            a, b = (r - 2 * p) // g, 2 * r // g
+            lines.append(
+                f"{_terms_text(p, r)}\t{p / r:.12g}\t{_terms_text(a, b)}\t{a / b:.12g}"
+                f"\t{self.entries[key].multiplicity}"
+            )
         _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _approx(x: Rational) -> str:
-    return f"{float(x):.12g}"
+def _json_list(items: List[str], indent: int) -> str:
+    """The ``json.dumps(..., indent=2)`` layout of a list ``indent`` spaces
+    deep, around its items' own texts: "[]" when it has none."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * indent
+    return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]"
+
+
+def _terms_text(p: int, r: int) -> str:
+    """``format_rational`` of p/r, given in lowest terms with r > 0."""
+    try:
+        return f"{p}/{r}" if r != 1 else f"{p}"
+    except ValueError:  # past str()'s digit limit
+        return format_rational(Fraction(p, r))
 
 
 def _fsync_if_holding(path: str, data: bytes) -> bool:
@@ -1121,22 +1187,25 @@ def accumulation_report(
     """Count distinct keys strictly within one window of each target.
 
     Keys pile up only from above; the below-window list is reported in
-    full so an empty claim is visibly checkable.
+    full so an empty claim is visibly checkable.  Each count bisects the
+    keys, sorted once.
     """
+    from bisect import bisect_left, bisect_right
+
     win = Fraction(window)
     if win <= 0:
         raise InvalidInput("window must be positive")
+    keys = sorted(table.entries)
     rows = []
     for raw in targets:
         x = Fraction(raw)
-        above = [k for k in table.entries if x < k < x + win]
-        below = [k for k in table.entries if x - win < k < x]
+        below = keys[bisect_right(keys, x - win) : bisect_left(keys, x)]
         rows.append(
             AccumulationRow(
                 target=x,
-                above_count=len(above),
+                above_count=bisect_left(keys, x + win) - bisect_right(keys, x),
                 below_count=len(below),
-                below_keys=tuple(sorted(below)),
+                below_keys=tuple(below),
             )
         )
     return tuple(rows)

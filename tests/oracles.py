@@ -6,6 +6,7 @@ internals.  Slow is fine; wrong is not.
 """
 
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -443,3 +444,22 @@ def block_reference(n: int, max_volume_sq: int, v1: int) -> List[Tuple[str, int,
         best = sorted(wits, key=_volume_key)[:8]
         out.append((str(Fraction(1, 2) - ml), len(wits), [list(w) for w in best]))
     return out
+
+
+def _rational_text(x: Fraction) -> str:
+    """"p/q", or "p" when q = 1, with digits from ``Decimal``, which has
+    no digit limit."""
+    text = str(Decimal(x.numerator))
+    return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
+
+
+def flat_reference(table) -> str:
+    """A table's TSV text the plain way: per key, descending, the key and
+    ml = 1/2 - key in ``Fraction``s, each written out and as ``float`` to
+    12 significant digits, then the multiplicity."""
+    lines = ["d\td_approx\tml\tml_approx\tmultiplicity"]
+    for key in sorted(table.entries, reverse=True):
+        ml = Fraction(1, 2) - key
+        cells = (_rational_text(key), f"{float(key):.12g}", _rational_text(ml), f"{float(ml):.12g}")
+        lines.append("\t".join(cells) + f"\t{table.entries[key].multiplicity}")
+    return "\n".join(lines) + "\n"

@@ -10,11 +10,12 @@ import stat
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from runnerspec import spectrum
@@ -42,7 +43,14 @@ from runnerspec.spectrum import (
     verify_window,
 )
 
-from oracles import _volume_key, block_reference, canonical_block, count_sorted_tuples, mobius_primitive_count
+from oracles import (
+    _volume_key,
+    block_reference,
+    canonical_block,
+    count_sorted_tuples,
+    flat_reference,
+    mobius_primitive_count,
+)
 
 F = Fraction
 
@@ -868,8 +876,8 @@ def _damaged_blocks(draw):
             wit[draw(st.integers(0, len(wit) - 1))] = draw(st.sampled_from(_ODD_CELLS))
         elif kind == "ragged" and isinstance(wit, list):
             wit.append(1) if draw(st.booleans()) else wit.pop()
-        elif kind == "repeat":
-            row[0] = rows[draw(st.integers(0, len(rows) - 1))][0]
+        elif kind == "repeat":  # the distance of a row that an earlier fault left whole
+            row[0] = draw(st.sampled_from([r for r in rows if isinstance(r, list) and len(r) == 3]))[0]
         elif kind == "witnesses":
             row[2] = draw(st.sampled_from([None, "[]", {}, [(1, 2, 3)], [[1, 2, 3], None]]))
         elif kind == "result":
@@ -908,6 +916,8 @@ def _outcomes(rows, n):
 
 @settings(max_examples=300, deadline=None)
 @given(_damaged_blocks())
+@example(([None, ["1/102", 2, [[25, 25, 26], [25, 26, 26]]]], 3))  # block 25: a row lost, then a repeat
+@example(([[], ["1/102", 2, [[25, 25, 26], [25, 26, 26]]]], 3))
 def test_the_array_pass_agrees_with_the_per_entry_walk(case):
     rows, n = case
     fast = _outcomes(rows, n)
@@ -1082,13 +1092,87 @@ def test_flat_export(tmp_path):
     table = build_spectrum(EnumerationSpec(2, 50))
     path = str(tmp_path / "table.tsv")
     table.save_flat(path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "d\td_approx\tml\tml_approx\tmultiplicity"
     assert len(lines) == 1 + len(table.entries)
     first = lines[1].split("\t")
     assert first[0] == "1/6"
     assert first[2] == "1/3"
     assert first[1].startswith("0.16666666666")
+
+
+# A key whose terms are past str()'s default limit of 4300 digits.
+_HUGE_KEY = F(10**4400 + 1, 10**4400)
+
+
+@st.composite
+def _tables(draw):
+    """A table of n = 0..4 with up to 6 entries, and whether a save of it
+    loads back (not at n = 0): keys 0, 1/2 and others of up to 30-digit terms, witness
+    cells of either sign up to 10^30, entries with no witnesses and
+    multiplicities past 2^63; sometimes one odd value, which no loader takes:
+    a bool or numpy integer, a witness of the wrong length, a float key or
+    one past str()'s digit limit."""
+    n = draw(st.integers(0, 4))
+    key = st.one_of(st.sampled_from([F(0), F(1, 2)]), st.fractions(-2, 2, max_denominator=10**30))
+    wit = st.tuples(*[st.integers(-(10**30), 10**30)] * n)
+    entries = {
+        k: SpectrumEntry(draw(st.integers(1, 2**70)), tuple(draw(st.lists(wit, max_size=3))))
+        for k in draw(st.lists(key, unique=True, max_size=6))
+    }
+    odd = draw(st.sampled_from([None, None, None, "mult", "cell", "length", "key"]))
+    if odd == "key":
+        entries[draw(st.sampled_from([_HUGE_KEY, 0.25]))] = SpectrumEntry(1, ())
+    elif odd and entries:
+        k = draw(st.sampled_from(sorted(entries)))
+        mult, wits = entries[k].multiplicity, entries[k].witnesses
+        value = draw(st.sampled_from([True, np.int64(3)]))
+        if odd == "mult":
+            mult = value
+        elif odd == "cell" and wits:
+            wits = ((value, *wits[0][1:]), *wits[1:])
+        elif odd == "length":
+            wits = (*wits, draw(st.sampled_from([(), (1,) * (n + 1)])))
+        entries[k] = SpectrumEntry(mult, wits)
+    table = SpectrumTable(n=n, max_volume_sq=draw(st.integers(n, 10**6)), entries=entries)
+    return table, odd is None and bool(entries) and n > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+def test_table_files_match_the_generic_encoders(case):
+    table, loads = case
+    saves = (
+        ("t.json", table.save_json, lambda: json.dumps(table.to_json_dict(), indent=2) + "\n"),
+        ("t.tsv", table.save_flat, lambda: flat_reference(table)),
+    )
+    written = {}
+    with mock.patch.object(spectrum, "_atomic_write", written.__setitem__):
+        for name, save, reference in saves:
+            try:
+                expected = reference()
+            except (TypeError, AttributeError) as exc:  # a numpy integer, a float key
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    save(name)
+                assert name not in written
+            else:
+                save(name)
+                assert written[name] == expected
+    if loads:
+        loaded = SpectrumTable.from_json_dict(json.loads(written["t.json"]))
+        assert loaded == table
+        assert {type(k) for k in loaded.entries} == {Fraction}
+
+
+def test_table_files_are_frozen(tmp_path):
+    table = build_spectrum(EnumerationSpec(3, 2000))
+    table.save_json(str(tmp_path / "t.json"))
+    table.save_flat(str(tmp_path / "t.tsv"))
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("t.json", "t.tsv")}
+    assert digests == {
+        "t.json": "fb1e7588566287629a89d34df709c106414b042179629743b0345502a1634132",
+        "t.tsv": "5b8048062de6479a57ebf5700fb67b2ee3a79e679896fa302a231082e1e39dd8",
+    }
 
 
 # --- closed-form verifier -------------------------------------------------
@@ -1371,6 +1455,14 @@ def test_accumulation_counts(table_n3_1e3, table_n3_1e4):
     assert all(r.below_count == 0 for r in tight)
     growth = accumulation_report(table_n3_1e3, (F(1, 6),), F(1, 100))
     assert growth[0].above_count == 4
+
+
+def test_accumulation_window_edges_are_open():
+    keys = [F(1, 8), F(1, 5), F(0), F(3, 20), F(7, 40), F(1, 10), F(11, 100), F(1, 6)]
+    table = SpectrumTable(3, 100, {k: SpectrumEntry(1, ()) for k in keys})
+    # The window around 3/20 is (1/10, 1/5): its edges and the target count for neither side.
+    (row,) = accumulation_report(table, (F(3, 20),), F(1, 20))
+    assert (row.above_count, row.below_count, row.below_keys) == (2, 2, (F(11, 100), F(1, 8)))
 
 
 def test_accumulation_validates(table_n3_1e3):
