@@ -21,12 +21,12 @@ batch of same-length tuples, an int64 array or rows of ints, and returns
 an (m, 3) int64 array of (a, q, k): maximum loneliness a/q, first reached
 at t = k/q.  Each row gives one problem per pair, its n - 1 kept speeds
 on q = v_a + v_b, and every time j/q with j <= q/2 is evaluated (the
-profile is symmetric under j -> q - j) in int64 grids of at most
-``_GRID_CELLS`` cells.  ``_deviation_grid`` builds every grid, over a
-range of j, and ``_scan_problems`` keeps each problem's first minimum.  In
-a batch of n >= 3, each kept speed is first reduced mod q, folded to
-min(v, q - v) and sorted, which leaves |2jv mod 2q - q| unchanged at
-every j; problems that then repeat, as across the permutations of a row
+profile is symmetric under j -> q - j) in grids of at most ``_GRID_CELLS``
+cells, int32 where every cell fits and int64 otherwise.  ``_deviation_grid``
+builds every grid, over a range of j, and ``_scan_problems`` keeps each
+problem's first minimum.  In a batch of n >= 3, each kept speed is first
+reduced mod q, folded to min(v, q - v) and sorted, which leaves
+|2jv mod 2q - q| unchanged at every j; problems that then repeat, as across the permutations of a row
 or rows equal mod a pair sum, are scanned once.  The tie-break is fixed: a larger value a/q wins,
 and an equal value wins only at a strictly earlier time, so every result
 carries the earliest maximizing time.  Tuples with 2 * max|v|^2 at or
@@ -178,15 +178,21 @@ def _deviation_grid(speeds: np.ndarray, q: np.ndarray, j0: int, j1: int) -> np.n
     the first maximum of the loneliness profile on the denominator q.
     ``speeds`` is (r, n) and ``q`` is (r,); the one scratch array is
     (n, r, j1 - j0), a view of this thread's scratch, updated in place.
-    The result is a view of it too, valid until the next call.
+    The result is a view of it too, valid until the next call.  The view
+    is int32 when 2 max(v, q) j1 < 2^31, which bounds every cell, and int64
+    otherwise; the bound reads the speeds, as a row scanned alone or
+    unmerged keeps raw speeds far above q.  On 2 vCPUs int32 cells took the
+    grids of a one-worker n = 3 @ 10^4 build from 25-26 to 21.5 ms.
     """
     n, r, w = speeds.shape[1], len(q), j1 - j0
     scratch = getattr(_SCRATCH, "grid", None)
     if scratch is None or len(scratch) < n * r * w:
         scratch = _SCRATCH.grid = np.empty(max(n * r * w, _GRID_CELLS), dtype=np.int64)
-    x = scratch[: n * r * w].reshape(n, r, w)
-    qc = q[:, None]
-    np.multiply((2 * speeds.T)[:, :, None], np.arange(j0, j1, dtype=np.int64), out=x)
+    # Every cell is at most 2 v j or 2 q, so below 2^31 when this holds.
+    dtype = np.int32 if 2 * max(int(speeds.max()), int(q.max())) * j1 < 1 << 31 else np.int64
+    x = scratch.view(dtype)[: n * r * w].reshape(n, r, w)
+    qc = q[:, None].astype(dtype)
+    np.multiply((2 * speeds.T).astype(dtype)[:, :, None], np.arange(j0, j1, dtype=dtype), out=x)
     x %= 2 * qc
     x -= qc
     np.abs(x, out=x)

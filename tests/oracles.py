@@ -114,6 +114,40 @@ def maximizing_times_reference(speeds: Sequence[int]) -> Tuple[Fraction, ...]:
     return tuple(sorted(t for t, val in values.items() if val == best))
 
 
+def scan_reference_numpy(speeds: Sequence[int]) -> Tuple[Tuple[int, int, int], Tuple[Fraction, ...]]:
+    """``_scan_best_python`` and ``maximizing_times_reference`` in numpy, for
+    speeds too large to scan in Python: (a, q, k), the maximum a/q first
+    reached at k/q, and every candidate time attaining it, ascending.
+
+    Every candidate denominator is scanned over all j < q and every
+    column, a chunk of j at a time, with j v mod q in int64 (j v < 2^63 for
+    speeds below 2^31).  Denominators are taken in ascending order with the
+    same tie rule as the Python scan.
+    """
+    speeds = [abs(v) for v in speeds]
+    found = []
+    for q in _candidate_denominators(speeds):
+        best, hits = -1, []
+        for j0 in range(0, q, 1 << 20):
+            j = np.arange(j0, min(q, j0 + (1 << 20)), dtype=np.int64)
+            worst = np.full(len(j), q, dtype=np.int64)
+            for v in speeds:
+                r = j * v % q
+                np.minimum(worst, np.minimum(r, q - r), out=worst)
+            top = int(worst.max())
+            if top > best:
+                best, hits = top, []
+            if top == best:
+                hits += (np.flatnonzero(worst == top) + j0).tolist()
+        found.append((best, q, hits))
+    bn, bd, bk = -1, 1, 0
+    for a, q, hits in found:
+        if a * bd > bn * q or (a * bd == bn * q and hits[0] * bd < bk * q):
+            bn, bd, bk = a, q, hits[0]
+    times = {Fraction(j, q) for a, q, hits in found if a * bd == bn * q for j in hits}
+    return (bn, bd, bk), tuple(sorted(times))
+
+
 def ml_interval(speeds: Sequence[int], points: int = 10**6) -> Tuple[Fraction, Fraction]:
     """[lower, upper] enclosure of ml from a uniform grid of arbitrary size.
 
@@ -463,3 +497,21 @@ def flat_reference(table) -> str:
         cells = (_rational_text(key), f"{float(key):.12g}", _rational_text(ml), f"{float(ml):.12g}")
         lines.append("\t".join(cells) + f"\t{table.entries[key].multiplicity}")
     return "\n".join(lines) + "\n"
+
+
+def fold_reference(blocks: Sequence[Tuple[np.ndarray, ...]], cap: int) -> Tuple[np.ndarray, ...]:
+    """Block results (a, q, mult, wits, key) merged by value the way block
+    folds were first written: ``np.unique`` on a * span + q, ``np.add.at``
+    for the multiplicities, then one lexsort on (value, squared volume,
+    tuple), so that rows' input order never matters; each value keeps its
+    ``cap`` least witnesses."""
+    a, q, mult, wits, key = map(np.concatenate, zip(*blocks))
+    key += np.repeat(np.cumsum([0, *(len(b[0]) for b in blocks[:-1])]), [len(b[4]) for b in blocks])
+    span = int(q.max(initial=0)) + 1
+    values, value = np.unique(a * span + q, return_inverse=True)
+    total = np.zeros(len(values), dtype=np.int64)
+    np.add.at(total, value, mult)
+    key = value[key]
+    rows = np.lexsort((*wits.T[::-1], (wits * wits).sum(axis=1), key))
+    rows = rows[np.arange(len(rows)) - np.searchsorted(key[rows], key[rows]) < cap]
+    return values // span, values % span, total, wits[rows], key[rows]

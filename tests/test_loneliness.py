@@ -35,6 +35,7 @@ from oracles import (
     grid_ml_witness,
     maximizing_times_reference,
     pair_distance,
+    scan_reference_numpy,
 )
 
 F = Fraction
@@ -385,6 +386,79 @@ def test_a_tie_across_slices_keeps_the_earlier_time(monkeypatch):
     assert (a.tolist(), k.tolist()) == ([2], [2])
 
 
+# --- int32 and int64 grids ---------------------------------------------------
+# A grid is int32 while 2 max(v, q) j1 < 2^31, and int64 past it.
+
+
+def _grid_reference(speeds, q, j0, j1):
+    return [[max(abs(2 * j * v % (2 * qq) - qq) for v in vs) for j in range(j0, j1)] for vs, qq in zip(speeds, q)]
+
+
+def test_a_grid_is_int32_only_while_every_cell_fits():
+    # On q = 3 a raw kept speed of 10^8 makes the cell 2 v j pass 2^31 at
+    # j = 11, so j1 = 12 needs int64, though 2 q j1 is tiny.
+    cases = [
+        ([[1, 10**8]], [3], 0, 10, np.int32),
+        ([[1, 10**8]], [3], 0, 12, np.int64),
+        ([[1, 5], [2, 7]], [9, 46340], 0, 23170, np.int32),
+        ([[1, 5], [2, 7]], [9, 46340], 0, 23171, np.int64),
+        ([[3, 46340]], [46341], 23160, 23171, np.int64),
+    ]
+    for speeds, q, j0, j1, dtype in cases:
+        dev = loneliness._deviation_grid(np.array(speeds), np.array(q), j0, j1)
+        assert dev.dtype == dtype
+        assert dev.tolist() == _grid_reference(speeds, q, j0, j1)
+
+
+# Rows b x with x_i <= 40 have pair sums up to about 96,000, on both sides
+# of the bound on the merged batch path (q > 46,340).  A last entry V of
+# 65,537 or 200,003 is kept raw on a row's small pairs when the row is scanned
+# alone at n = 4, and in a batch of n = 4, which is unmerged past pair sums
+# of about 93,000; there V alone passes the bound once V q > 2^31.
+@st.composite
+def _rows_across_the_int32_bound(draw):
+    n = draw(st.sampled_from((3, 4)))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        b = draw(st.sampled_from((1, 97, 1201)))
+        row = [b * x for x in draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))]
+        row[0] += draw(st.integers(0, 1))  # often primitive, for maximizing_times
+        if n == 4 and draw(st.booleans()):
+            row[-1] = draw(st.sampled_from((65_537, 200_003)))
+        rows.append(tuple(row))
+    return rows
+
+
+@given(_rows_across_the_int32_bound())
+@example([(5003, 6007, 7001, 200_003)])
+@example([(5003, 6007, 7001, 200_003), (1202, 2402, 3603, 4804)])
+@example([(24001, 36013, 48017), (1, 2, 3)])
+@settings(max_examples=30, deadline=None)
+def test_int32_and_int64_grids_match_the_oracle(rows):
+    expected = [scan_reference_numpy(r) for r in rows]
+    for got in (_scan_rows(rows).tolist(), [_scan_rows([r]).tolist()[0] for r in rows]):
+        for (a, q, k), ((ea, eq, ek), _) in zip(got, expected):
+            assert (F(a, q), F(k, q)) == (F(ea, eq), F(ek, eq))
+    for r, (_, times) in zip(rows, expected):
+        if gcd(*r) == 1:
+            assert maximizing_times(r) == times
+
+
+@pytest.mark.parametrize(
+    "row, ml, times",
+    [((1, 2, 100000007), F(1, 3), (F(1, 3), F(2, 3))), ((3, 5, 7, 110000007), F(1, 2), (F(1, 2),))],
+)
+def test_raw_speeds_far_above_their_pair_sum(row, ml, times):
+    # Each row keeps its last speed raw on the pair sums of its small
+    # speeds.  (1, 2) reaches its maximum 1/3 only at 1/3 and 2/3, where
+    # 100000007 = 2 (mod 3) is at 1/3 too; odd speeds are all at 1/2 only
+    # at t = 1/2, as 3 t = 1/2 (mod 1) puts 5 t at 1/6 otherwise.
+    ((a, q, k),) = _scan_rows([row]).tolist()
+    assert (F(a, q), F(k, q)) == (ml, times[0])
+    if len(row) == 3:  # the n = 4 row would scan its three 1.1 * 10^8 pairs again
+        assert maximizing_times(row) == times
+
+
 # --- the plane lattice of a pair sum ---------------------------------------
 # One row of n <= 3 is solved on each pair's lattice; two rows go to the
 # grid, which stays the lattice's differential partner.
@@ -579,17 +653,31 @@ def test_duplicates_do_not_change_ml(speeds):
 
 
 def test_concurrent_scans_keep_their_own_grids():
-    # Every thread scans in its own scratch array; with one shared array,
-    # concurrent queries would overwrite each other's grids.
-    # n <= 3 tuples are solved on lattices, so the two n = 4 tuples share grids.
+    # Every thread scans in its own scratch array, viewed as int32 or int64
+    # grids; with one shared array, concurrent queries would overwrite each
+    # other's grids.  n <= 3 tuples are solved on lattices, so the n = 4
+    # tuples share grids: int32 ones on small pair sums, int64 ones on pair
+    # sums past 46,340 or with a raw kept speed of 200,003.
     tuples = [
         (1, 2, 3),
         (9001, 9011, 9013),
         (3, 7, 199),
         (4001, 4003, 4007, 4013),
         (5003, 5009, 5011, 5021),
+        (30011, 30013, 30029, 30047),
+        (5003, 6007, 7001, 200003),
     ]
-    expected = [max_loneliness(t) for t in tuples]
+    dtypes = set()
+    grid = loneliness._deviation_grid
+
+    def spy(*args):
+        dev = grid(*args)
+        dtypes.add(dev.dtype)
+        return dev
+
+    with mock.patch.object(loneliness, "_deviation_grid", spy):
+        expected = [max_loneliness(t) for t in tuples]
+    assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}
     results = {}
 
     def work(i):

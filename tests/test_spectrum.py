@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -49,6 +50,7 @@ from oracles import (
     canonical_block,
     count_sorted_tuples,
     flat_reference,
+    fold_reference,
     mobius_primitive_count,
 )
 
@@ -441,6 +443,96 @@ def test_logs_in_the_old_row_order_still_resume(tmp_path, monkeypatch):
         table.save_flat(str(tmp_path / f"{name}.tsv"))
     for ext in ("json", "tsv"):
         assert (tmp_path / f"resumed.{ext}").read_bytes() == (tmp_path / f"plain.{ext}").read_bytes()
+
+
+# Sorted triples with entries up to 12 often tie on squared volume, as
+# (1, 4, 8) and (4, 4, 7) do, so values drawn from a few share volumes.
+_TRIPLES = list(itertools.combinations_with_replacement(range(1, 13), 3))
+
+
+@st.composite
+def _block_sets(draw):
+    """Distinct tuples in lexicographic order, each with one of up to four
+    values a/q, cut into consecutive raw blocks, one row per tuple, as a
+    block scan makes them: blocks in start order hold their tuples in order."""
+    tuples = sorted(draw(st.lists(st.sampled_from(_TRIPLES), min_size=1, max_size=300, unique=True)))
+    values = draw(st.lists(st.sampled_from([(0, 1), (1, 3), (1, 4), (2, 7)]), min_size=1, max_size=4, unique=True))
+    picks = draw(st.lists(st.integers(0, len(values) - 1), min_size=len(tuples), max_size=len(tuples)))
+    cuts = sorted(draw(st.sets(st.integers(1, len(tuples)), max_size=5)) | {len(tuples)})
+    blocks = []
+    for start, end in zip([0, *cuts], cuts):
+        a, q = np.array([values[i] for i in picks[start:end]], dtype=np.int64).reshape(-1, 2).T
+        t = np.array(tuples[start:end], dtype=np.int64).reshape(-1, 3)
+        blocks.append(spectrum._Block(a, q, np.ones(len(t), dtype=np.int64), t, np.arange(len(t))))
+    return blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(_block_sets())
+def test_the_fold_matches_the_lexsort_reference(blocks):
+    # One stable sort on (value, squared volume) leaves ties in input order,
+    # which must be tuple order: each block's own fold, the fold of every
+    # raw block at once, and the fold of the folded blocks as a build makes it.
+    folded = [spectrum._fold([b]) for b in blocks]
+    for got, raw in zip(folded, blocks):
+        assert [x.tolist() for x in got] == [x.tolist() for x in fold_reference([raw], spectrum.WITNESS_CAP)]
+    for parts in (blocks, folded):
+        got = spectrum._fold(parts)
+        assert [x.tolist() for x in got] == [x.tolist() for x in fold_reference(parts, spectrum.WITNESS_CAP)]
+
+
+def _tied_witnesses(text):
+    """The first log line, entry and witness index whose witness ties on
+    squared volume with the next one."""
+    for number, line in enumerate(text.split("\n")[1:-1], start=1):
+        for e, (_, _, wits) in enumerate(json.loads(line)["result"]):
+            vols = [sum(c * c for c in w) for w in wits]
+            for i in range(len(wits) - 1):
+                if vols[i] == vols[i + 1]:
+                    return number, e, i
+    raise AssertionError("no tied witnesses")
+
+
+def test_a_logged_block_whose_tied_witnesses_are_out_of_order_is_refused(tmp_path):
+    # The fold keeps tied witnesses in the order that they arrive in, so a
+    # line with a valid digest whose ties are in reverse tuple order would
+    # resume to another table than a fresh build; it is refused by name, as
+    # is a witness written twice.
+    spec = EnumerationSpec(3, 2000)
+    path = tmp_path / "ckpt.jsonl"
+    build_spectrum(spec, workers=1, checkpoint_path=str(path))
+    text = path.read_text()
+    number, e, i = _tied_witnesses(text)
+
+    def swap(result):
+        wits = result[e][2]
+        wits[i], wits[i + 1] = wits[i + 1], wits[i]
+
+    def repeat(result):
+        result[e][2][i + 1] = result[e][2][i]
+
+    edits = (swap, repeat, lambda r: r[e][2].reverse())
+    for bad in (_edit_result(text, number, edit) for edit in edits):
+        path.write_text(bad)
+        message = f"line {number + 1} has a malformed block: entry {e}: witnesses do not rise by"
+        with pytest.raises(CorruptCheckpoint, match=re.escape(message)) as info:
+            build_spectrum(spec, workers=1, checkpoint_path=str(path))
+        assert str(path) in str(info.value)
+        assert path.read_text() == bad
+
+
+def test_a_logged_n1_entry_past_1_is_refused(tmp_path):
+    # n = 1 has the one tuple (1,) at any bound, so a logged entry is held
+    # to 1, not to 4 sqrt(B): squared volumes, and the fold's sort key, then
+    # stay far below 2^63 (4 * 10^15 squared wraps int64).
+    spec = EnumerationSpec(1, 10**30)
+    path = tmp_path / "ckpt.jsonl"
+    build_spectrum(spec, workers=1, checkpoint_path=str(path))
+    bad = _edit_result(path.read_text(), 1, _set(0, 2, [[1], [4 * 10**15]]))
+    path.write_text(bad)
+    with pytest.raises(CorruptCheckpoint, match="line 2 has a malformed block: a distance or witness entry is past 1$"):
+        build_spectrum(spec, workers=1, checkpoint_path=str(path))
+    assert path.read_text() == bad
 
 
 def _round_trip_verdict(d):
