@@ -16,24 +16,22 @@ j v_b = -j v_a (mod q), so runner b's column repeats runner a's and is
 dropped.  A single runner keeps its peak 2 v_1.  A dense-grid oracle on
 the full candidate set lives in the test suite.
 
-One batched kernel, ``_scan_rows``, does every scan.  It takes an (m, n)
-batch of same-length tuples, an int64 array or rows of ints, and returns
-an (m, 3) int64 array of (a, q, k): maximum loneliness a/q, first reached
-at t = k/q.  Each row gives one problem per pair, its n - 1 kept speeds
-on q = v_a + v_b, and every time j/q with j <= q/2 is evaluated (the
-profile is symmetric under j -> q - j) in grids of at most ``_GRID_CELLS``
-cells, int32 where every cell fits and int64 otherwise.  ``_deviation_grid``
-builds every grid, over a range of j, and ``_scan_problems`` keeps each
-problem's first minimum.  In a batch of n >= 3, each kept speed is first
-reduced mod q, folded to min(v, q - v) and sorted, which leaves
-|2jv mod 2q - q| unchanged at every j; problems that then repeat, as across the permutations of a row
-or rows equal mod a pair sum, are scanned once.  The tie-break is fixed: a larger value a/q wins,
-and an equal value wins only at a strictly earlier time, so every result
-carries the earliest maximizing time.  Tuples with 2 * max|v|^2 at or
-above ``_INT64_LIMIT`` are refused with ``InvalidSpeeds`` before any
-entry is converted.  A batch of one row, as every single-tuple query is,
-picks its best pair by a fold in Python ints, at n <= 3 mostly solved on
-plane lattices.  The reference scan it is tested against is in the tests.
+Two paths share one grid kernel.  ``_scan_row`` answers a query, one
+tuple: (a, q, k), maximum loneliness a/q first reached at t = k/q; a fold
+over its pairs in Python ints keeps the earliest time among equal values,
+and at n <= 3 most pairs are solved on plane lattices.  ``_scan_rows``
+gives each row of an (m, n) batch, as builds and certificates send, its
+value a/q only.  A pair's problem is its n - 1 kept speeds on
+q = v_a + v_b, whose times j/q, j <= q/2 (the profile is symmetric under
+j -> q - j), ``_deviation_grid`` evaluates in grids of at most
+``_GRID_CELLS`` cells, int32 where every cell fits, and ``_scan_problems``
+keeps each problem's first minimum.  A batch reduces each kept speed mod
+q, folds it to min(v, q - v) and sorts them, which keeps |2jv mod 2q - q|
+at every j, and scans a problem once per batch, or, times any unit mod q,
+which permutes the j, once per build and thread (``_ClassMemo``).  Tuples
+with 2 * max|v|^2 at or above ``_INT64_LIMIT`` are refused with
+``InvalidSpeeds`` before any entry is converted.  The reference scan is in
+the tests.
 """
 
 from __future__ import annotations
@@ -181,8 +179,7 @@ def _deviation_grid(speeds: np.ndarray, q: np.ndarray, j0: int, j1: int) -> np.n
     The result is a view of it too, valid until the next call.  The view
     is int32 when 2 max(v, q) j1 < 2^31, which bounds every cell, and int64
     otherwise; the bound reads the speeds, as a row scanned alone or
-    unmerged keeps raw speeds far above q.  On 2 vCPUs int32 cells took the
-    grids of a one-worker n = 3 @ 10^4 build from 25-26 to 21.5 ms.
+    unmerged keeps raw speeds far above q.
     """
     n, r, w = speeds.shape[1], len(q), j1 - j0
     scratch = getattr(_SCRATCH, "grid", None)
@@ -286,74 +283,134 @@ def _lattice_times(u: int, w: int, q: int, radius: Optional[int] = None):
     return [(dev(al, be), (al * e1[2] + be * e2[2]) % q) for al in als for be in bes]
 
 
-def _scan_rows(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> np.ndarray:
-    """Best (a, q, k) per row of an (m, n) batch of speeds, as an (m, 3) array.
+def _scan_row(row: Sequence[int]) -> Tuple[int, int, int]:
+    """Best (a, q, k) of one tuple of positive speeds, by a fold over the pairs of ``_pair_index``.
+    At n <= 3 a pair's kept columns are solved on its lattice, for the row over its gcd g as
+    (g a', g q', k'); other pairs go to ``_scan_problems`` on their raw kept speeds."""
+    _require_int64(max(row))
+    i, j, keep = _pair_index(len(row))
+    dens = [row[x] + row[y] for x, y in zip(i, j)]
+    g, found = gcd(*row), [None] * len(dens)
+    for p, (cols, qq) in enumerate(zip(keep, dens) if len(row) <= 3 else ()):
+        points = _lattice_times(row[cols[0]] // g, row[cols[-1]] // g, qq // g)
+        if points is not None:
+            d, kk = min(points)
+            found[p] = ((qq - g * d) // 2, kk)
+    grid = [p for p, x in enumerate(found) if x is None]
+    if grid:
+        a, k = _scan_problems(np.array(row)[np.array(keep)[grid]], np.array(dens)[grid])
+        for p, aa, kk in zip(grid, a.tolist(), k.tolist()):
+            found[p] = (aa, kk)
+    ba, bq, bk = -1, 1, 0
+    for (aa, kk), qq in zip(found, dens):
+        if aa * bq > ba * qq or (aa * bq == ba * qq and kk * bq < bk * qq):
+            ba, bq, bk = aa, qq, kk
+    return ba, bq, bk
 
-    Signs are ignored.  A fold over the pairs of ``_pair_index`` keeps the
-    first best: a later pair wins only with a larger a/q, or with the same
-    value at a strictly earlier k/q.  Rows of n >= 3 merge problems on one
-    int64 key per row and pair: q, then the reduced speeds, in base
-    max(q) // 2 + 1.  A batch whose keys could pass 2^63 is scanned unmerged,
-    as is n <= 2, where a sorted row is its own problem.
-    """
+
+def _key(q: np.ndarray, cols: List[np.ndarray], radix: int) -> np.ndarray:
+    """The int64 key of each problem: q, then its speeds ``cols`` sorted, in base ``radix``."""
+    for i, j in itertools.combinations(range(len(cols)), 2):  # a sorting network on the columns
+        cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+    for col in cols:
+        q = q * radix + col
+    return q
+
+
+# Problems on q < _CLASS_Q c are scanned as they are: a grid of c (q // 2 + 1) cells costs less than
+# a class, c candidates of c speeds.  Classing all made n = 5 @ 600 to 7 @ 200 builds 11-21% slower.
+_CLASS_Q = 16
+
+# Most cells of the table of inverses (n = 3 @ 232,886 needs 965 x 483); past it, no classes.
+_INVERSE_CELLS = 1 << 20
+
+
+class _ClassMemo:
+    """What one build has scanned in one thread, entered as a context: class
+    keys in order after a sentinel -1, over their values a, 16 bytes a class.
+    ``top`` bounds the pair sums and fixes the radix, top // 2 + 1; ``inverses``
+    holds s^-1 mod q at [q, s] for each unit s <= q / 2 mod q <= top, else 0."""
+
+    def __init__(self, top: int):
+        self.top, self.radix = top, top // 2 + 1
+        self.seen, self.inverses = np.array([[-1], [0]]), None
+
+    def __enter__(self) -> "_ClassMemo":
+        self.outer, _SCRATCH.memo = getattr(_SCRATCH, "memo", None), self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _SCRATCH.memo = self.outer
+
+    def decode(self, keys: np.ndarray, c: int) -> Tuple[np.ndarray, np.ndarray]:
+        speeds = np.empty((len(keys), c), dtype=np.int64)
+        for x in range(c - 1, -1, -1):
+            keys, speeds[:, x] = np.divmod(keys, self.radix)
+        return speeds, keys
+
+    def classes(self, keys: np.ndarray, c: int) -> np.ndarray:
+        """Each key's class key, the least key of fold(s s_i^-1 mod q) over unit columns s_i, else itself."""
+        if c == 1:
+            q, s = np.divmod(keys, self.radix)
+            return np.where(np.gcd(s, q) == 1, q * self.radix + 1, keys)
+        if self.inverses is None and (self.top + 1) * self.radix <= _INVERSE_CELLS:
+            self.inverses = np.zeros((self.top + 1, self.radix), dtype=np.int64)
+            for q in range(2, self.top + 1):
+                units = [s for s in range(1, q // 2 + 1) if gcd(s, q) == 1]
+                self.inverses[q, units] = [pow(s, -1, q) for s in units]
+        out = keys.copy()
+        step = max(1, _GRID_CELLS // c // c)  # c candidates of c speeds a problem
+        for p in range(0, len(keys) if self.inverses is not None else 0, step):
+            speeds, q = self.decode(keys[p : p + step], c)
+            u = self.inverses[q, speeds.T]
+            x, best = [np.minimum(y, q - y) for y in (s * u % q for s in speeds.T)], out[p : p + step]
+            for unit, key in zip(u > 0, _key(q, x, self.radix)):
+                np.minimum(best, key, out=best, where=unit)
+        return out
+
+
+def _scan_rows(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> Tuple[np.ndarray, int]:
+    """Maximum loneliness (a, q) in lowest terms per row of an (m, n) batch,
+    signs ignored, as an (m, 2) array, and the count of problems sent to
+    ``_scan_problems``.  Each distinct reduced problem on q >= ``_CLASS_Q`` c
+    is keyed by its class, and only classes that this thread's memo lacks are
+    scanned.  A batch outside a build, or past its memo's ``top``, has its own
+    memo; one whose keys could pass 2^63 is scanned unmerged."""
     if len(rows) == 0:
-        return np.empty((0, 3), dtype=np.int64)
+        return np.empty((0, 2), dtype=np.int64), 0
     # Checked on the raw entries: np.asarray overflows past int64, np.abs wraps -2^63.
-    if isinstance(rows, np.ndarray):
-        lo, hi = int(rows.min()), int(rows.max())
-    else:
-        lo, hi = min(map(min, rows)), max(map(max, rows))
+    array = isinstance(rows, np.ndarray)
+    lo, hi = (int(rows.min()), int(rows.max())) if array else (min(map(min, rows)), max(map(max, rows)))
     _require_int64(max(hi, -lo))
     rows = np.abs(np.asarray(rows, dtype=np.int64))
     i, j, keep = _pair_index(rows.shape[1])
     den = rows[:, i] + rows[:, j]
-    c = len(keep[0])
-    if len(rows) == 1:
-        # One row: a fold over its pairs in Python ints is far cheaper than
-        # the array steps below.  For n <= 3 a pair's one or two kept columns
-        # are solved on its lattice, for the row over its gcd g: (g a', g q', k').
-        row, dens = rows[0].tolist(), den[0].tolist()
-        g, found = gcd(*row), [None] * len(dens)
-        for p, (cols, qq) in enumerate(zip(keep, dens) if len(row) <= 3 else ()):
-            points = _lattice_times(row[cols[0]] // g, row[cols[-1]] // g, qq // g)
-            if points is not None:
-                d, kk = min(points)
-                found[p] = ((qq - g * d) // 2, kk)
-        grid = [p for p, x in enumerate(found) if x is None]
-        if grid:
-            a, k = _scan_problems(rows[0][keep][grid], den[0, grid])
-            for p, aa, kk in zip(grid, a.tolist(), k.tolist()):
-                found[p] = (aa, kk)
-        ba, bq, bk = -1, 1, 0
-        for (aa, kk), qq in zip(found, dens):
-            if aa * bq > ba * qq or (aa * bq == ba * qq and kk * bq < bk * qq):
-                ba, bq, bk = aa, qq, kk
-        return np.array([(ba, bq, bk)], dtype=np.int64)
-    top = int(den.max())
-    radix = top // 2 + 1
-    if c > 1 and (top + 1) * radix**c <= 1 << 63:
-        # Key: q, then each kept speed mod q folded to min(v, q - v), sorted.
-        keys = den.T.copy()
+    c, memo = len(keep[0]), getattr(_SCRATCH, "memo", None)
+    if memo is None or memo.top < den.max():
+        memo = _ClassMemo(int(den.max()))
+    if (memo.top + 1) * memo.radix**c <= 1 << 63:
+        keys = np.empty(den.T.shape, dtype=np.int64)
         for key, cols, q in zip(keys, keep, den.T):
-            s = rows[:, cols] % q[:, None]
-            for col in np.sort(np.minimum(s, q[:, None] - s), axis=1).T:
-                key *= radix
-                key += col
+            key[:] = _key(q, [np.minimum(s, q - s) for s in (rows[:, x] % q for x in cols)], memo.radix)
         keys, inverse = np.unique(keys, return_inverse=True)
-        speeds = np.empty((len(keys), c), dtype=np.int64)
-        for x in range(c - 1, -1, -1):
-            keys, speeds[:, x] = np.divmod(keys, radix)
-        a, k = (x[inverse].reshape(den.T.shape).T for x in _scan_problems(speeds, keys))
+        cut = int(np.searchsorted(keys, _CLASS_Q * c * memo.radix**c))
+        classes = memo.classes(keys[cut:], c)
+        at = np.searchsorted(memo.seen[0], classes)
+        # With return_inverse, np.unique does not import numpy.ma: 20 ms in each new pool worker.
+        new, _ = np.unique(classes[memo.seen[0].take(at, mode="clip") != classes], return_inverse=True)
+        a = np.concatenate((keys[:cut], new))  # the problems to scan, then their values
+        a = _scan_problems(*memo.decode(a, c))[0] if len(a) else a
+        if len(new):
+            memo.seen = np.insert(memo.seen, np.searchsorted(memo.seen[0], new), (new, a[cut:]), axis=1)
+        classed = memo.seen[1][at + np.searchsorted(new, classes)]  # at, moved past the new keys
+        a, sent = np.concatenate((a[:cut], classed))[inverse].reshape(den.T.shape).T, len(a)
     else:
-        a, k = _scan_problems(rows[:, keep].reshape(-1, c), den.ravel())
-        a, k = a.reshape(den.shape), k.reshape(den.shape)
-    ba, bq, bk = a[:, 0], den[:, 0], k[:, 0]
+        a, sent = _scan_problems(rows[:, keep].reshape(-1, c), den.ravel())[0].reshape(den.shape), den.size
+    ba, bq = a[:, 0], den[:, 0]
     for y in range(1, den.shape[1]):
-        ay, qy, ky = a[:, y], den[:, y], k[:, y]
-        left, right = ay * bq, ba * qy
-        win = (left > right) | ((left == right) & (ky * bq < bk * qy))
-        ba, bq, bk = np.where(win, ay, ba), np.where(win, qy, bq), np.where(win, ky, bk)
-    return np.stack([ba, bq, bk], axis=1)
+        ba, bq = np.where(a[:, y] * bq > ba * den[:, y], [a[:, y], den[:, y]], [ba, bq])
+    g = np.gcd(ba, bq)
+    return (np.array([ba, bq]) // g).T, sent
 
 
 def max_loneliness(v: SpeedsLike) -> LonelinessResult:
@@ -361,8 +418,7 @@ def max_loneliness(v: SpeedsLike) -> LonelinessResult:
 
     The witness time is the smallest maximizing candidate in [0, 1).
     """
-    st = _as_speed_tuple(v)
-    a, q, k = _scan_rows([st.speeds])[0].tolist()
+    a, q, k = _scan_row(_as_speed_tuple(v).speeds)
     ml = Fraction(a, q)
     return LonelinessResult(ml=ml, witness_time=Fraction(k, q), d_value=HALF - ml)
 
@@ -382,7 +438,9 @@ def maximizing_times(v: SpeedsLike) -> Tuple[Fraction, ...]:
     dev(j) = dev(q - j).
     """
     speeds = _as_speed_tuple(v).speeds
-    bn, bd, _ = _scan_rows([speeds])[0].tolist()
+    bn, bd, _ = _scan_row(speeds)
+    if 2 * bn == bd:  # ||t v_i|| = 1/2 for every i: t's denominator divides 2 gcd(v) = 2
+        return (HALF,)
     arr = np.array(speeds, dtype=np.int64)
     i, j, keep = _pair_index(len(speeds))
     step = max(1, _GRID_CELLS // len(keep[0]))

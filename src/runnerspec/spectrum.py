@@ -39,7 +39,7 @@ from .core import (
     parse_rational,
 )
 from .lattice import DEFAULT_PI_BOUNDS, BudgetExceeded, ball_volume
-from .loneliness import _scan_rows, max_loneliness
+from .loneliness import _ClassMemo, _scan_rows, max_loneliness
 
 __all__ = [
     "CorruptCheckpoint",
@@ -485,15 +485,14 @@ class _Block(NamedTuple):
 def _spectrum_block(args: Tuple[int, int, int]) -> Tuple[int, _Block, dict]:
     """Scan one leading-coordinate block in one kernel call and fold its tuples
     by reduced maximum loneliness.  Returns the block start, its result and
-    its trace: tuple count, wall time in seconds and the pid of the process."""
+    its trace: tuple count, problems sent to the grid, seconds and pid."""
     start = perf_counter()
     n, max_volume_sq, v1 = args
     t = _block_rows(n, max_volume_sq, v1)
-    a, q, _ = _scan_rows(t).T
-    g = np.gcd(a, q)
-    block = _fold([_Block(a // g, q // g, np.ones(len(t), dtype=np.int64), t, np.arange(len(t)))])
+    ml, problems = _scan_rows(t)
+    block = _fold([_Block(*ml.T, np.ones(len(t), dtype=np.int64), t, np.arange(len(t)))])
     seconds = round(perf_counter() - start, 6)
-    return v1, block, {"tuples": len(t), "seconds": seconds, "pid": os.getpid()}
+    return v1, block, {"tuples": len(t), "problems": problems, "seconds": seconds, "pid": os.getpid()}
 
 
 def _fold(blocks: Sequence[_Block]) -> _Block:
@@ -503,8 +502,7 @@ def _fold(blocks: Sequence[_Block]) -> _Block:
     puts each value's least witnesses first, before the cap.  Rows that tie
     keep their input order, which is tuple order for blocks in start order
     that each hold a value's rows by (volume, tuple), as block scans and
-    ``_Block.from_rows`` make them.  On 2 vCPUs this took the final fold
-    of n = 3 @ 10^4 from 8.0-8.4 to 2.5-2.6 ms, in place of a five-key lexsort."""
+    ``_Block.from_rows`` make them."""
     a, q, mult, wits, key = map(np.concatenate, zip(*blocks))
     key += np.repeat(np.cumsum([0, *(len(b.a) for b in blocks[:-1])]), [len(b.key) for b in blocks])
     span = int(q.max(initial=0)) + 1  # 0 < q < span, so a * span + q orders by (a, q)
@@ -611,8 +609,8 @@ def _block_cells(rows: list, n: int) -> Optional[tuple]:
 
 # A checkpoint (format version 2) is an append-only log of JSON lines: a
 # header {"version", "n", "max_volume_sq", "canonical_only"}, then one line
-# per finished block, {"block", "sha256", "result", "tuples", "seconds",
-# "pid"}.  "sha256" digests the compact JSON of "result"; the last three
+# per finished block, {"block", "sha256", "result", "tuples", "problems",
+# "seconds", "pid"}.  "sha256" digests the compact JSON of "result"; the last four
 # fields trace the run and are not read back.
 _COMPACT = (",", ":")
 
@@ -804,8 +802,10 @@ def build_spectrum(
     Work is split into blocks by the leading coordinate.  Each block is
     enumerated into an int64 array, scanned in one kernel call and folded
     by maximum loneliness into arrays (see ``_Block``), and the blocks are
-    folded the same way; a ``Fraction`` is made once per distance.  The
-    output is thus identical for any worker count and also across
+    folded the same way; a ``Fraction`` is made once per distance.  Each
+    class of pair problems is scanned once per thread or pool worker, in a
+    memo that lives as long as the build or the pool (see ``_scan_rows``).
+    The output is identical for any worker count and also across
     checkpoint-interrupted runs.  ``progress`` is called with
     (blocks_done, blocks_total) after every block.  A pool is sent the
     blocks left, largest first, in runs of ceil(blocks / (4 workers)), so
@@ -814,12 +814,12 @@ def build_spectrum(
 
     ``checkpoint_path`` names an append-only log.  Each finished block is
     appended to it as one JSON line (the result, the sha256 of the result's
-    compact JSON, serialised once for both, and the block's tuple count,
-    wall time and worker pid), flushed and fsynced before ``progress`` is
-    called.  A later call with the same spec reads the logged blocks back
-    (see ``_read_checkpoint``), checking the header, every digest and every
-    block, drops a line torn by an interrupted write, and builds only the
-    rest.  A version-1 checkpoint is refused; delete it and rebuild.
+    compact JSON, serialised once for both, and the block's trace: see
+    ``_spectrum_block``), flushed and fsynced before ``progress`` is called.
+    A later call with the same spec reads the logged blocks back (see
+    ``_read_checkpoint``), checking the header, every digest and every
+    block, drops a line torn by an interrupted write, and builds the rest.
+    A version-1 checkpoint is refused; delete it and rebuild.
 
     A build that read no block back from a checkpoint records, for this
     process, each distance's least squared witness volume and the tuple
@@ -843,8 +843,9 @@ def build_spectrum(
         completed = total - len(args)
         workers = min(workers, len(args))
         results = map(_spectrum_block, args)
+        memo = stack.enter_context(_ClassMemo(2 * isqrt(spec.max_volume_sq)))  # no pair sum is larger
         if workers > 1:
-            pool = stack.enter_context(multiprocessing.Pool(workers))
+            pool = stack.enter_context(multiprocessing.Pool(workers, memo.__enter__))
             # A task per block costs more in round trips than small blocks take.
             chunk = -(-len(args) // (4 * workers))
             results = pool.imap_unordered(_spectrum_block, args, chunksize=chunk)
@@ -1103,15 +1104,15 @@ def _phase_a(
     ml = HALF - target
     p, r = (ml.numerator, ml.denominator) if ml.denominator < 2**63 else (-1, -1)
     checked = 0
-    for t in blocks:
-        a, q, _ = _scan_rows(t).T
-        g = np.gcd(a, q)
-        hits = np.flatnonzero((a // g == p) & (q // g == r))
-        reached = checked + (int(hits[0]) + 1 if len(hits) else len(t))
-        _progress_to(progress, checked, reached)
-        checked = reached
-        if len(hits):
-            return checked, tuple(t[hits[0]].tolist())
+    with _ClassMemo(2 * isqrt(cutoff)):
+        for t in blocks:
+            a, q = _scan_rows(t)[0].T
+            hits = np.flatnonzero((a == p) & (q == r))
+            reached = checked + (int(hits[0]) + 1 if len(hits) else len(t))
+            _progress_to(progress, checked, reached)
+            checked = reached
+            if len(hits):
+                return checked, tuple(t[hits[0]].tolist())
     return checked, None
 
 

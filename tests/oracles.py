@@ -103,6 +103,21 @@ def _scan_best_python(speeds: Sequence[int]) -> Tuple[int, int, int, int]:
     return bn, bd, btn, btd
 
 
+def class_representative(speeds: Sequence[int], q: int) -> Tuple[int, ...]:
+    """The least sorted fold(u s mod q), each entry folded to min(x, q - x),
+    over every unit u mod q.
+
+    Multiplying every speed by a unit permutes the times j/q, so every
+    problem (speeds, q) with the same representative has the same maximum
+    of min_i ||j s_i / q|| over j.
+    """
+    return min(
+        tuple(sorted(min(u * s % q, -u * s % q) for s in speeds))
+        for u in range(1, q)
+        if gcd(u, q) == 1
+    )
+
+
 def maximizing_times_reference(speeds: Sequence[int]) -> Tuple[Fraction, ...]:
     """Every candidate time j/q in [0, 1) attaining the largest value, ascending."""
     values = {

@@ -20,6 +20,7 @@ from runnerspec.loneliness import (
     InvalidSpeeds,
     SpeedTuple,
     _int64_ok,
+    _scan_row,
     _scan_rows,
     coset_center_distance,
     d_hyperplane,
@@ -30,6 +31,7 @@ from runnerspec.loneliness import (
 
 from oracles import (
     _scan_best_python,
+    class_representative,
     coset_reference,
     grid_ml,
     grid_ml_witness,
@@ -134,16 +136,17 @@ def test_grid_oracle_spot_checks():
 
 
 def test_numpy_and_python_scans_agree():
-    # The kernel returns (a, q, k) for a witness k/q; the reference
-    # returns (a, q, tn, td) with td == q.  Each tuple alone, then the
-    # three of length 3 as one batch.
+    # One row gives (a, q, k) for a witness k/q; the reference returns
+    # (a, q, tn, td) with td == q.  A batch, the three of length 3, gives
+    # each row's value a/q in lowest terms.
     tuples = ((1, 2), (2, 3, 7), (5, 8, 11), (97, 998, 1001))
     for speeds in tuples:
-        ((a, q, k),) = _scan_rows(np.array([speeds], dtype=np.int64)).tolist()
+        a, q, k = _scan_row(speeds)
         assert (a, q, k, q) == _scan_best_python(speeds)
-    batch = _scan_rows(np.array(tuples[1:], dtype=np.int64)).tolist()
-    for speeds, (a, q, k) in zip(tuples[1:], batch):
-        assert (a, q, k, q) == _scan_best_python(speeds)
+    batch, _ = _scan_rows(np.array(tuples[1:], dtype=np.int64))
+    for speeds, (a, q) in zip(tuples[1:], batch.tolist()):
+        ra, rq, _, _ = _scan_best_python(speeds)
+        assert (a, q) == (ra // gcd(ra, rq), rq // gcd(ra, rq))
 
 
 def _reference(speeds):
@@ -151,12 +154,12 @@ def _reference(speeds):
     return Fraction(a, q), Fraction(tn, td)
 
 
-# Rows b * (x_1, ..., x_n) with x_i <= 5: small and large rows share one
+# Rows b * (x_1, ..., x_4) with x_i <= 5: small and large rows share one
 # batch, so grids hold denominators far below their width, while the
-# exhaustive oracle's grid stays at most 7 * 2520 points per row.
+# exhaustive oracle's grid stays at most 7 * 2520 points per row of n <= 3.
 _rows = st.tuples(
     st.sampled_from((1, 2, 3, 5, 7)),
-    st.lists(st.integers(1, 5), min_size=3, max_size=3),
+    st.lists(st.integers(1, 5), min_size=4, max_size=4),
 ).map(lambda bx: tuple(bx[0] * x for x in bx[1]))
 
 # Tuples whose maximum is reached on two denominators at different times
@@ -166,22 +169,27 @@ _CROSS_TIES = ((2, 5, 10), (4, 5, 8), (5, 7, 10), (7, 8, 14))
 
 
 @given(
-    st.integers(1, 3),
+    st.integers(1, 4),
     st.lists(_rows | st.sampled_from(_CROSS_TIES), min_size=1, max_size=6),
     st.booleans(),
     st.sampled_from((7, 64, 1 << 16)),
 )
 @settings(max_examples=40, deadline=None)
 def test_kernel_batch_matches_oracles(n, rows, repeat, cells):
-    batch = [r[:n] for r in rows]
+    # A batch gives each row's value; one row gives its earliest time too,
+    # an n = 4 row from grids of ``cells`` cells.
+    batch = [(r * 2)[:n] for r in rows]
     if repeat:
         batch += batch[:2]
     with mock.patch.object(loneliness, "_GRID_CELLS", cells):
-        got = _scan_rows(batch).tolist()
-    for speeds, (a, q, k) in zip(batch, got):
-        res = (Fraction(a, q), Fraction(k, q))
-        assert res == _reference(speeds)
-        assert res == grid_ml_witness(speeds)
+        got, _ = _scan_rows(batch)
+        singles = [_scan_row(r) for r in batch]
+    for speeds, (a, q), (sa, sq, sk) in zip(batch, got.tolist(), singles):
+        expected = _reference(speeds)
+        assert gcd(a, q) == 1 and Fraction(a, q) == expected[0]
+        assert (Fraction(sa, sq), Fraction(sk, sq)) == expected
+        if n <= 3:
+            assert expected == grid_ml_witness(speeds)
 
 
 def test_kernel_keeps_the_earliest_time_across_denominators():
@@ -191,9 +199,9 @@ def test_kernel_keeps_the_earliest_time_across_denominators():
     # not primitive for b = 3, and reach the same maximum at t / b.
     for b in (1, 3):
         rows = [tuple(b * s for s in v) for v in _CROSS_TIES]
-        singles = [_scan_rows([v]).tolist()[0] for v in rows]
-        for got in (singles, _scan_rows(rows).tolist()):
-            assert [(F(a, q), F(k, q)) for a, q, k in got] == [(m, t / b) for m, t in expected]
+        singles = [_scan_row(v) for v in rows]
+        assert [(F(a, q), F(k, q)) for a, q, k in singles] == [(m, t / b) for m, t in expected]
+        assert [F(a, q) for a, q in _scan_rows(rows)[0].tolist()] == [m for m, _ in expected]
     assert [_reference(v) for v in _CROSS_TIES] == expected
 
 
@@ -221,16 +229,17 @@ def test_reduced_candidate_set_matches_the_full_one(row):
     expected = grid_ml_witness(row)
     assert _reference(row) == expected
     # The reversed row puts other columns first, and the two rows take
-    # the batch path instead of the one-row fold.
-    for a, q, k in _scan_rows([row]).tolist() + _scan_rows([row, row[::-1]]).tolist():
-        assert (F(a, q), F(k, q)) == expected
+    # the batch path, which gives their value only.
+    a, q, k = _scan_row(row)
+    assert (F(a, q), F(k, q)) == expected
+    assert [F(a, q) for a, q in _scan_rows([row, row[::-1]])[0].tolist()] == [expected[0]] * 2
 
 
 def _reduced(row, a, b):
-    """Pair (a, b) of ``row`` as a batch of n >= 3 scans it: each kept speed
-    mod q = v_a + v_b, folded to min(v, q - v) and sorted."""
+    """Pair (a, b) of ``row`` as a batch keys it: each kept speed mod
+    q = v_a + v_b, folded to min(v, q - v) and sorted; n = 1 keeps v_1 on 2 v_1."""
     q = abs(row[a]) + abs(row[b])
-    return tuple(sorted(min(v % q, -v % q) for c, v in enumerate(row) if c != b)), q
+    return tuple(sorted(min(v % q, -v % q) for c, v in enumerate(row) if c != b or a == b)), q
 
 
 @contextlib.contextmanager
@@ -248,23 +257,41 @@ def _sent_problems():
 
 
 def _pairs(batch):
-    return [(row, a, b) for row in batch for a, b in itertools.combinations(range(len(row)), 2)]
+    pairs = itertools.combinations(range(len(batch[0])), 2) if len(batch[0]) > 1 else [(0, 0)]
+    return [(row, a, b) for a, b in pairs for row in batch]
+
+
+def _sent(batch):
+    """What a batch outside a build sends to the grid, sorted: each distinct
+    reduced problem once, as its ``class_representative`` if it has a unit
+    column, q >= ``_CLASS_Q`` c and, for c >= 2, the batch's table of inverses
+    fits ``_INVERSE_CELLS``, and as itself otherwise."""
+    problems = {_reduced(*p) for p in _pairs(batch)}
+    top, c = max(q for _, q in problems), max(1, len(batch[0]) - 1)
+    table = c == 1 or (top + 1) * (top // 2 + 1) <= loneliness._INVERSE_CELLS
+
+    def sent(speeds, q):
+        if table and q >= loneliness._CLASS_Q * c and any(gcd(s, q) == 1 for s in speeds):
+            return class_representative(speeds, q), q
+        return speeds, q
+
+    return sorted({sent(*p) for p in problems})
 
 
 def test_kernel_scans_pair_sums_without_the_partner_column():
     # A problem is a pair's kept speeds, column b dropped, on q = v_a + v_b.
-    # One row, or rows of n <= 2, send every one in order; rows of n >= 3
-    # send each distinct reduced problem once.
+    # One row sends every one that no lattice solves, in order; a batch
+    # sends each distinct problem, or class of problems, once.
     for batch in ([(1, 2, 2), (3, 5, 7), (2, 5, 10)], [(8, 3, 11, 19)], [(2, 3), (3, 2)], [(5,), (1,)]):
         with _sent_problems() as problems:
-            _scan_rows(batch)
+            _, sent = _scan_rows(batch)
         assert all(len(speeds) == max(1, len(batch[0]) - 1) for speeds, _ in problems)
-        if len(batch) == 1 or len(batch[0]) <= 2:
-            kept = [(tuple(v for c, v in enumerate(row) if c != b), row[a] + row[b])
-                    for row, a, b in _pairs(batch)]
-            assert problems == (kept if len(batch[0]) > 1 else [((5,), 10), ((1,), 2)])
-        else:
-            assert sorted(problems) == sorted({_reduced(*p) for p in _pairs(batch)})
+        assert sorted(problems) == _sent(batch) and sent == len(problems)
+    assert _sent([(5,), (1,)]) == [((1,), 2), ((5,), 10)]
+    row = (8, 3, 11, 19)
+    with _sent_problems() as problems:
+        _scan_row(row)
+    assert problems == [(tuple(v for c, v in enumerate(row) if c != b), row[a] + row[b]) for _, a, b in _pairs([row])]
     # Permuted rows, and a column moved by a pair sum, repeat problems.
     batch = [(1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 2, 6)]
     with _sent_problems() as problems:
@@ -274,10 +301,34 @@ def test_kernel_scans_pair_sums_without_the_partner_column():
     # one row of n = 4 still does.
     with _sent_problems() as problems:
         for row in ((5,), (2, 3), (3, 5, 7), (2, 5, 10)):
-            _scan_rows([row])
+            _scan_row(row)
         assert problems == []
-        _scan_rows([(8, 3, 11, 19)])
+        _scan_row((8, 3, 11, 19))
     assert len(problems) == 6
+
+
+# Every kind of problem: rows that are not primitive, a kept speed = 0 mod q,
+# as (1, 2, 3) keeps 3 on q = 3, and (4, 8, 3) on q = 12, kept by the pair
+# (4, 8) of (4, 8, 3, 8), with no unit column.
+@given(
+    st.integers(1, 6),
+    st.lists(st.lists(st.integers(1, 40), min_size=6, max_size=6), min_size=1, max_size=5),
+    st.sampled_from((1, 2, 3)),
+)
+@example(4, [[4, 8, 3, 8, 1, 1], [12, 1, 2, 9, 5, 5]], 1)
+@example(3, [[1, 2, 3, 1, 1, 1], [2, 4, 6, 1, 1, 1]], 2)
+@settings(max_examples=60, deadline=None)
+def test_a_batch_scans_each_class_once(n, rows, b):
+    # With the class bound at 0 every problem is classed, and a class is
+    # sent to the grid once, as its least member, whatever the rows.
+    batch = [tuple(b * x for x in r[:n]) for r in rows]
+    with mock.patch.object(loneliness, "_CLASS_Q", 0):
+        expected = _sent(batch)
+        with _sent_problems() as problems:
+            got, sent = _scan_rows(batch)
+    assert sorted(problems) == expected and sent == len(problems)
+    for r, (a, q) in zip(batch, got.tolist()):
+        assert F(a, q) == max_loneliness([v // gcd(*r) for v in r]).ml
 
 
 def _repeating_batch(row, t):
@@ -297,19 +348,21 @@ def _repeating_batch(row, t):
 
 def _check_merged_batch(batch, merges):
     with _sent_problems() as problems:
-        got = _scan_rows(batch).tolist()
+        got, sent = _scan_rows(batch)
+    assert sent == len(problems)
     if merges:
-        assert len(problems) == len({_reduced(*p) for p in _pairs(batch)}) < len(_pairs(batch))
+        assert sorted(problems) == _sent(batch) and len(problems) < len(_pairs(batch))
     else:
         assert len(problems) == len(_pairs(batch))
-    assert got == [_scan_rows([r]).tolist()[0] for r in batch]
-    for r, (a, q, k) in zip(batch, got):
-        assert (F(a, q), F(k, q)) == _reference(r)
+    for r, (a, q) in zip(batch, got.tolist()):
+        ra, rq, rk = _scan_row(tuple(map(abs, r)))  # a query's speeds are positive
+        assert F(a, q) == F(ra, rq) and (F(ra, rq), F(rk, rq)) == _reference(r)
 
 
-# A batch of n >= 3 scans each distinct reduced problem once, when its key,
-# q radix^(n-1) + the sorted speeds in base radix = max q // 2 + 1, fits
-# int64.  Row by row it must equal the one-row scans and the reference.
+# A batch scans each distinct reduced problem once, when its key, q
+# radix^(n-1) + the sorted speeds in base radix = max q // 2 + 1, fits
+# int64.  Row by row its values must equal the one-row scans, whose
+# values and times must equal the reference.
 @given(
     st.lists(st.integers(1, 6), min_size=3, max_size=6),
     st.integers(1, 2),
@@ -343,8 +396,8 @@ def test_maximizing_times_skips_denominators_that_cannot_hold_the_maximum(monkey
     def no_grid(*args):
         raise AssertionError("a grid was built")
 
-    assert _scan_rows([(1, 2, 3)]).tolist() == [[1, 4, 1]]
-    monkeypatch.setattr(loneliness, "_scan_rows", lambda rows: np.array([(1, 4, 1)]))
+    assert _scan_row((1, 2, 3)) == (1, 4, 1)
+    monkeypatch.setattr(loneliness, "_scan_row", lambda row: (1, 4, 1))
     monkeypatch.setattr(loneliness, "_lattice_times", spy)
     monkeypatch.setattr(loneliness, "_deviation_grid", no_grid)
     assert maximizing_times((1, 2, 3)) == (F(1, 4), F(3, 4))
@@ -361,8 +414,8 @@ def test_maximizing_times_skips_grids_that_cannot_hold_the_maximum(monkeypatch):
         scanned.append((speeds.tolist(), q.tolist()))
         return grid(speeds, q, j0, j1)
 
-    assert _scan_rows([(8, 3, 11, 19)]).tolist() == [[7, 30, 13]]
-    monkeypatch.setattr(loneliness, "_scan_rows", lambda rows: np.array([(7, 30, 13)]))
+    assert _scan_row((8, 3, 11, 19)) == (7, 30, 13)
+    monkeypatch.setattr(loneliness, "_scan_row", lambda row: (7, 30, 13))
     monkeypatch.setattr(loneliness, "_deviation_grid", spy)
     assert maximizing_times((8, 3, 11, 19)) == (F(13, 30), F(17, 30))
     assert scanned == [([[8, 3, 11]], [30])]
@@ -436,9 +489,9 @@ def _rows_across_the_int32_bound(draw):
 @settings(max_examples=30, deadline=None)
 def test_int32_and_int64_grids_match_the_oracle(rows):
     expected = [scan_reference_numpy(r) for r in rows]
-    for got in (_scan_rows(rows).tolist(), [_scan_rows([r]).tolist()[0] for r in rows]):
-        for (a, q, k), ((ea, eq, ek), _) in zip(got, expected):
-            assert (F(a, q), F(k, q)) == (F(ea, eq), F(ek, eq))
+    for (a, q), (sa, sq, sk), ((ea, eq, ek), _) in zip(_scan_rows(rows)[0].tolist(), map(_scan_row, rows), expected):
+        assert F(a, q) == F(ea, eq)
+        assert (F(sa, sq), F(sk, sq)) == (F(ea, eq), F(ek, eq))
     for r, (_, times) in zip(rows, expected):
         if gcd(*r) == 1:
             assert maximizing_times(r) == times
@@ -453,10 +506,30 @@ def test_raw_speeds_far_above_their_pair_sum(row, ml, times):
     # speeds.  (1, 2) reaches its maximum 1/3 only at 1/3 and 2/3, where
     # 100000007 = 2 (mod 3) is at 1/3 too; odd speeds are all at 1/2 only
     # at t = 1/2, as 3 t = 1/2 (mod 1) puts 5 t at 1/6 otherwise.
-    ((a, q, k),) = _scan_rows([row]).tolist()
+    a, q, k = _scan_row(row)
     assert (F(a, q), F(k, q)) == (ml, times[0])
-    if len(row) == 3:  # the n = 4 row would scan its three 1.1 * 10^8 pairs again
-        assert maximizing_times(row) == times
+    assert maximizing_times(row) == times
+
+
+# All-odd speeds are all at 1/2 at t = 1/2.  A maximum of 1/2 puts every
+# t v_i in 1/2 + Z, so 2 t gcd(v) = 2 t is an integer, and 1/2 is its only time.
+@given(st.lists(st.integers(0, 20), min_size=1, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_a_maximum_of_one_half_is_reached_at_one_half_only(xs):
+    row = [2 * x + 1 for x in xs]
+    row = tuple(v // gcd(*row) for v in row)
+    assert maximizing_times(row) == maximizing_times_reference(row) == (F(1, 2),)
+
+
+def test_a_maximum_of_one_half_scans_no_pair_again(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a pair was scanned again")
+
+    # test_raw_speeds_far_above_their_pair_sum scans this row: its maximum is 1/2.
+    monkeypatch.setattr(loneliness, "_scan_row", lambda row: (1, 2, 1))
+    for name in ("_deviation_grid", "_lattice_times", "_scan_problems"):
+        monkeypatch.setattr(loneliness, name, no_scan)
+    assert maximizing_times((3, 5, 7, 110000007)) == (F(1, 2),)
 
 
 # --- the plane lattice of a pair sum ---------------------------------------
@@ -465,10 +538,10 @@ def test_raw_speeds_far_above_their_pair_sum(row, ml, times):
 
 
 def _one_and_two_rows(row):
-    one = _scan_rows([row]).tolist()[0]
-    two = _scan_rows([row, row]).tolist()
-    assert two == [one, one]
-    return one
+    a, q, k = _scan_row(row)
+    two, _ = _scan_rows([row, row])
+    assert two.tolist() == [[a // gcd(a, q), q // gcd(a, q)]] * 2
+    return a, q, k
 
 
 @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=3))
@@ -498,9 +571,9 @@ def test_skewed_pairs_fall_back_to_the_grid(monkeypatch):
     for b in (1, 2):
         problems.clear()
         row = (b, b * 10**5, 2 * b)
-        _scan_rows([row])
+        _scan_row(row)
         assert problems == [([b, 2 * b], b * (10**5 + 1)), ([b, b * 10**5], b * (10**5 + 2))]
-        assert _one_and_two_rows(row) == [b, 3 * b, 1]
+        assert _one_and_two_rows(row) == (b, 3 * b, 1)
     assert max_loneliness((1, 10**5, 2)).witness_time == F(1, 3)
 
 
@@ -508,7 +581,7 @@ def test_a_lattice_cap_of_zero_sends_every_pair_to_the_grid(monkeypatch):
     tuples = _KNOWN + _CROSS_TIES + ((97, 998, 1001), (1, 10**5, 2), (4, 6, 1))
     rows = [(2, 4, 6), (7,), (3, 6)]
     before = [(max_loneliness(v), maximizing_times(v)) for v in tuples]
-    kernel = [_scan_rows([r]).tolist() for r in rows]
+    kernel = [_scan_row(r) for r in rows]
     grids = []
     scan = loneliness._scan_problems
 
@@ -519,7 +592,7 @@ def test_a_lattice_cap_of_zero_sends_every_pair_to_the_grid(monkeypatch):
     monkeypatch.setattr(loneliness, "_LATTICE_POINTS", 0)
     monkeypatch.setattr(loneliness, "_scan_problems", spy)
     assert [(max_loneliness(v), maximizing_times(v)) for v in tuples] == before
-    assert [_scan_rows([r]).tolist() for r in rows] == kernel
+    assert [_scan_row(r) for r in rows] == kernel
     assert len(grids) >= len(tuples) + len(rows)
 
 
@@ -567,16 +640,16 @@ def test_speeds_past_int64_itself_are_refused_before_conversion():
 
 def test_an_empty_batch_gives_no_rows():
     for rows in ([], np.empty((0, 3), dtype=np.int64)):
-        got = _scan_rows(rows)
-        assert got.shape == (0, 3) and got.dtype == np.int64
+        got, sent = _scan_rows(rows)
+        assert got.shape == (0, 2) and got.dtype == np.int64 and sent == 0
 
 
 def test_an_array_and_rows_of_ints_give_the_same_results():
     rows = [(1, -2, 3), (-4, 5, 7), (2, 5, -10), (-3, -3, 4)]
-    got = _scan_rows(rows)
-    assert got.shape == (4, 3) and got.dtype == np.int64
-    assert np.array_equal(_scan_rows(np.array(rows, dtype=np.int64)), got)
-    assert np.array_equal(_scan_rows(np.abs(np.array(rows))), got)
+    got, _ = _scan_rows(rows)
+    assert got.shape == (4, 2) and got.dtype == np.int64
+    assert np.array_equal(_scan_rows(np.array(rows, dtype=np.int64))[0], got)
+    assert np.array_equal(_scan_rows(np.abs(np.array(rows)))[0], got)
 
 
 # n = 3 rows up to 1000 are solved on lattices of a few points each.

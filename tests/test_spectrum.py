@@ -1,5 +1,6 @@
 """Tests for enumeration, spectrum assembly, verifiers, and reports."""
 
+import contextlib
 import gc
 import hashlib
 import itertools
@@ -8,6 +9,8 @@ import os
 import re
 import signal
 import stat
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from runnerspec import spectrum
+from runnerspec import loneliness, spectrum
 from runnerspec.core import InvalidInput, format_rational, parse_rational
 from runnerspec.lattice import BudgetExceeded
 from runnerspec.loneliness import d_subtorus1
@@ -241,8 +244,8 @@ def test_build_deterministic_across_workers():
 def test_pool_never_has_more_workers_than_blocks_left(tmp_path, monkeypatch):
     pools, units = [], []
 
-    class RecordingPool:
-        def __init__(self, workers):
+    class RecordingPool:  # runs the units in this thread, without the workers' memos
+        def __init__(self, workers, initializer):
             pools.append(workers)
 
         def __enter__(self):
@@ -783,7 +786,7 @@ def test_a_header_field_of_the_wrong_type_is_refused(tmp_path, header, message):
 
 
 # A block line's trace fields, which vary from run to run.
-_TRACE = re.compile(rb',"tuples":[0-9]+,"seconds":[0-9.e-]+,"pid":[0-9]+}\n')
+_TRACE = re.compile(rb',"tuples":[0-9]+,"problems":[0-9]+,"seconds":[0-9.e-]+,"pid":[0-9]+}\n')
 
 
 @pytest.mark.parametrize(
@@ -1426,7 +1429,7 @@ def test_certify_progress_reports_every_hundred_thousand(monkeypatch):
     # The scan is stubbed out: every tuple reads ML 1/3 (distance 1/6),
     # never the target, so only the enumeration and the count run.
     monkeypatch.setattr(
-        spectrum, "_scan_rows", lambda rows: np.full((len(rows), 3), (1, 3, 1), dtype=np.int64)
+        spectrum, "_scan_rows", lambda rows: (np.full((len(rows), 2), (1, 3), dtype=np.int64), 0)
     )
     facts = OuterSpectrumFacts(values_above=(F(1, 6),), low_bound=F(1, 10))
     seen = []
@@ -1481,6 +1484,73 @@ def test_certify_with_a_recorded_scan_equals_a_fresh_scan(monkeypatch):
             assert seen == fresh_seen
             if cert.phase_a_passed and cutoff <= 2000:
                 assert read == 0
+
+
+@contextlib.contextmanager
+def _grid_problems():
+    """How many problems ``_scan_problems`` receives, in a one-item list."""
+    sent = [0]
+    scan = loneliness._scan_problems
+
+    def spy(speeds, q):
+        sent[0] += len(q)
+        return scan(speeds, q)
+
+    with mock.patch.object(loneliness, "_scan_problems", spy):
+        yield sent
+
+
+def _memo():
+    return getattr(loneliness._SCRATCH, "memo", None)
+
+
+def test_no_class_memo_outlives_its_call(tmp_path, monkeypatch):
+    # Two builds, and a fresh Phase A scan of the same bound, each start
+    # from an empty memo, so each sends the grid the same problems; a
+    # build's block lines count them.  No memo is left in the thread.
+    monkeypatch.setattr(spectrum, "_SCANS", {})
+    spec, path = EnumerationSpec(3, 2000), tmp_path / "ckpt.jsonl"
+    runs = []
+    for call in (
+        lambda: build_spectrum(spec, workers=1, checkpoint_path=str(path)),
+        lambda: build_spectrum(spec, workers=1),
+        lambda: spectrum._SCANS.clear() or certify_absence(F(7, 50), 3, 2000).phase_a_passed,
+    ):
+        with _grid_problems() as sent:
+            assert call()
+        runs.append(sent[0])
+        assert _memo() is None
+    assert runs[0] == runs[1] == runs[2] == sum(b["problems"] for b in _log(path)[1:]) > 0
+    with pytest.raises(_Interrupted):
+        build_spectrum(spec, workers=1, progress=_interrupt_at(3))
+    assert _memo() is None
+    build_spectrum(spec, workers=2)
+    assert _memo() is None
+
+
+def test_threads_building_at_once_keep_their_own_memos(monkeypatch):
+    # Each thread's builds use its own memo, whose keys depend on the bound.
+    monkeypatch.setattr(spectrum, "_SCANS", {})
+    specs = [EnumerationSpec(3, 3000), EnumerationSpec(4, 600), EnumerationSpec(2, 20000)]
+    expected = [build_spectrum(spec, workers=1) for spec in specs]
+    results = {}
+
+    def work(i):
+        results[i] = [build_spectrum(specs[(i + k) % 3], workers=1) for k in range(3)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(3):
+        assert results[i] == [expected[(i + k) % 3] for k in range(3)]
 
 
 def test_a_resumed_build_records_no_scan(tmp_path, monkeypatch):

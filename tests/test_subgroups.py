@@ -99,7 +99,7 @@ def test_deep_witness(speeds, point, count):
 
 def test_deep_witness_scans_each_tuple_once():
     for speeds in ((1, 2), (1, 2, 3), (2, 3)):
-        with mock.patch.object(loneliness, "_scan_rows", wraps=loneliness._scan_rows) as scan:
+        with mock.patch.object(loneliness, "_scan_row", wraps=loneliness._scan_row) as scan:
             deep_witness(speeds)
         assert scan.call_count == 1
 
