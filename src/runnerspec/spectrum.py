@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
-import multiprocessing
 import os
 import re
 import stat
@@ -25,7 +24,7 @@ from fractions import Fraction
 from itertools import chain
 from math import ceil, factorial, gcd, isqrt
 from time import perf_counter
-from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import BinaryIO, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -150,7 +149,7 @@ def _block_starts(spec: EnumerationSpec) -> range:
 
 # The most canonical tuples that a table build, absence certificate or
 # enumeration takes on.  It bounds the tuple count, not memory or time: a
-# one-worker build at each n's largest admitted bound peaks at 209 to 870 MiB.
+# one-worker build at each n's largest admitted bound peaks at 144 to 658 MiB.
 _TUPLE_BUDGET = 10**7
 
 
@@ -482,17 +481,47 @@ class _Block(NamedTuple):
         return cls(*_half_minus(p, r), mult, wits, key)
 
 
-def _spectrum_block(args: Tuple[int, int, int]) -> Tuple[int, _Block, dict]:
-    """Scan one leading-coordinate block in one kernel call and fold its tuples
-    by reduced maximum loneliness.  Returns the block start, its result and
-    its trace: tuple count, problems sent to the grid, seconds and pid."""
+# Rows per kernel call: consecutive blocks are joined while a batch holds
+# at most _JOIN_ROWS (fixed per-call costs dominate the 316 blocks of about
+# 150 rows of n = 2 @ 2*10^5; larger joins grow each pool worker's memory),
+# and a batch past _SLICE_ROWS (block 1 of n = 6 @ 3,025 holds 801,386) is
+# scanned in slices of that many, each of which classes its keys again.
+_JOIN_ROWS = 1 << 12
+_SLICE_ROWS = 1 << 16
+
+
+def _scanned_blocks(n: int, max_volume_sq: int, starts: Iterable[int]) -> Iterator[Tuple[int, np.ndarray, np.ndarray, int]]:
+    """(start, rows, values (a, q) of the rows, problems) of each block of
+    ``starts`` in turn, scanned a batch of rows per ``_scan_rows`` call: a
+    batch's problem count is on its first block, and 0 on the others."""
+    batch: List[Tuple[int, np.ndarray]] = []
+    for v1, t in chain(((v1, _block_rows(n, max_volume_sq, v1)) for v1 in starts), [(0, None)]):
+        if batch and (t is None or sum(len(b) for _, b in batch) + len(t) > _JOIN_ROWS):
+            rows = batch[0][1] if len(batch) == 1 else np.concatenate([b for _, b in batch])
+            scans = [_scan_rows(rows[i : i + _SLICE_ROWS]) for i in range(0, max(len(rows), 1), _SLICE_ROWS)]
+            ml, problems, at = np.concatenate([s[0] for s in scans]), sum(s[1] for s in scans), 0
+            for start, b in batch:
+                yield start, b, ml[at : at + len(b)], problems
+                problems, at = 0, at + len(b)
+            batch = []
+        batch.append((v1, t))
+
+
+def _spectrum_blocks(args: Tuple[int, int, Sequence[int]]) -> Iterator[Tuple[int, _Block, dict]]:
+    """Each block of ``args`` = (n, max_volume_sq, starts) folded by reduced
+    maximum loneliness: its start, result and trace (tuple count, problems
+    sent to the grid, seconds since the block before it, and pid)."""
     start = perf_counter()
-    n, max_volume_sq, v1 = args
-    t = _block_rows(n, max_volume_sq, v1)
-    ml, problems = _scan_rows(t)
-    block = _fold([_Block(*ml.T, np.ones(len(t), dtype=np.int64), t, np.arange(len(t)))])
-    seconds = round(perf_counter() - start, 6)
-    return v1, block, {"tuples": len(t), "problems": problems, "seconds": seconds, "pid": os.getpid()}
+    for v1, t, ml, problems in _scanned_blocks(*args):
+        block = _fold([_Block(*ml.T, np.ones(len(t), dtype=np.int64), t, np.arange(len(t)))])
+        seconds = round(perf_counter() - start, 6)
+        yield v1, block, {"tuples": len(t), "problems": problems, "seconds": seconds, "pid": os.getpid()}
+        start = perf_counter()
+
+
+def _spectrum_run(args: Tuple[int, int, Sequence[int]]) -> List[Tuple[int, _Block, dict]]:
+    """``_spectrum_blocks`` of a pool task's run of blocks, returned together."""
+    return list(_spectrum_blocks(args))
 
 
 def _fold(blocks: Sequence[_Block]) -> _Block:
@@ -611,7 +640,8 @@ def _block_cells(rows: list, n: int) -> Optional[tuple]:
 # header {"version", "n", "max_volume_sq", "canonical_only"}, then one line
 # per finished block, {"block", "sha256", "result", "tuples", "problems",
 # "seconds", "pid"}.  "sha256" digests the compact JSON of "result"; the last four
-# fields trace the run and are not read back.
+# fields trace the run and are not read back.  The first block of a batch
+# (``_scanned_blocks``) carries the batch's "problems" and scan "seconds".
 _COMPACT = (",", ":")
 
 # A block line as the writer opens it: block start, digest, then the result.
@@ -800,22 +830,24 @@ def build_spectrum(
     """Assemble the distance table over the canonical enumeration.
 
     Work is split into blocks by the leading coordinate.  Each block is
-    enumerated into an int64 array, scanned in one kernel call and folded
+    enumerated into an int64 array, scanned in batches that join small
+    blocks and slice large ones (``_scanned_blocks``), and folded
     by maximum loneliness into arrays (see ``_Block``), and the blocks are
     folded the same way; a ``Fraction`` is made once per distance.  Each
     class of pair problems is scanned once per thread or pool worker, in a
     memo that lives as long as the build or the pool (see ``_scan_rows``).
     The output is identical for any worker count and also across
     checkpoint-interrupted runs.  ``progress`` is called with
-    (blocks_done, blocks_total) after every block.  A pool is sent the
-    blocks left, largest first, in runs of ceil(blocks / (4 workers)), so
-    blocks, and with them log lines and ``progress`` calls, arrive a unit
-    at a time, and an interrupted pooled build redoes the units in flight.
+    (blocks_done, blocks_total) after every block.  Blocks arrive a batch
+    at a time, or a run at a time from a pool sent the blocks left, largest
+    first, in runs of ceil(blocks / (4 workers)).  An interrupted build lets
+    the runs in flight finish and scans its unlogged blocks again on resume;
+    a worker lost mid-run raises ``BrokenProcessPool``.
 
     ``checkpoint_path`` names an append-only log.  Each finished block is
     appended to it as one JSON line (the result, the sha256 of the result's
     compact JSON, serialised once for both, and the block's trace: see
-    ``_spectrum_block``), flushed and fsynced before ``progress`` is called.
+    ``_spectrum_blocks``), flushed and fsynced before ``progress`` is called.
     A later call with the same spec reads the logged blocks back (see
     ``_read_checkpoint``), checking the header, every digest and every
     block, drops a line torn by an interrupted write, and builds the rest.
@@ -839,16 +871,22 @@ def build_spectrum(
             if log.tell() > intact:
                 log.truncate(intact)  # a line torn by an interrupted write
         scanned_all = not done
-        args = [(spec.n, spec.max_volume_sq, v1) for v1 in starts if v1 not in done]
-        completed = total - len(args)
-        workers = min(workers, len(args))
-        results = map(_spectrum_block, args)
+        left = [v1 for v1 in starts if v1 not in done]
+        completed = total - len(left)
+        workers = min(workers, len(left))
+        results = _spectrum_blocks((spec.n, spec.max_volume_sq, left))
         memo = stack.enter_context(_ClassMemo(2 * isqrt(spec.max_volume_sq)))  # no pair sum is larger
         if workers > 1:
-            pool = stack.enter_context(multiprocessing.Pool(workers, memo.__enter__))
+            from concurrent.futures import ProcessPoolExecutor, as_completed  # 10 ms to import
+
+            pool = ProcessPoolExecutor(workers, initializer=memo.__enter__)
+            # Runs not started are dropped and those in flight finish: a worker
+            # killed holding the result queue's lock would hang the pool.
+            stack.callback(pool.shutdown, cancel_futures=True)
             # A task per block costs more in round trips than small blocks take.
-            chunk = -(-len(args) // (4 * workers))
-            results = pool.imap_unordered(_spectrum_block, args, chunksize=chunk)
+            size = -(-len(left) // (4 * workers))
+            runs = [pool.submit(_spectrum_run, (spec.n, spec.max_volume_sq, left[i : i + size])) for i in range(0, len(left), size)]
+            results = chain.from_iterable(run.result() for run in as_completed(runs))
         for v1, block, trace in results:
             done[v1] = block
             completed += 1
@@ -1105,8 +1143,8 @@ def _phase_a(
     p, r = (ml.numerator, ml.denominator) if ml.denominator < 2**63 else (-1, -1)
     checked = 0
     with _ClassMemo(2 * isqrt(cutoff)):
-        for t in blocks:
-            a, q = _scan_rows(t)[0].T
+        for _, t, values, _ in _scanned_blocks(spec.n, cutoff, _block_starts(spec)):
+            a, q = values.T
             hits = np.flatnonzero((a == p) & (q == r))
             reached = checked + (int(hits[0]) + 1 if len(hits) else len(t))
             _progress_to(progress, checked, reached)
@@ -1134,8 +1172,9 @@ def certify_absence(
     build saw no tuple within the cutoff at the target.  Phase A then
     passes without a scan, counting the tuples from the build when the
     bounds are equal and by the lengths of the enumerated blocks otherwise.  In every other case
-    it scans, one leading-coordinate block per kernel call, up to the
-    first counterexample, the only way to name it and its position.
+    it scans the batches of a build (see ``_scanned_blocks``) up to the
+    block of the first counterexample, the only way to name it and its
+    position.
     Phase B covers the tail:
     above the cutoff the orbit is rho-dense in a surrounding plane (tube
     volume comparison squared to stay rational, with the lower rational

@@ -1,16 +1,20 @@
 """Tests for enumeration, spectrum assembly, verifiers, and reports."""
 
+import concurrent.futures
 import contextlib
 import gc
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import re
 import signal
 import stat
 import sys
 import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt
@@ -156,7 +160,7 @@ def _refuses_without_work(tmp_path, monkeypatch, call):
 
     for name in ("_block_rows", "_scan_rows", "_load_checkpoint"):
         monkeypatch.setattr(spectrum, name, no_work)
-    monkeypatch.setattr(spectrum.multiprocessing, "Pool", no_work)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
     with pytest.raises(BudgetExceeded) as info:
         call(str(tmp_path / "ckpt.jsonl"))
     assert list(tmp_path.iterdir()) == []
@@ -247,18 +251,18 @@ def test_pool_never_has_more_workers_than_blocks_left(tmp_path, monkeypatch):
     class RecordingPool:  # runs the units in this thread, without the workers' memos
         def __init__(self, workers, initializer):
             pools.append(workers)
+            units.append([workers, 0])
 
-        def __enter__(self):
-            return self
+        def submit(self, func, args):
+            units[-1][1] += 1
+            future = concurrent.futures.Future()
+            future.set_result(func(args))
+            return future
 
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, cancel_futures):
+            pass
 
-        def imap_unordered(self, func, args, chunksize):
-            units.append((pools[-1], -(-len(args) // chunksize)))
-            return map(func, args)
-
-    monkeypatch.setattr(spectrum.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     spec = EnumerationSpec(2, 10)  # blocks 1 and 2
     base = build_spectrum(spec, workers=1)
     assert build_spectrum(spec, workers=64) == base
@@ -342,18 +346,18 @@ def test_checkpoint_resume(tmp_path):
 def test_block_result_order_does_not_reach_the_files(tmp_path, monkeypatch):
     spec = EnumerationSpec(3, 2000)
     plain = build_spectrum(spec, workers=1)
-    scan_block = spectrum._spectrum_block
+    scan_blocks = spectrum._spectrum_blocks
 
-    def reversed_block(args):
-        # The same block with its distances in reverse order.
-        v1, b, trace = scan_block(args)
-        last = len(b.a) - 1
-        rows = np.argsort(last - b.key, kind="stable")
-        flipped = spectrum._Block(b.a[::-1], b.q[::-1], b.mult[::-1], b.wits[rows], (last - b.key)[rows])
-        assert flipped.rows() == b.rows()[::-1]
-        return v1, flipped, trace
+    def reversed_blocks(args):
+        # The same blocks with their distances in reverse order.
+        for v1, b, trace in scan_blocks(args):
+            last = len(b.a) - 1
+            rows = np.argsort(last - b.key, kind="stable")
+            flipped = spectrum._Block(b.a[::-1], b.q[::-1], b.mult[::-1], b.wits[rows], (last - b.key)[rows])
+            assert flipped.rows() == b.rows()[::-1]
+            yield v1, flipped, trace
 
-    monkeypatch.setattr(spectrum, "_spectrum_block", reversed_block)
+    monkeypatch.setattr(spectrum, "_spectrum_blocks", reversed_blocks)
     path = tmp_path / "ckpt.jsonl"
     with pytest.raises(_Interrupted):
         build_spectrum(spec, workers=1, checkpoint_path=str(path), progress=_interrupt_at(3))
@@ -373,6 +377,12 @@ def _rows(result):
     return {(d, mult, tuple(map(tuple, wits))) for d, mult, wits in result}
 
 
+def _scan_block(n, max_volume_sq, v1, alone=True):
+    """Block v1's (start, result, trace), scanned alone or among every block of its spec."""
+    starts = [v1] if alone else sorted({v1, *spectrum._block_starts(EnumerationSpec(n, max_volume_sq))})
+    return next(b for b in spectrum._spectrum_blocks((n, max_volume_sq, starts)) if b[0] == v1)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -388,7 +398,7 @@ def _rows(result):
     ],
 )
 def test_block_matches_the_reference_assembly(args):
-    v1, block, trace = spectrum._spectrum_block(args)
+    v1, block, trace = _scan_block(*args, alone=False)
     result = block.rows()
     reference = block_reference(*args)
     assert v1 == args[2]
@@ -399,7 +409,7 @@ def test_block_matches_the_reference_assembly(args):
 
 
 def test_block_groups_past_the_witness_cap_keep_the_least():
-    _, block, _ = spectrum._spectrum_block((3, 2000, 1))
+    _, block, _ = _scan_block(3, 2000, 1)
     capped = [row for row in block.rows() if row[1] > spectrum.WITNESS_CAP]
     assert capped
     for _, _, wits in capped:
@@ -423,11 +433,12 @@ def test_logs_in_the_old_row_order_still_resume(tmp_path, monkeypatch):
     # of first appearance; the reference assembly writes them that way.
     spec = EnumerationSpec(3, 2000)
 
-    def reference_block(args):
-        block = spectrum._Block.from_rows(block_reference(*args), spec)
-        return args[2], block, {"tuples": 0, "seconds": 0.0, "pid": 0}
+    def reference_blocks(args):
+        for v1 in args[2]:
+            block = spectrum._Block.from_rows(block_reference(*args[:2], v1), spec)
+            yield v1, block, {"tuples": 0, "seconds": 0.0, "pid": 0}
 
-    monkeypatch.setattr(spectrum, "_spectrum_block", reference_block)
+    monkeypatch.setattr(spectrum, "_spectrum_blocks", reference_blocks)
     path = tmp_path / "ckpt.jsonl"
     with pytest.raises(_Interrupted):
         build_spectrum(spec, workers=1, checkpoint_path=str(path), progress=_interrupt_at(3))
@@ -435,7 +446,7 @@ def test_logs_in_the_old_row_order_still_resume(tmp_path, monkeypatch):
     logged = _log(path)[1:]
     assert [b["block"] for b in logged] == [1, 2, 3]
     for b in logged:
-        new = spectrum._spectrum_block((3, 2000, b["block"]))[1].rows()
+        new = _scan_block(3, 2000, b["block"])[1].rows()
         assert b["result"] == [list(row) for row in block_reference(3, 2000, b["block"])]
         assert _rows(b["result"]) == _rows(new)
         assert [row[0] for row in b["result"]] != [row[0] for row in new]
@@ -611,6 +622,60 @@ def test_an_interrupted_pooled_build_resumes_block_by_block(tmp_path):
         blocks = _log(path)[1:]
         assert sorted(b["block"] for b in blocks) == list(spectrum._block_starts(spec))
         assert {b["block"]: b["sha256"] for b in blocks} == digests
+
+
+class _SlowRuns:
+    """``_spectrum_run`` that marks each run's start and end in ``marks``, by
+    its first block, and sleeps ``seconds`` in every run but block 1's."""
+
+    def __init__(self, marks, seconds):
+        self.marks, self.seconds = marks, seconds
+
+    def __call__(self, args):
+        first = args[2][0]
+        (self.marks / f"start{first}").touch()
+        if first != 1:
+            time.sleep(self.seconds)
+        blocks = list(spectrum._spectrum_blocks(args))
+        (self.marks / f"end{first}").touch()
+        return blocks
+
+
+def test_an_interrupted_pooled_build_waits_for_its_units_in_flight(tmp_path, monkeypatch):
+    # Killing busy workers can leave the pool waiting for ever on a lock
+    # that one of them held, so an interrupted build lets each unit it
+    # started finish, and starts no other.
+    monkeypatch.setattr(spectrum, "_spectrum_run", _SlowRuns(tmp_path, 0.5))
+    with pytest.raises(_Interrupted):
+        build_spectrum(EnumerationSpec(3, 2000), workers=2, progress=_interrupt_at(1))
+    started = {p.name[5:] for p in tmp_path.glob("start*")}
+    assert "1" in started and started == {p.name[3:] for p in tmp_path.glob("end*")}
+    assert len(started) < 7  # of 7 units
+    assert not multiprocessing.active_children()
+
+
+def test_a_pooled_build_whose_workers_die_raises(tmp_path, monkeypatch):
+    # A unit lost with its worker fails the build; it is not waited for.
+    monkeypatch.setattr(spectrum, "_spectrum_run", _SlowRuns(tmp_path, 60))
+
+    def kill_workers(done, total):
+        if done == 1:
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+
+    errors = []
+
+    def build():
+        try:
+            build_spectrum(EnumerationSpec(3, 2000), workers=2, progress=kill_workers)
+        except Exception as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=build, daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert [type(e) for e in errors] == [BrokenProcessPool]
 
 
 def test_checkpoint_log_is_append_only(tmp_path):
@@ -937,7 +1002,7 @@ def test_a_log_line_is_read_as_json_reads_it(line):
 
 def _block_result(v1):
     """A fresh copy of block v1's result at n = 3, bound 2000 (entries up to 176)."""
-    return json.loads(json.dumps(spectrum._spectrum_block((3, 2000, v1))[1].rows()))
+    return json.loads(json.dumps(_scan_block(3, 2000, v1)[1].rows()))
 
 
 _ODD_CELLS = [True, False, 1.0, "1", None, 2**63, -(2**63) - 1, 177, -177, 0, -1]
@@ -1551,6 +1616,54 @@ def test_threads_building_at_once_keep_their_own_memos(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     for i in range(3):
         assert results[i] == [expected[(i + k) % 3] for k in range(3)]
+
+
+@pytest.mark.parametrize("n, bound", [(2, 20000), (3, 2000), (6, 300)])
+def test_the_batch_caps_change_no_output(tmp_path, monkeypatch, n, bound):
+    # Blocks scanned alone, in 7-row slices and joined into one batch give
+    # the same tables, log lines and Phase A scans as the default caps; one
+    # worker's log counts the problems that its build sent to the grid, and
+    # a passing Phase A scan sends as many.
+    monkeypatch.setattr(spectrum, "_SCANS", {})
+    spec = EnumerationSpec(n, bound)
+    assert n == 3 or len(spectrum._block_rows(n, bound, spectrum._block_starts(spec)[-1])) == 0
+    facts = OuterSpectrumFacts(values_above=(F(1, 6),), low_bound=F(1, 10))
+
+    def outputs(name, workers):
+        path = tmp_path / f"{name}.jsonl"
+        with _grid_problems() as sent:
+            table = build_spectrum(spec, workers=workers, checkpoint_path=str(path))
+        logged = _log(path)[1:]
+        if workers == 1:
+            assert sent[0] == sum(b["problems"] for b in logged)
+        table.save_json(str(tmp_path / f"{name}.json"))
+        table.save_flat(str(tmp_path / f"{name}.tsv"))
+        files = [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("json", "tsv")]
+        return table, files, sorted((b["block"], b["result"], b["sha256"]) for b in logged), sent[0]
+
+    def phase_a(table, problems):
+        keys = sorted(table.entries)
+        certs = []
+        for target in (keys[0], keys[len(keys) // 2], keys[-1], F(1, 5), F(7, 50), F(1, 2)):
+            spectrum._SCANS.clear()
+            with _grid_problems() as sent:
+                cert = certify_absence(target, n, bound, outer_facts=facts)
+            assert sent[0] == problems if cert.phase_a_passed else sent[0] <= problems
+            certs.append((cert.phase_a_checked, cert.phase_a_witness))
+        return certs
+
+    table, *expected, problems = outputs("default", 1)
+    certs = phase_a(table, problems)
+    if (n, bound) == (3, 2000):
+        assert certs[3:5] == [(52, (1, 2, 9)), (6592, None)]
+    for join, cut in [(1, 7), (10**9, 10**9)]:
+        monkeypatch.setattr(spectrum, "_JOIN_ROWS", join)
+        monkeypatch.setattr(spectrum, "_SLICE_ROWS", cut)
+        sent = {}
+        for workers in (1, 2, 3):
+            table, *got, sent[workers] = outputs(f"{join}-{workers}", workers)
+            assert got == expected
+        assert phase_a(table, sent[1]) == certs
 
 
 def test_a_resumed_build_records_no_scan(tmp_path, monkeypatch):
