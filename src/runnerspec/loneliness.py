@@ -19,7 +19,8 @@ the full candidate set lives in the test suite.
 Two paths share one grid kernel.  ``_scan_row`` answers a query, one
 tuple: (a, q, k), maximum loneliness a/q first reached at t = k/q; a fold
 over its pairs in Python ints keeps the earliest time among equal values,
-and at n <= 3 most pairs are solved on plane lattices.  ``_scan_rows``
+and at n <= 3 most pairs are solved on plane lattices.  A tuple whose
+speeds over their gcd are all odd is answered without a scan.  ``_scan_rows``
 gives each row of an (m, n) batch, as builds and certificates send, its
 value a/q only.  A pair's problem is its n - 1 kept speeds on
 q = v_a + v_b, whose times j/q, j <= q/2 (the profile is symmetric under
@@ -286,11 +287,17 @@ def _lattice_times(u: int, w: int, q: int, radius: Optional[int] = None):
 def _scan_row(row: Sequence[int]) -> Tuple[int, int, int]:
     """Best (a, q, k) of one tuple of positive speeds, by a fold over the pairs of ``_pair_index``.
     At n <= 3 a pair's kept columns are solved on its lattice, for the row over its gcd g as
-    (g a', g q', k'); other pairs go to ``_scan_problems`` on their raw kept speeds."""
+    (g a', g q', k'); other pairs go to ``_scan_problems`` on their raw kept speeds.  A row
+    whose speeds over g are all odd is answered at once: every runner is at 1/2 at t = 1/(2g),
+    and at no earlier t (an integer combination of the odd v_i / g is 1, with an odd sum of
+    coefficients, so 2 g t is odd); a row with an even v_i / g never has them all there."""
     _require_int64(max(row))
+    g = gcd(*row)
+    if all(v // g % 2 for v in row):
+        return g, 2 * g, 1
     i, j, keep = _pair_index(len(row))
     dens = [row[x] + row[y] for x, y in zip(i, j)]
-    g, found = gcd(*row), [None] * len(dens)
+    found = [None] * len(dens)
     for p, (cols, qq) in enumerate(zip(keep, dens) if len(row) <= 3 else ()):
         points = _lattice_times(row[cols[0]] // g, row[cols[-1]] // g, qq // g)
         if points is not None:

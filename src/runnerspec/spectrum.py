@@ -13,17 +13,19 @@ the reduced-form window test, and the two-phase absence certifier.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import gc
 import json
 import os
 import re
 import stat
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count, islice
 from math import ceil, factorial, gcd, isqrt
-from time import perf_counter
+from time import perf_counter, sleep
 from typing import BinaryIO, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +62,11 @@ __all__ = [
 THREADS_ENV_VAR = "RUNNERSPEC_THREADS"
 WITNESS_CAP = 8
 
+# Most pool workers a build may ask for.  The pool outlives its build, so a
+# count past this is refused before any process starts; the cpu-count
+# default is cut to it.
+_MOST_WORKERS = 256
+
 TABLE_FORMAT_VERSION = 1
 CHECKPOINT_FORMAT_VERSION = 2
 
@@ -84,7 +91,9 @@ class CorruptCheckpoint(InvalidInput):
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count: explicit argument, then environment, then cpu count."""
+    """Worker count: explicit argument, then environment, then cpu count
+    (at most ``_MOST_WORKERS``).  A count below 1 or past ``_MOST_WORKERS``
+    raises ``InvalidInput``."""
     if workers is None:
         env = os.environ.get(THREADS_ENV_VAR)
         if env is not None:
@@ -96,10 +105,14 @@ def resolve_workers(workers: Optional[int] = None) -> int:
                 ) from None
             if workers < 1:
                 raise InvalidInput(f"{THREADS_ENV_VAR} must be at least 1, not {env!r}")
+            if workers > _MOST_WORKERS:
+                raise InvalidInput(f"{THREADS_ENV_VAR} must be at most {_MOST_WORKERS}, not {env!r}")
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = min(os.cpu_count() or 1, _MOST_WORKERS)
     if workers < 1:
         raise InvalidInput("worker count must be at least 1")
+    if workers > _MOST_WORKERS:
+        raise InvalidInput(f"worker count must be at most {_MOST_WORKERS}, not {workers}")
     return workers
 
 
@@ -519,9 +532,98 @@ def _spectrum_blocks(args: Tuple[int, int, Sequence[int]]) -> Iterator[Tuple[int
         start = perf_counter()
 
 
-def _spectrum_run(args: Tuple[int, int, Sequence[int]]) -> List[Tuple[int, _Block, dict]]:
-    """``_spectrum_blocks`` of a pool task's run of blocks, returned together."""
-    return list(_spectrum_blocks(args))
+# A pool worker's class memo, with the token of the build that made it.
+_RUN_MEMO: Tuple[Optional[int], Optional[_ClassMemo]] = (None, None)
+
+
+def _spectrum_run(args: Tuple[int, int, int, int, Sequence[int]]) -> List[Tuple[int, _Block, dict]]:
+    """``_spectrum_blocks`` of a pool run's blocks, returned together.  ``args``
+    is (token, top, n, max_volume_sq, starts): a run whose build token differs
+    from the last run's enters a fresh memo of bound ``top``, so a worker scans
+    each class once per build and never reads another build's classes."""
+    global _RUN_MEMO
+    token, top, *blocks = args
+    if _RUN_MEMO[0] != token:
+        _RUN_MEMO = token, _ClassMemo(top)
+    with _RUN_MEMO[1]:
+        return list(_spectrum_blocks(tuple(blocks)))
+
+
+# This process's pool, (pid, workers, executor); see ``_pool``.  Pooled
+# builds hold the lock, so that threads take turns on the pool, and none
+# shuts it down under another's runs.
+_POOL: Optional[tuple] = None
+_POOL_LOCK = threading.RLock()
+_BUILD_TOKENS = count()
+
+
+def _pool(workers: int):
+    """This process's ``ProcessPoolExecutor`` of ``workers`` processes.
+
+    It is made on first use and kept for later builds.  A build that asks
+    for another count, or finds a worker dead (the executor's ``_broken``
+    is set), shuts it down before making
+    the next, so no pool is forked while another one's manager thread runs.
+    A child forked from this process makes its own.
+    """
+    global _POOL
+    from concurrent.futures import ProcessPoolExecutor  # 10 ms to import
+
+    if _POOL is None or _POOL[0] != os.getpid() or _POOL[1] != workers or _POOL[2]._broken:
+        _close_pool()
+        _POOL = os.getpid(), workers, ProcessPoolExecutor(workers, initializer=_exit_with_parent)
+    return _POOL[2]
+
+
+def _exit_with_parent() -> None:
+    """A pool worker's initializer: a daemon thread ends the worker within a
+    second of its parent's death.  Orphaned by a killed parent, a worker
+    would wait for work for ever."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            sleep(1)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Shut down and forget this process's pool, if it has one.  At exit,
+    ``concurrent.futures`` has joined the workers already; dropping the pool
+    then, and not in module teardown, keeps its collection quiet."""
+    global _POOL
+    if _POOL is not None and _POOL[0] == os.getpid():
+        _POOL[2].shutdown()
+    _POOL = None
+
+
+def _pooled_blocks(spec: EnumerationSpec, left: List[int], workers: int) -> Iterator[Tuple[int, _Block, dict]]:
+    """The blocks ``left`` of ``spec``, as ``_spectrum_blocks`` gives them,
+    scanned by ``workers`` pool workers in contiguous runs of
+    ceil(blocks / (4 workers)), largest first.  At most ``workers`` runs are
+    submitted at a time: the next one goes once a finished run's blocks are
+    taken.  On close, as when the caller is interrupted, it waits for the
+    runs in flight: a worker killed while it held the result queue's lock
+    would leave the pool waiting for ever."""
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    size = -(-len(left) // (4 * workers))  # a task per block costs more in round trips than small blocks take
+    head = (next(_BUILD_TOKENS), 2 * isqrt(spec.max_volume_sq), spec.n, spec.max_volume_sq)
+    with _POOL_LOCK:
+        pool = _pool(workers)
+        runs = (pool.submit(_spectrum_run, (*head, left[i : i + size])) for i in range(0, len(left), size))
+        pending = set(islice(runs, workers))
+        try:
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for run in done:
+                    yield from run.result()
+                    pending.update(islice(runs, 1))
+        finally:
+            wait(pending)
 
 
 def _fold(blocks: Sequence[_Block]) -> _Block:
@@ -834,15 +936,20 @@ def build_spectrum(
     blocks and slice large ones (``_scanned_blocks``), and folded
     by maximum loneliness into arrays (see ``_Block``), and the blocks are
     folded the same way; a ``Fraction`` is made once per distance.  Each
-    class of pair problems is scanned once per thread or pool worker, in a
-    memo that lives as long as the build or the pool (see ``_scan_rows``).
-    The output is identical for any worker count and also across
-    checkpoint-interrupted runs.  ``progress`` is called with
-    (blocks_done, blocks_total) after every block.  Blocks arrive a batch
-    at a time, or a run at a time from a pool sent the blocks left, largest
-    first, in runs of ceil(blocks / (4 workers)).  An interrupted build lets
-    the runs in flight finish and scans its unlogged blocks again on resume;
-    a worker lost mid-run raises ``BrokenProcessPool``.
+    class of pair problems is scanned once per build in each thread or pool
+    worker, in a memo that the build enters (see ``_scan_rows``); a pool
+    worker enters a fresh one when a run of another build reaches it
+    (``_spectrum_run``).  The output is identical for any worker count and
+    also across checkpoint-interrupted runs.  ``progress`` is called with
+    (blocks_done, blocks_total) after every block.  Blocks arrive a batch at
+    a time, or a run at a time from this process's pool (``_pool``), which
+    outlives the build and which builds in several threads take turns on:
+    it is sent the blocks left, largest first, in runs of
+    ceil(blocks / (4 workers)), at most one per worker at a time
+    (``_pooled_blocks``).  An interrupted build waits for its runs in
+    flight, at most one per worker, and scans its unlogged blocks again on
+    resume; a worker lost mid-run raises ``BrokenProcessPool``, and the
+    next pooled build makes a new pool.
 
     ``checkpoint_path`` names an append-only log.  Each finished block is
     appended to it as one JSON line (the result, the sha256 of the result's
@@ -874,19 +981,11 @@ def build_spectrum(
         left = [v1 for v1 in starts if v1 not in done]
         completed = total - len(left)
         workers = min(workers, len(left))
-        results = _spectrum_blocks((spec.n, spec.max_volume_sq, left))
-        memo = stack.enter_context(_ClassMemo(2 * isqrt(spec.max_volume_sq)))  # no pair sum is larger
         if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor, as_completed  # 10 ms to import
-
-            pool = ProcessPoolExecutor(workers, initializer=memo.__enter__)
-            # Runs not started are dropped and those in flight finish: a worker
-            # killed holding the result queue's lock would hang the pool.
-            stack.callback(pool.shutdown, cancel_futures=True)
-            # A task per block costs more in round trips than small blocks take.
-            size = -(-len(left) // (4 * workers))
-            runs = [pool.submit(_spectrum_run, (spec.n, spec.max_volume_sq, left[i : i + size])) for i in range(0, len(left), size)]
-            results = chain.from_iterable(run.result() for run in as_completed(runs))
+            results = stack.enter_context(contextlib.closing(_pooled_blocks(spec, left, workers)))
+        else:
+            stack.enter_context(_ClassMemo(2 * isqrt(spec.max_volume_sq)))  # no pair sum is larger
+            results = _spectrum_blocks((spec.n, spec.max_volume_sq, left))
         for v1, block, trace in results:
             done[v1] = block
             completed += 1

@@ -6,7 +6,17 @@ reused by both the unit tests and the acceptance suite.
 
 import pytest
 
+from runnerspec import spectrum
 from runnerspec.spectrum import EnumerationSpec, build_spectrum
+
+
+@pytest.fixture(autouse=True)
+def _no_pool_outlives_its_test():
+    """A pooled build keeps its pool for the process, and its workers keep
+    the module state of their fork, a test's patches included; so each
+    test's pool is shut down with it."""
+    yield
+    spectrum._close_pool()
 
 
 @pytest.fixture(scope="session")

@@ -331,6 +331,7 @@ _TABLE = ("--n", "2", "--max-vol2", "10")
             "speed 100000000000000000000 is too large for the exact scan,"
             " which needs 2*v^2 < 2^60 (|v| <= 759,250,124)",
         ),
+        (("spectrum", *_TABLE, "--out", "{dir}/t.json", "--threads", "4000"), "worker count must be at most 256, not 4000"),
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, args, message):
@@ -445,6 +446,15 @@ def test_spectrum_names_a_bad_threads_variable(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: RUNNERSPEC_THREADS must be an integer, not 'abc'\n"
+
+
+def test_spectrum_refuses_a_threads_variable_past_the_bound(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RUNNERSPEC_THREADS", "4000")
+    code, out, err = run(capsys, *_spectrum_args(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: RUNNERSPEC_THREADS must be at most 256, not '4000'\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- verifiers ------------------------------------------------------------

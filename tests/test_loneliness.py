@@ -521,6 +521,32 @@ def test_a_maximum_of_one_half_is_reached_at_one_half_only(xs):
     assert maximizing_times(row) == maximizing_times_reference(row) == (F(1, 2),)
 
 
+@given(st.lists(st.integers(0, 300), min_size=1, max_size=5), st.booleans(), st.integers(1, 3))
+@example([1, 2, 3, 55], True, 1)
+@example([0, 1, 2], True, 3)
+@settings(max_examples=60, deadline=None)
+def test_all_odd_speeds_are_answered_without_a_scan(xs, odd, b):
+    # A row whose speeds over their gcd are all odd gets (g, 2g, 1) from no
+    # grid or lattice: the oracle's maximum and earliest time, and the
+    # batch kernel's value, which scans.  Other rows are scanned.
+    row = [2 * x + 1 for x in xs] if odd else [x + 1 for x in xs]
+    row = tuple(b * v // gcd(*row) for v in row)
+    (ea, eq, ek), _ = scan_reference_numpy(row)
+    with contextlib.ExitStack() as stack:
+        spies = [
+            stack.enter_context(mock.patch.object(loneliness, name, wraps=getattr(loneliness, name)))
+            for name in ("_lattice_times", "_scan_problems")
+        ]
+        a, q, k = _scan_row(row)
+    assert (F(a, q), F(k, q)) == (F(ea, eq), F(ek, eq))
+    assert [F(*v) for v in _scan_rows([row, row])[0].tolist()] == [F(ea, eq)] * 2
+    scans = sum(spy.call_count for spy in spies)
+    if all(v // gcd(*row) % 2 for v in row):
+        assert (a, q, k, scans) == (b, 2 * b, 1, 0)
+    else:
+        assert F(ea, eq) < F(1, 2) and scans > 0
+
+
 def test_a_maximum_of_one_half_scans_no_pair_again(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("a pair was scanned again")
@@ -730,15 +756,16 @@ def test_concurrent_scans_keep_their_own_grids():
     # grids; with one shared array, concurrent queries would overwrite each
     # other's grids.  n <= 3 tuples are solved on lattices, so the n = 4
     # tuples share grids: int32 ones on small pair sums, int64 ones on pair
-    # sums past 46,340 or with a raw kept speed of 200,003.
+    # sums past 46,340 or with a raw kept speed of 200,003.  Each n = 4
+    # tuple has an even speed, as all-odd speeds are answered without a grid.
     tuples = [
         (1, 2, 3),
         (9001, 9011, 9013),
         (3, 7, 199),
-        (4001, 4003, 4007, 4013),
-        (5003, 5009, 5011, 5021),
-        (30011, 30013, 30029, 30047),
-        (5003, 6007, 7001, 200003),
+        (4002, 4003, 4007, 4013),
+        (5004, 5009, 5011, 5021),
+        (30012, 30013, 30029, 30047),
+        (5003, 6007, 7002, 200003),
     ]
     dtypes = set()
     grid = loneliness._deviation_grid

@@ -11,6 +11,7 @@ import os
 import re
 import signal
 import stat
+import subprocess
 import sys
 import threading
 import time
@@ -246,20 +247,23 @@ def test_build_deterministic_across_workers():
 
 
 def test_pool_never_has_more_workers_than_blocks_left(tmp_path, monkeypatch):
-    pools, units = [], []
+    pools, runs = [], {}
 
-    class RecordingPool:  # runs the units in this thread, without the workers' memos
+    class RecordingPool:  # runs the units in this thread
+        _broken = False
+
         def __init__(self, workers, initializer):
             pools.append(workers)
-            units.append([workers, 0])
 
         def submit(self, func, args):
-            units[-1][1] += 1
+            token, top, n, bound, starts = args
+            assert top == 2 * isqrt(bound)
+            runs.setdefault(token, [pools[-1], 0])[1] += 1
             future = concurrent.futures.Future()
             future.set_result(func(args))
             return future
 
-        def shutdown(self, cancel_futures):
+        def shutdown(self):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -273,13 +277,15 @@ def test_pool_never_has_more_workers_than_blocks_left(tmp_path, monkeypatch):
     assert build_spectrum(spec, workers=64, checkpoint_path=str(path)) == base
     assert build_spectrum(EnumerationSpec(2, 7), workers=64).max_key == F(1, 6)
     assert pools == [2]
-    # A pooled build sends its blocks in at most 4 units per worker.
+    # A pooled build sends its blocks in at most 4 units per worker, each
+    # with its own token; the pool is kept while the worker count holds.
     spec = EnumerationSpec(3, 2000)  # 25 blocks
     base = build_spectrum(spec, workers=1)
-    for workers in (2, 3):
+    for workers in (2, 2, 3):
         assert build_spectrum(spec, workers=workers) == base
-    assert pools == [2, 2, 3]
-    assert all(1 < sent <= 4 * workers for workers, sent in units)
+    assert pools == [2, 3]
+    assert len(runs) == 4
+    assert all(1 < sent <= 4 * workers for workers, sent in runs.values())
 
 
 def test_totals_match_mobius_oracle(table_n3_1e3, table_n3_1e4):
@@ -632,30 +638,38 @@ class _SlowRuns:
         self.marks, self.seconds = marks, seconds
 
     def __call__(self, args):
-        first = args[2][0]
+        first = args[-1][0]
         (self.marks / f"start{first}").touch()
         if first != 1:
             time.sleep(self.seconds)
-        blocks = list(spectrum._spectrum_blocks(args))
+        blocks = list(spectrum._spectrum_blocks(args[2:]))
         (self.marks / f"end{first}").touch()
         return blocks
 
 
 def test_an_interrupted_pooled_build_waits_for_its_units_in_flight(tmp_path, monkeypatch):
-    # Killing busy workers can leave the pool waiting for ever on a lock
-    # that one of them held, so an interrupted build lets each unit it
-    # started finish, and starts no other.
+    # At most one run per worker is in flight, so an interrupted build
+    # starts no more runs than it has workers, and it lets each one finish
+    # before it raises; the kept pool then serves the next build.  The
+    # pool's workers fork before the patch, which reaches them by value.
+    spec = EnumerationSpec(3, 2000)
+    base = build_spectrum(spec, workers=2)
+    pool = spectrum._POOL[2]
     monkeypatch.setattr(spectrum, "_spectrum_run", _SlowRuns(tmp_path, 0.5))
     with pytest.raises(_Interrupted):
-        build_spectrum(EnumerationSpec(3, 2000), workers=2, progress=_interrupt_at(1))
+        build_spectrum(spec, workers=2, progress=_interrupt_at(1))
     started = {p.name[5:] for p in tmp_path.glob("start*")}
     assert "1" in started and started == {p.name[3:] for p in tmp_path.glob("end*")}
-    assert len(started) < 7  # of 7 units
-    assert not multiprocessing.active_children()
+    assert len(started) <= 2  # of 7 units
+    monkeypatch.undo()
+    assert build_spectrum(spec, workers=2) == base == build_spectrum(spec, workers=1)
+    assert spectrum._POOL[2] is pool
 
 
 def test_a_pooled_build_whose_workers_die_raises(tmp_path, monkeypatch):
     # A unit lost with its worker fails the build; it is not waited for.
+    # The next build finds the pool broken and makes another.
+    spec = EnumerationSpec(3, 2000)
     monkeypatch.setattr(spectrum, "_spectrum_run", _SlowRuns(tmp_path, 60))
 
     def kill_workers(done, total):
@@ -667,7 +681,7 @@ def test_a_pooled_build_whose_workers_die_raises(tmp_path, monkeypatch):
 
     def build():
         try:
-            build_spectrum(EnumerationSpec(3, 2000), workers=2, progress=kill_workers)
+            build_spectrum(spec, workers=2, progress=kill_workers)
         except Exception as exc:
             errors.append(exc)
 
@@ -676,6 +690,157 @@ def test_a_pooled_build_whose_workers_die_raises(tmp_path, monkeypatch):
     thread.join(timeout=30)
     assert not thread.is_alive()
     assert [type(e) for e in errors] == [BrokenProcessPool]
+    monkeypatch.undo()
+    broken = spectrum._POOL[2]
+    assert build_spectrum(spec, workers=2) == build_spectrum(spec, workers=1)
+    assert spectrum._POOL[2] is not broken
+
+
+def test_threads_take_turns_on_the_pool():
+    # Pooled builds from three threads at once, on 2 and 3 workers, more
+    # than this host's cores: none shuts the pool down under another's
+    # runs, and each table is the one-worker table.
+    specs = [EnumerationSpec(3, 2000), EnumerationSpec(4, 600), EnumerationSpec(2, 20000)]
+    expected = [build_spectrum(spec, workers=1) for spec in specs]
+    results, errors = {}, []
+
+    def work(i):
+        try:
+            results[i] = [build_spectrum(specs[(i + k) % 3], workers=2 + (i + k) % 2) for k in range(3)]
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for i in range(3):
+        assert results[i] == [expected[(i + k) % 3] for k in range(3)]
+
+
+def _replayed_problems(path, spec, workers):
+    """Each block's problems, as a build of ``spec`` on ``workers`` that
+    wrote the log at ``path`` sends them from fresh memos: each worker's
+    runs, as its log lines' pid names them, scanned again in this thread in
+    one memo per worker, in the order they were submitted, which is the
+    order a worker takes them from the pool's one queue."""
+    starts = list(spectrum._block_starts(spec))
+    size = -(-len(starts) // (4 * workers))
+    runs = {}
+    for line in _log(path)[1:]:
+        runs.setdefault(line["pid"], set()).add(starts.index(line["block"]) // size)
+    top = 2 * isqrt(spec.max_volume_sq)
+    problems = {}
+    for pid, order in runs.items():
+        token = object()
+        for run in sorted(order):
+            args = (token, top, spec.n, spec.max_volume_sq, starts[run * size : (run + 1) * size])
+            problems.update((v1, trace["problems"]) for v1, _, trace in spectrum._spectrum_run(args))
+    return problems
+
+
+def test_each_pooled_build_scans_from_fresh_memos(tmp_path):
+    # Builds of other bounds on the kept pool, and the same bound again,
+    # send the grid what a fresh pool's workers send: each worker's log
+    # lines count the problems of its runs replayed from an empty memo,
+    # so no class reaches a build from the one before it.
+    specs = [EnumerationSpec(3, 2000), EnumerationSpec(3, 3000), EnumerationSpec(4, 600), EnumerationSpec(3, 2000)]
+    for fresh in (False, True):
+        pools = []
+        for i, spec in enumerate(specs):
+            if fresh:
+                spectrum._close_pool()
+            path = tmp_path / f"{fresh}{i}.jsonl"
+            table = build_spectrum(spec, workers=2, checkpoint_path=str(path))
+            pools.append(spectrum._POOL[2])
+            assert table == build_spectrum(spec, workers=1)
+            logged = {b["block"]: b["problems"] for b in _log(path)[1:]}
+            assert logged == _replayed_problems(path, spec, 2)
+            assert sum(logged.values()) > 0
+        assert len(set(map(id, pools))) == (len(specs) if fresh else 1)
+
+
+def _child(*args):
+    """A child interpreter running ``args``, importing this runnerspec, its output piped."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(spectrum.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def _alive(pid):
+    """Whether process ``pid`` runs: it exists and is no zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+# A child that sets its start method, builds n = 3 @ 2000 on two workers
+# with a checkpoint log and a table file, prints its pool's worker pids,
+# and sleeps ``argv[4]`` s.
+_START_METHOD_BUILD = """
+import multiprocessing, sys, time
+multiprocessing.set_start_method(sys.argv[1])
+from runnerspec.spectrum import EnumerationSpec, build_spectrum
+table = build_spectrum(EnumerationSpec(3, 2000), workers=2, checkpoint_path=sys.argv[2])
+table.save_json(sys.argv[3])
+print(*sorted(p.pid for p in multiprocessing.active_children()), flush=True)
+time.sleep(float(sys.argv[4]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_every_start_method_builds_the_same_files_and_leaves_no_worker(tmp_path, method):
+    # Under each start method a kept pool's tables and log lines are the
+    # one-worker build's, and its workers end with the interpreter, which
+    # exits quietly.
+    spec = EnumerationSpec(3, 2000)
+    build_spectrum(spec, workers=1, checkpoint_path=str(tmp_path / "one.jsonl")).save_json(str(tmp_path / "one.json"))
+    child = _child("-c", _START_METHOD_BUILD, method, str(tmp_path / "two.jsonl"), str(tmp_path / "two.json"), "0")
+    out, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (0, "")
+    assert (tmp_path / "two.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+    one, two = (_log(tmp_path / f"{name}.jsonl")[1:] for name in ("one", "two"))
+    assert sorted((b["block"], b["sha256"]) for b in two) == sorted((b["block"], b["sha256"]) for b in one)
+    pids = set(map(int, out.split()))
+    assert len(pids) == 2 and {b["pid"] for b in two} <= pids
+    assert not [pid for pid in pids if _alive(pid)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_the_workers_of_a_killed_interpreter_end(tmp_path):
+    # Killed, the interpreter cannot shut its pool down: each worker sees
+    # its parent gone within a second and exits.  Workers left running
+    # are killed here, so that a failure leaves none behind.
+    log = tmp_path / "two.jsonl"
+    child = _child("-c", _START_METHOD_BUILD, "fork", str(log), str(tmp_path / "two.json"), "60")
+    pids = set()
+    try:
+        pids = set(map(int, child.stdout.readline().split()))
+        assert len(pids) == 2 and all(map(_alive, pids))
+        child.kill()
+        child.wait(timeout=60)
+        deadline = time.monotonic() + 20
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in pids if _alive(pid)]
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+        child.stdout.close()
+        child.stderr.close()
+        for pid in filter(_alive, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_checkpoint_log_is_append_only(tmp_path):
@@ -1572,7 +1737,8 @@ def _memo():
 def test_no_class_memo_outlives_its_call(tmp_path, monkeypatch):
     # Two builds, and a fresh Phase A scan of the same bound, each start
     # from an empty memo, so each sends the grid the same problems; a
-    # build's block lines count them.  No memo is left in the thread.
+    # build's block lines count them.  No memo is left in the thread, nor
+    # by a pool run, whose memo is entered for the run alone.
     monkeypatch.setattr(spectrum, "_SCANS", {})
     spec, path = EnumerationSpec(3, 2000), tmp_path / "ckpt.jsonl"
     runs = []
@@ -1590,6 +1756,8 @@ def test_no_class_memo_outlives_its_call(tmp_path, monkeypatch):
         build_spectrum(spec, workers=1, progress=_interrupt_at(3))
     assert _memo() is None
     build_spectrum(spec, workers=2)
+    assert _memo() is None
+    assert spectrum._spectrum_run((object(), 2 * isqrt(2000), 3, 2000, [1, 2]))
     assert _memo() is None
 
 
@@ -1766,6 +1934,25 @@ def test_multiplicity_report(table_n3_1e4, table_n2_1e4):
 
 
 # --- worker resolution ----------------------------------------------------
+
+
+def test_a_worker_count_past_the_bound_is_refused_before_any_process(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    most = spectrum._MOST_WORKERS
+    spec, path = EnumerationSpec(3, 2000), tmp_path / "ckpt.jsonl"
+    with pytest.raises(InvalidInput, match=f"^worker count must be at most {most}, not {most + 1}$"):
+        build_spectrum(spec, workers=most + 1, checkpoint_path=str(path))
+    monkeypatch.setenv(THREADS_ENV_VAR, "4000")
+    with pytest.raises(InvalidInput, match=f"^{THREADS_ENV_VAR} must be at most {most}, not '4000'$"):
+        build_spectrum(spec, checkpoint_path=str(path))
+    assert not path.exists()
+    assert resolve_workers(most) == most
+    monkeypatch.delenv(THREADS_ENV_VAR)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4000)
+    assert resolve_workers() == most
 
 
 def test_resolve_workers(monkeypatch):
