@@ -37,6 +37,7 @@ the tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass
@@ -332,11 +333,22 @@ _CLASS_Q = 16
 _INVERSE_CELLS = 1 << 20
 
 
+@functools.lru_cache(maxsize=1)  # one table per process, for the last top asked for
+def _inverses(top: int) -> np.ndarray:
+    """s^-1 mod q at [q, s] for each unit s <= q / 2 mod q <= top, else 0, read-only int32."""
+    table = np.zeros((top + 1, top // 2 + 1), dtype=np.int32)
+    for q in range(2, top + 1):
+        units = [s for s in range(1, q // 2 + 1) if gcd(s, q) == 1]
+        table[q, units] = [pow(s, -1, q) for s in units]
+    table.flags.writeable = False
+    return table
+
+
 class _ClassMemo:
     """What one build has scanned in one thread, entered as a context: class
     keys in order after a sentinel -1, over their values a, 16 bytes a class.
-    ``top`` bounds the pair sums and fixes the radix, top // 2 + 1; ``inverses``
-    holds s^-1 mod q at [q, s] for each unit s <= q / 2 mod q <= top, else 0."""
+    ``top`` bounds the pair sums and fixes the radix, top // 2 + 1;
+    ``inverses`` is the table of ``_inverses(top)``, taken on first use."""
 
     def __init__(self, top: int):
         self.top, self.radix = top, top // 2 + 1
@@ -361,10 +373,7 @@ class _ClassMemo:
             q, s = np.divmod(keys, self.radix)
             return np.where(np.gcd(s, q) == 1, q * self.radix + 1, keys)
         if self.inverses is None and (self.top + 1) * self.radix <= _INVERSE_CELLS:
-            self.inverses = np.zeros((self.top + 1, self.radix), dtype=np.int64)
-            for q in range(2, self.top + 1):
-                units = [s for s in range(1, q // 2 + 1) if gcd(s, q) == 1]
-                self.inverses[q, units] = [pow(s, -1, q) for s in units]
+            self.inverses = _inverses(self.top)
         out = keys.copy()
         step = max(1, _GRID_CELLS // c // c)  # c candidates of c speeds a problem
         for p in range(0, len(keys) if self.inverses is not None else 0, step):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import atexit
 import contextlib
+import functools
 import gc
 import json
 import os
@@ -460,14 +461,19 @@ class _Block(NamedTuple):
         """The checkpoint log's JSON rows: [distance, multiplicity, witnesses]."""
         return [[f"{p}/{r}" if r != 1 else str(p), m, w] for p, r, m, w in self.groups()]
 
+    def split(self, ends: List[int]) -> Iterator["_Block"]:
+        """The blocks of this one's values [0, ends[0]), [ends[0], ends[1]), ...
+        with their witnesses, each keyed from 0."""
+        cuts = np.searchsorted(self.key, ends).tolist()
+        for lo, hi, at, to in zip([0, *ends], ends, [0, *cuts], cuts):
+            yield _Block(self.a[lo:hi], self.q[lo:hi], self.mult[lo:hi], self.wits[at:to], self.key[at:to] - lo)
+
     @classmethod
     def from_rows(cls, rows: list, spec: EnumerationSpec) -> "_Block":
         """The block of JSON rows ``rows``, checked in one array pass
         (``_block_cells``); rows that it doubts are walked by ``_check_block``,
-        which names the entry at fault.  A value past int64, a distance or
-        witness entry past 4 sqrt(B) (past 1 at n = 1), or a value's witness
-        rows that do not rise strictly by (squared volume, tuple), as
-        ``_fold`` needs them to, is no build's."""
+        which names the entry at fault.  A value past int64 is no build's,
+        nor is what ``from_terms`` refuses."""
         parsed = _block_cells(rows, spec.n)
         if parsed is None:
             _check_block(rows, spec.n)
@@ -475,17 +481,24 @@ class _Block(NamedTuple):
             groups = [ws for *_, ws in rows]
             parsed = keys, [m for _, m, _ in rows], groups, [c for ws in groups for w in ws for c in w]
         keys, mults, groups, cells = parsed
-        top = 4 * isqrt(spec.max_volume_sq) if spec.n > 1 else 1  # n = 1 has one tuple, (1,)
         try:
             p, r = np.array(keys, dtype=np.int64).reshape(-1, 2).T
             wits = np.array(cells, dtype=np.int64).reshape(-1, spec.n)
             mult = np.array(mults, dtype=np.int64)
         except OverflowError:
             raise InvalidInput("a value is past int64") from None
+        return cls.from_terms(p, r, mult, wits, np.repeat(np.arange(len(rows)), list(map(len, groups))), spec)
+
+    @classmethod
+    def from_terms(cls, p, r, mult, wits, key, spec: EnumerationSpec) -> "_Block":
+        """The block of distances p/r, multiplicities, and witness rows of
+        distance index ``key``.  An entry past 4 sqrt(B) (1 at n = 1), or
+        witnesses of a distance that do not rise strictly by (squared volume,
+        tuple), as ``_fold`` needs them to, are no build's."""
+        top = 4 * isqrt(spec.max_volume_sq) if spec.n > 1 else 1  # n = 1 has one tuple, (1,)
         values = np.concatenate((p, r, wits.ravel()))
         if not -top <= values.min(initial=0) <= values.max(initial=0) <= top:
             raise InvalidInput(f"a distance or witness entry is past {top}")
-        key = np.repeat(np.arange(len(rows)), list(map(len, groups)))
         # Each row's first change from the last, by (index, volume, tuple), must be a rise.
         step = np.diff(np.column_stack((key, (wits * wits).sum(axis=1), wits)), axis=0)
         fall = np.flatnonzero(step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0)
@@ -503,33 +516,39 @@ _JOIN_ROWS = 1 << 12
 _SLICE_ROWS = 1 << 16
 
 
-def _scanned_blocks(n: int, max_volume_sq: int, starts: Iterable[int]) -> Iterator[Tuple[int, np.ndarray, np.ndarray, int]]:
-    """(start, rows, values (a, q) of the rows, problems) of each block of
-    ``starts`` in turn, scanned a batch of rows per ``_scan_rows`` call: a
-    batch's problem count is on its first block, and 0 on the others."""
-    batch: List[Tuple[int, np.ndarray]] = []
+def _scanned_batches(n: int, max_volume_sq: int, starts: Iterable[int]) -> Iterator[tuple]:
+    """(starts, row counts, rows, values (a, q) of the rows, problems) of
+    each batch of the blocks ``starts`` in turn, scanned a slice of rows per
+    ``_scan_rows`` call."""
+    batch, held = [], 0  # (start, rows) of each block, and their rows
     for v1, t in chain(((v1, _block_rows(n, max_volume_sq, v1)) for v1 in starts), [(0, None)]):
-        if batch and (t is None or sum(len(b) for _, b in batch) + len(t) > _JOIN_ROWS):
-            rows = batch[0][1] if len(batch) == 1 else np.concatenate([b for _, b in batch])
+        if batch and (t is None or held + len(t) > _JOIN_ROWS):
+            v1s, parts = zip(*batch)
+            rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
             scans = [_scan_rows(rows[i : i + _SLICE_ROWS]) for i in range(0, max(len(rows), 1), _SLICE_ROWS)]
-            ml, problems, at = np.concatenate([s[0] for s in scans]), sum(s[1] for s in scans), 0
-            for start, b in batch:
-                yield start, b, ml[at : at + len(b)], problems
-                problems, at = 0, at + len(b)
-            batch = []
+            yield list(v1s), list(map(len, parts)), rows, np.concatenate([s[0] for s in scans]), sum(s[1] for s in scans)
+            batch, held = [], 0
         batch.append((v1, t))
+        held += 0 if t is None else len(t)
 
 
 def _spectrum_blocks(args: Tuple[int, int, Sequence[int]]) -> Iterator[Tuple[int, _Block, dict]]:
     """Each block of ``args`` = (n, max_volume_sq, starts) folded by reduced
     maximum loneliness: its start, result and trace (tuple count, problems
-    sent to the grid, seconds since the block before it, and pid)."""
+    sent to the grid, seconds since the block before it, and pid).  Each
+    batch (``_scanned_batches``) is folded once, its values keyed by
+    (block, a, q), and split into its blocks; the first block of a batch
+    carries the batch's problems and, in its seconds, its scan and fold."""
     start = perf_counter()
-    for v1, t, ml, problems in _scanned_blocks(*args):
-        block = _fold([_Block(*ml.T, np.ones(len(t), dtype=np.int64), t, np.arange(len(t)))])
-        seconds = round(perf_counter() - start, 6)
-        yield v1, block, {"tuples": len(t), "problems": problems, "seconds": seconds, "pid": os.getpid()}
-        start = perf_counter()
+    for v1s, sizes, rows, ml, problems in _scanned_batches(*args):
+        most = int(ml[:, 0].max(initial=0)) + 1  # a < most, so block * most + a orders by (block, a)
+        a = np.repeat(np.arange(len(v1s)), sizes) * most + ml[:, 0]
+        batch = _fold([_Block(a, ml[:, 1], np.ones(len(rows), dtype=np.int64), rows, np.arange(len(rows)))])
+        ends = np.searchsorted(batch.a // most, np.arange(1, len(v1s) + 1)).tolist()
+        for v1, size, block in zip(v1s, sizes, batch._replace(a=batch.a % most).split(ends)):
+            seconds = round(perf_counter() - start, 6)
+            yield v1, block, {"tuples": size, "problems": problems, "seconds": seconds, "pid": os.getpid()}
+            problems, start = 0, perf_counter()
 
 
 # A pool worker's class memo, with the token of the build that made it.
@@ -633,7 +652,8 @@ def _fold(blocks: Sequence[_Block]) -> _Block:
     puts each value's least witnesses first, before the cap.  Rows that tie
     keep their input order, which is tuple order for blocks in start order
     that each hold a value's rows by (volume, tuple), as block scans and
-    ``_Block.from_rows`` make them."""
+    ``_Block.from_rows`` make them.  A batch's rows are folded into its
+    blocks here too, each a offset by its block (``_spectrum_blocks``)."""
     a, q, mult, wits, key = map(np.concatenate, zip(*blocks))
     key += np.repeat(np.cumsum([0, *(len(b.a) for b in blocks[:-1])]), [len(b.key) for b in blocks])
     span = int(q.max(initial=0)) + 1  # 0 < q < span, so a * span + q orders by (a, q)
@@ -743,15 +763,9 @@ def _block_cells(rows: list, n: int) -> Optional[tuple]:
 # per finished block, {"block", "sha256", "result", "tuples", "problems",
 # "seconds", "pid"}.  "sha256" digests the compact JSON of "result"; the last four
 # fields trace the run and are not read back.  The first block of a batch
-# (``_scanned_blocks``) carries the batch's "problems" and scan "seconds".
+# (``_scanned_batches``) carries the batch's "problems" and, in "seconds",
+# the batch's scan and fold.
 _COMPACT = (",", ":")
-
-# A block line as the writer opens it: block start, digest, then the result.
-_LINE_HEAD = re.compile(rb'\{"block":([1-9][0-9]{0,17}),"sha256":"([0-9a-f]{64})","result":')
-
-# A JSON text made of these bytes alone is its own compact re-serialisation:
-# it has no space, escape, float, object, literal or minus sign (so no "-0").
-_PLAIN_JSON = b'[],0123456789"/'
 
 
 def _digest(text: bytes) -> str:
@@ -763,40 +777,112 @@ def _digest(text: bytes) -> str:
     return hashlib.sha256(text).hexdigest()
 
 
-def _parse_line(line: bytes) -> Tuple[object, Optional[bytes]]:
-    """``json.loads(line)``, and the line's own "result" bytes when they are
-    the result's compact JSON, else None.
+_TEXT_BYTES = 1 << 15  # results parsed at a time: at 64 KiB a read of n = 2 @ 2*10^5 peaked 0.45 MiB higher
 
-    An ASCII line that opens as the writer's does is decoded in two parts,
-    the result (where the decoder reports its end) and the fields after it;
-    any other line, or one that does not decode this way, is read whole by
-    ``json.loads``, which raises its usual errors.
-    """
-    head = _LINE_HEAD.match(line)
-    if head is not None and line.isascii():
-        text = line.decode("ascii")
-        with contextlib.suppress(ValueError):
-            result, end = json.JSONDecoder().raw_decode(text, head.end())
-            tail = text[end:]
-            trace = {} if tail == "}" else json.loads("{" + tail[1:]) if tail.startswith(',"') else None
-            if isinstance(trace, dict) and not {"block", "sha256", "result"} & trace.keys():
-                raw = line[head.end() : end]
-                entry = {"block": int(head[1]), "sha256": head[2].decode(), "result": result, **trace}
-                return entry, None if raw.translate(None, _PLAIN_JSON) else raw
-    return json.loads(line), None
+
+@functools.lru_cache(maxsize=None)
+def _line_patterns(n: int) -> Tuple["re.Pattern[bytes]", ...]:
+    """A block line of n-tuples as the writer makes it, in three patterns
+    compiled on first use: up to the result's "[" (start and digest), up to
+    256 rows, as the regex engine keeps state for each repetition, and the
+    rest.  Integers are positive and of at most 18 digits (so each fits
+    int64), distances are written 0 or p/r, a row has 1 to ``WITNESS_CAP``
+    witnesses of n entries, and the trace fields are a format-2 writer's,
+    with or without "problems", or none."""
+    num, count = rb"[1-9][0-9]{0,17}", rb"(?:0|[1-9][0-9]*)"
+    wit = rb"\[%s(?:,%s){%d}\]" % (num, num, n - 1)
+    row = rb'\["(?:0|%s/%s)",%s,\[%s(?:,%s){0,%d}\]\]' % (num, num, num, wit, wit, WITNESS_CAP - 1)
+    seconds = rb"%s(?:\.[0-9]+)?(?:e[-+][0-9]+)?" % count
+    trace = rb',"tuples":%s(?:,"problems":%s)?,"seconds":%s,"pid":%s' % (count, count, seconds, count)
+    return (
+        re.compile(rb'\{"block":(%s),"sha256":"([0-9a-f]{64})","result":\[' % num),
+        re.compile(rb"%s(?:,%s){0,255}" % (row, row)),
+        re.compile(rb"\](?:%s)?\}" % trace),
+    )
+
+
+def _text_line(line: bytes, n: int) -> Optional[Tuple[int, str, bytes]]:
+    """The start, digest and result bytes of a block line as the writer
+    makes it (``_line_patterns``), else None."""
+    head, rows, tail = _line_patterns(n)
+    start = head.match(line)
+    if start is None:
+        return None
+    m, at = start, start.end()
+    if line[at : at + 1] != b"]":  # groups of rows, joined by ","
+        m = rows.match(line, at)
+        while m and line[m.end() : m.end() + 1] == b",":
+            m = rows.match(line, m.end() + 1)
+        at = m and m.end()
+    if not m or not tail.fullmatch(line, at):
+        return None
+    return int(start[1]), start[2].decode(), line[start.end() - 1 : at + 1]
+
+
+def _text_results(results: List[bytes], spec: EnumerationSpec) -> Optional[List[_Block]]:
+    """The blocks of results that ``_text_line`` read, or None if one fails
+    a check of ``_Block.from_rows``.  Their numbers are parsed at once and
+    classed by the byte before each: '"' opens a distance, '/' its
+    denominator, '[' a witness, '",' a multiplicity, and any other ',' a
+    witness's next entry."""
+    text = b"".join(results)
+    buf = np.frombuffer(text, dtype=np.uint8)
+    digit = (buf >= ord("0")) & (buf <= ord("9"))
+    first = np.flatnonzero(digit[1:] & ~digit[:-1]) + 1  # a result opens with "["
+    values = np.fromstring(text.translate(bytes.maketrans(b'[],"/', b"     ")), dtype=np.int64, sep=" ")
+    before = buf[first - 1]
+    num, den = before == ord('"'), before == ord("/")
+    mult = (before == ord(",")) & (buf[first - 2] == ord('"'))
+    cell = ~(num | den | mult)
+    row = np.cumsum(num) - 1
+    p, r = values[num], np.ones(int(num.sum()), dtype=np.int64)
+    r[row[den]] = values[den]
+    line = np.searchsorted(np.cumsum(list(map(len, results))), first[num], side="right")
+    order = np.lexsort((r, p, line))
+    twice = (np.diff(np.stack((line, p, r))[:, order], axis=1) == 0).all(axis=0)
+    if (values[den] == 1).any() or (np.gcd(p, r) != 1).any() or twice.any():
+        return None
+    try:
+        block = _Block.from_terms(p, r, values[mult], values[cell].reshape(-1, spec.n), row[cell][:: spec.n], spec)
+    except InvalidInput:
+        return None
+    return list(block.split(np.searchsorted(line, np.arange(1, len(results) + 1)).tolist()))
+
+
+def _text_blocks(lines: List[bytes], spec: EnumerationSpec) -> Optional[Dict[int, _Block]]:
+    """The blocks of the log lines ``lines`` read as text, ``_TEXT_BYTES`` of
+    results (or one line) at a time, or None if a line is not the writer's
+    (``_text_line``), or its digest, start or block fails a check."""
+    starts = _block_starts(spec)
+    blocks, batch, held = {}, [], 0  # blocks read, (start, result) of those to parse, and their bytes
+    for line in chain(lines, [None]):
+        found = line and _text_line(line, spec.n)
+        if line is not None and (not found or found[1] != _digest(found[2]) or found[0] not in starts):
+            return None
+        if batch and (not found or held + len(found[2]) > _TEXT_BYTES):
+            parsed = _text_results([result for _, result in batch], spec)
+            if parsed is None:
+                return None
+            blocks.update(zip((v1 for v1, _ in batch), parsed))
+            batch, held = [], 0
+        if found:
+            batch.append((found[0], found[2]))
+            held += len(found[2])
+    return blocks if len(blocks) == len(lines) else None  # else a start repeats
 
 
 def _read_checkpoint(path: str, data: bytes, spec: EnumerationSpec) -> Dict[int, _Block]:
     """The blocks of the log ``data`` as arrays, less a torn last line.
 
     The header's "version", "n" and "max_volume_sq" must be plain integers
-    and its "canonical_only" true.  A line's digest is taken from the line's
-    own "result" bytes when they are exactly the result's compact JSON, as
-    the writer makes them; any other line's result is serialised again to
-    be digested, so a digest of other text, such as a re-spaced result or
-    one holding "-0", does not match.  Each block is checked and made into
-    arrays in one pass (``_Block.from_rows``).  The cyclic garbage collector
-    is off while the lines are read, and its state is restored after.
+    and its "canonical_only" true.  A log whose every line is as the writer
+    makes it, and whose blocks pass ``_Block.from_rows``' checks as array
+    operations, is read as text (``_text_blocks``).  Any other log is read
+    line by line with ``json.loads``, which gives the same blocks or names
+    the first fault; a result is then serialised again to be digested, so a
+    digest of other text, such as a re-spaced result or one holding "-0",
+    does not match.  The cyclic garbage collector is off while the lines
+    are read, and its state is restored after.
     """
     head, newline, body = data.partition(b"\n")
     try:
@@ -834,15 +920,18 @@ def _read_checkpoint(path: str, data: bytes, spec: EnumerationSpec) -> Dict[int,
             f"checkpoint {path} was written for parameters {found}, "
             f"not {(spec.n, spec.max_volume_sq, True)}"
         )
-    starts = _block_starts(spec)
-    blocks: Dict[int, _Block] = {}
+    lines = body.split(b"\n")[:-1]
     collecting = gc.isenabled()
     gc.disable()  # parsed lines are many small lists, each freed once its arrays are built
     try:
-        for number, line in enumerate(body.split(b"\n")[:-1], start=2):
+        blocks = _text_blocks(lines, spec)
+        if blocks is not None:
+            return blocks
+        starts, blocks = _block_starts(spec), {}
+        for number, line in enumerate(lines, start=2):
             where = f"checkpoint {path} line {number}"
             try:
-                entry, raw = _parse_line(line)
+                entry = json.loads(line)
             except ValueError as exc:
                 raise CorruptCheckpoint(f"{where} is not valid JSON: {exc}") from None
             if not isinstance(entry, dict):
@@ -851,9 +940,7 @@ def _read_checkpoint(path: str, data: bytes, spec: EnumerationSpec) -> Dict[int,
                 if key not in entry:
                     raise CorruptCheckpoint(f"{where} has no {key!r} field")
             v1, result = entry["block"], entry["result"]
-            if raw is None:
-                raw = json.dumps(result, separators=_COMPACT).encode()
-            if entry["sha256"] != _digest(raw):
+            if entry["sha256"] != _digest(json.dumps(result, separators=_COMPACT).encode()):
                 raise CorruptCheckpoint(f"{where}: sha256 does not match the result")
             try:
                 if type(v1) is not int or v1 not in starts:
@@ -864,10 +951,10 @@ def _read_checkpoint(path: str, data: bytes, spec: EnumerationSpec) -> Dict[int,
             if v1 in blocks:
                 raise CorruptCheckpoint(f"{where} repeats block {v1}")
             blocks[v1] = block
+        return blocks
     finally:
         if collecting:
             gc.enable()
-    return blocks
 
 
 def _load_checkpoint(path: str, spec: EnumerationSpec) -> Tuple[Dict[int, _Block], int]:
@@ -933,9 +1020,10 @@ def build_spectrum(
 
     Work is split into blocks by the leading coordinate.  Each block is
     enumerated into an int64 array, scanned in batches that join small
-    blocks and slice large ones (``_scanned_blocks``), and folded
-    by maximum loneliness into arrays (see ``_Block``), and the blocks are
-    folded the same way; a ``Fraction`` is made once per distance.  Each
+    blocks and slice large ones (``_scanned_batches``), and each batch is
+    folded once by (block, maximum loneliness) into arrays that are split
+    into its blocks (see ``_Block`` and ``_spectrum_blocks``); the blocks
+    are folded the same way, and a ``Fraction`` is made once per distance.  Each
     class of pair problems is scanned once per build in each thread or pool
     worker, in a memo that the build enters (see ``_scan_rows``); a pool
     worker enters a fresh one when a run of another build reaches it
@@ -955,7 +1043,8 @@ def build_spectrum(
     appended to it as one JSON line (the result, the sha256 of the result's
     compact JSON, serialised once for both, and the block's trace: see
     ``_spectrum_blocks``), flushed and fsynced before ``progress`` is called.
-    A later call with the same spec reads the logged blocks back (see
+    A later call with the same spec reads the logged blocks back, as text
+    where every line is as the writer makes it, else line by line (see
     ``_read_checkpoint``), checking the header, every digest and every
     block, drops a line torn by an interrupted write, and builds the rest.
     A version-1 checkpoint is refused; delete it and rebuild.
@@ -1242,14 +1331,14 @@ def _phase_a(
     p, r = (ml.numerator, ml.denominator) if ml.denominator < 2**63 else (-1, -1)
     checked = 0
     with _ClassMemo(2 * isqrt(cutoff)):
-        for _, t, values, _ in _scanned_blocks(spec.n, cutoff, _block_starts(spec)):
+        for _, _, rows, values, _ in _scanned_batches(spec.n, cutoff, _block_starts(spec)):
             a, q = values.T
             hits = np.flatnonzero((a == p) & (q == r))
-            reached = checked + (int(hits[0]) + 1 if len(hits) else len(t))
+            reached = checked + (int(hits[0]) + 1 if len(hits) else len(rows))
             _progress_to(progress, checked, reached)
             checked = reached
             if len(hits):
-                return checked, tuple(t[hits[0]].tolist())
+                return checked, tuple(rows[hits[0]].tolist())
     return checked, None
 
 
@@ -1271,8 +1360,8 @@ def certify_absence(
     build saw no tuple within the cutoff at the target.  Phase A then
     passes without a scan, counting the tuples from the build when the
     bounds are equal and by the lengths of the enumerated blocks otherwise.  In every other case
-    it scans the batches of a build (see ``_scanned_blocks``) up to the
-    block of the first counterexample, the only way to name it and its
+    it scans the batches of a build (see ``_scanned_batches``) up to the
+    batch of the first counterexample, the only way to name it and its
     position.
     Phase B covers the tail:
     above the cutoff the orbit is rho-dense in a surrounding plane (tube

@@ -13,8 +13,10 @@ import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from fractions import Fraction
@@ -1148,21 +1150,180 @@ _LINE_VARIANTS = [
 ]
 
 
+# The header of a log of EnumerationSpec(3, 30), whose block 2 the line above can be.
+_HEADER = '{"version":2,"n":3,"max_volume_sq":30,"canonical_only":true}\n'
+
+
+def _read(data, spec=EnumerationSpec(3, 30), text=True):
+    """What ``_read_checkpoint`` makes of the log ``data``, read as text
+    where it can be or (``text`` false) line by line: each block's arrays
+    with their dtypes and shapes, or the ``CorruptCheckpoint`` message."""
+    with contextlib.nullcontext() if text else mock.patch.object(spectrum, "_text_blocks", lambda lines, spec: None):
+        try:
+            blocks = spectrum._read_checkpoint("ckpt.jsonl", data.encode() if isinstance(data, str) else data, spec)
+        except CorruptCheckpoint as exc:
+            return str(exc)
+    return {v1: [(x.tolist(), x.dtype.str, x.shape) for x in block] for v1, block in blocks.items()}
+
+
 @pytest.mark.parametrize("line", _LINE_VARIANTS, ids=[f"variant{i}" for i in range(len(_LINE_VARIANTS))])
 def test_a_log_line_is_read_as_json_reads_it(line):
-    data = line.encode()
+    # A line that json.loads refuses is refused with its message; any other
+    # line, its zero digest made its result's, reads as the compact JSON of
+    # what json.loads reads, which is the writer's form of it.
     try:
-        expected = json.loads(data)
+        expected = json.loads(line)
     except ValueError as exc:
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
-            spectrum._parse_line(data)
+        assert _read(_HEADER + line + "\n") == f"checkpoint ckpt.jsonl line 2 is not valid JSON: {exc}"
         return
-    entry, raw = spectrum._parse_line(data)
-    assert entry == expected and list(entry) == list(expected)
-    compact = json.dumps(expected["result"], separators=(",", ":")).encode()
-    assert raw is None or raw == compact
-    if line in _LINE_VARIANTS[:2]:
-        assert raw == compact
+    writers = line in _LINE_VARIANTS[:2]
+    if isinstance(expected, dict) and "result" in expected:
+        line = line.replace("0" * 64, _sha256(expected["result"]))
+        expected = json.loads(line)
+    read = _read(_HEADER + line + "\n")
+    assert read == _read(_HEADER + json.dumps(expected, separators=(",", ":")) + "\n")
+    assert read == _read(_HEADER + line + "\n", text=False)
+    if writers:
+        assert list(read) == [2]
+        assert spectrum._text_blocks([line.encode()], EnumerationSpec(3, 30)) is not None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [EnumerationSpec(1, 10), EnumerationSpec(2, 20000), EnumerationSpec(3, 2000), EnumerationSpec(4, 400),
+     EnumerationSpec(5, 600), EnumerationSpec(6, 300), EnumerationSpec(7, 200), EnumerationSpec(8, 150),
+     EnumerationSpec(3, 10**4)],
+    ids=lambda spec: f"n{spec.n}-{spec.max_volume_sq}",
+)
+def test_every_log_that_a_build_writes_is_read_as_text(tmp_path, monkeypatch, spec):
+    # Each log, also with its lines' "problems" or their whole trace taken
+    # out, is read as text, to the arrays that the line-by-line read gives.
+    # Multiplicities here pass 4 sqrt(B), which bounds no multiplicity, and
+    # lines at n = 3 @ 10^4 hold up to 494 rows, more than one match's 256.
+    text_blocks, read_as_text = spectrum._text_blocks, []
+
+    def spy(lines, spec):
+        blocks = text_blocks(lines, spec)
+        read_as_text.append(blocks is not None)
+        return blocks
+
+    monkeypatch.setattr(spectrum, "_text_blocks", spy)
+    for workers in (1, 2, 3):
+        path = tmp_path / f"ckpt{workers}.jsonl"
+        table = build_spectrum(spec, workers=workers, checkpoint_path=str(path))
+        assert build_spectrum(spec, workers=workers, checkpoint_path=str(path)) == table
+        data = path.read_bytes()
+        for log in (data, re.sub(rb',"problems":[0-9]+', b"", data), _TRACE.sub(b"}\n", data)):
+            read = _read(log, spec)
+            assert isinstance(read, dict) and len(read) == len(spectrum._block_starts(spec))
+            assert read == _read(log, spec, text=False)
+    assert len(read_as_text) == 12 and all(read_as_text)
+
+
+def test_a_long_line_is_matched_in_bounded_memory():
+    # The regex engine keeps state for each repetition that it may
+    # backtrack into: one match over every row of this 1.2 MB line took
+    # 102 MB, so rows are matched 256 at a time.
+    rows = [[f"1/{2 * i + 3}", 5, [[1, 2, 3 + j] for j in range(8)]] for i in range(15000)]
+    result = json.dumps(rows, separators=(",", ":")).encode()
+    sha = hashlib.sha256(result).hexdigest()
+    line = b'{"block":1,"sha256":"' + sha.encode() + b'","result":' + result + b"}"
+    tracemalloc.start()
+    try:
+        found = spectrum._text_line(line, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == (1, sha, result) and peak < 2 * len(line)
+    for bad in (b"]]],]", b"]]]]]", b"]],]"):  # a trailing comma, a bracket too many, a row unclosed
+        assert spectrum._text_line(line.replace(b"]]]]", bad), 3) is None
+
+
+def _redigest(line, result):
+    """The writer's block ``line`` with its result text made ``result`` and digested."""
+    head, tail = line[: line.index('"sha256":')], line[line.index(',"tuples":') :]
+    sha = hashlib.sha256(result.encode()).hexdigest()
+    return f'{head}"sha256":"{sha}","result":{result}{tail}'
+
+
+def _result_text(line):
+    return line[line.index('"result":') + 9 : line.index(',"tuples":')]
+
+
+# Edits of a result's text, each at a place that it can be made: a 19-digit
+# witness entry or multiplicity, one past int64, a distance p/1, and a
+# witness, or a row's every witness, dropped.
+_RESULT_EDITS = {
+    "19 digits": (r"(?<=\[)[0-9]+(?=,)", "1" + "0" * 18),
+    "past int64": (r"(?<=\[)[0-9]+(?=,)", "9" * 19),
+    "mult 19 digits": (r'(?<=",)[0-9]+', "1" + "0" * 18),
+    "mult past int64": (r'(?<=",)[0-9]+', "9" * 19),
+    "p/1": (r'(?<=/)[0-9]+(?=")', "1"),
+    "drop a witness": (r",\[[0-9,]+\](?=\]\])", ""),
+    "drop the witnesses": (r"\[\[[0-9,]+\]\]", "[]"),
+}
+
+
+@st.composite
+def _damaged_logs(draw):
+    """A log of EnumerationSpec(3, 2000) or of EnumerationSpec(3, 30) as a
+    one-worker build writes it, or one line read at another spec, with one
+    fault: a damaged block, a line variant, a corruption, or an edit of a
+    result's text (``_RESULT_EDITS``), a repeated block or a multiplicity
+    past 4 sqrt(B); and the spec to read it at."""
+    kind = draw(st.sampled_from(["block", "variant", "corruption", "edit", "repeat", "multiplicity"]))
+    if kind == "block":
+        rows, n = draw(_damaged_blocks())
+        header = {"version": 2, "n": n, "max_volume_sq": 2000, "canonical_only": True}
+        line = {"block": 1, "sha256": _sha256(rows), "result": rows, "tuples": 1, "problems": 0, "seconds": 0.0, "pid": 1}
+        return "".join(json.dumps(x, separators=(",", ":")) + "\n" for x in (header, line)), EnumerationSpec(n, 2000)
+    if kind == "variant":
+        line = draw(st.sampled_from(_LINE_VARIANTS))
+        with contextlib.suppress(ValueError, KeyError, TypeError):
+            line = line.replace("0" * 64, _sha256(json.loads(line)["result"]))
+        return _HEADER + line + "\n", EnumerationSpec(3, 30)
+    if kind == "corruption":
+        damage, _ = draw(st.sampled_from(_CORRUPTIONS))
+        return damage(_build_log(3, 30)), EnumerationSpec(3, 30)
+    lines = _build_log(3, 2000).split("\n")
+    i = draw(st.integers(1, len(lines) - 2))
+    if kind == "repeat":
+        j = draw(st.integers(1, len(lines) - 2))
+        lines[j] = re.sub(r'(?<="block":)[0-9]+', str(json.loads(lines[i])["block"]), lines[j])
+    elif kind == "multiplicity":
+        result = re.sub(r'(?<=",)[0-9]+', lambda m: str(int(m[0]) + 4 * isqrt(2000)), _result_text(lines[i]), count=1)
+        lines[i] = _redigest(lines[i], result)
+    else:
+        pattern, text = _RESULT_EDITS[draw(st.sampled_from(sorted(_RESULT_EDITS)))]
+        places = list(re.finditer(pattern, _result_text(lines[i])))
+        if places:
+            m = places[draw(st.integers(0, len(places) - 1))]
+            result = _result_text(lines[i])
+            lines[i] = _redigest(lines[i], result[: m.start()] + text + result[m.end() :])
+    return "\n".join(lines), EnumerationSpec(3, 2000)
+
+
+_LOGS = {}
+
+
+def _build_log(n, max_volume_sq):
+    """The log of a one-worker build of EnumerationSpec(n, max_volume_sq), built once."""
+    if (n, max_volume_sq) not in _LOGS:
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "ckpt.jsonl"
+            build_spectrum(EnumerationSpec(n, max_volume_sq), workers=1, checkpoint_path=str(path))
+            _LOGS[n, max_volume_sq] = path.read_text()
+    return _LOGS[n, max_volume_sq]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_damaged_logs(), st.sampled_from([1, 3000, 1 << 16]))
+def test_a_damaged_log_reads_the_same_as_text_and_line_by_line(case, chunk):
+    # The same blocks, or the same message, with the text path on and off,
+    # parsing one line, a few or every line of a log at a time.
+    data, spec = case
+    with mock.patch.object(spectrum, "_TEXT_BYTES", chunk):
+        assert _read(data, spec) == _read(data, spec, text=False)
 
 
 def _block_result(v1):
@@ -1759,6 +1920,29 @@ def test_no_class_memo_outlives_its_call(tmp_path, monkeypatch):
     assert _memo() is None
     assert spectrum._spectrum_run((object(), 2 * isqrt(2000), 3, 2000, [1, 2]))
     assert _memo() is None
+
+
+def test_builds_at_one_bound_share_one_table_of_inverses():
+    # A process keeps one read-only table of inverses, for the last top that
+    # a memo asked for: a second build at one bound takes it as it is, and a
+    # build at another bound replaces it.
+    loneliness._inverses.cache_clear()
+    build_spectrum(EnumerationSpec(3, 2000), workers=1)
+    table = loneliness._inverses(2 * isqrt(2000))
+    build_spectrum(EnumerationSpec(3, 2000), workers=1)
+    assert loneliness._inverses(2 * isqrt(2000)) is table
+    info = loneliness._inverses.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2
+    build_spectrum(EnumerationSpec(3, 3000), workers=1)
+    info = loneliness._inverses.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
+    assert loneliness._inverses(2 * isqrt(3000)).shape == (2 * isqrt(3000) + 1, isqrt(3000) + 1)
+    assert table.dtype == np.int32 and not table.flags.writeable
+    top = 2 * isqrt(2000)
+    assert table.tolist() == [
+        [pow(s, -1, q) if 2 <= q and s <= q // 2 and gcd(s, q) == 1 else 0 for s in range(top // 2 + 1)]
+        for q in range(top + 1)
+    ]
 
 
 def test_threads_building_at_once_keep_their_own_memos(monkeypatch):
